@@ -20,12 +20,11 @@ from .engine import (
     parse_query,
     solve,
 )
-from .kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .kernel import unify
 from .pdp import DecisionRequest, DecisionResult, bench_decide, decide
 from .policy import PolicyAst, ValidationError, format_policy, parse_policy
-from .policy_compiler import CompiledPolicy, compile_policy, emit_clauses, match_services
-from .routes import Route, RouteError, format_route, parse_route, successors
+from .policy_compiler import CompiledPolicy, compile_policy, emit_clauses
+from .routes import Route, RouteError, format_route, parse_route
 from .runtime import (
     Message,
     ObligationRegistry,
@@ -35,12 +34,6 @@ from .runtime import (
     taint_permissiveness_demo,
 )
 from .terms import Atom, Compound, Int, Str, Term, Var, format_term, parse_term
-from .verifier import (
-    Counterexample,
-    Verdict,
-    compile_route_facts,
-    render_counterexample,
-    verify,
-)
+from .verifier import Counterexample, Verdict, render_counterexample, verify
 
 __version__ = "0.1.0"

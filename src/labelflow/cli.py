@@ -72,14 +72,19 @@ def build_registries(manifest: dict):
     ``services`` maps service atoms to stubs: ``echo`` (identity),
     ``const`` (fixed payload), ``sink`` (identity), ``fail`` (raises),
     ``source`` (seeds message props). ``obligations`` maps ``name/arity``
-    to ``succeed`` or ``fail``.
+    to ``succeed`` or ``fail``. Endpoint URLs come only from a route's
+    ``services`` block, so a ``url`` key is an input error.
     """
     services = ServiceRegistry()
     for name, spec in manifest.get("services", {}).items():
         kind = spec.get("kind", "echo")
         if kind not in _STUB_KINDS:
             raise CliError(f"service {name!r}: unknown stub kind {kind!r}")
-        url = spec.get("url")
+        if "url" in spec:
+            raise CliError(
+                f"service {name!r}: manifests take no 'url'; endpoint URLs "
+                "come from the route's services block"
+            )
         if kind == "fail":
 
             def handler(payload, props, _name=name):
@@ -103,7 +108,7 @@ def build_registries(manifest: dict):
 
         else:  # echo / sink
             handler = echo_handler
-        services.register(name, handler, url=url)
+        services.register(name, handler)
     obligations = ObligationRegistry()
     obligations.register("log", 2, lambda args, msg: True)
     for key, behavior in manifest.get("obligations", {}).items():

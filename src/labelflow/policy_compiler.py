@@ -12,7 +12,7 @@ bases diff cleanly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import Clause, KnowledgeBase, default_builtins, format_program
 from .policy import PolicyAst
@@ -26,6 +26,8 @@ class CompiledPolicy:
     rule_index: dict  # rule name -> FlowRule, declaration order
     service_index: dict  # service id -> ServiceDecl, declaration order
     endpoint_patterns: dict  # service id -> compiled regex
+    # (service atom, route URL) -> ids of the declarations covering it
+    covering: dict = field(default_factory=dict, compare=False, repr=False)
 
     def decision_id(self, rule_name: str) -> str:
         return f"dec_{rule_name}"
@@ -71,18 +73,6 @@ def compile_policy(ast: PolicyAst) -> CompiledPolicy:
     )
 
 
-def match_services(cp: CompiledPolicy, endpoint_url: str) -> list[str]:
-    """Declared services whose endpoint regex matches the full URL.
-
-    Anchored full-match, declaration order.
-    """
-    return [
-        sid
-        for sid, pattern in cp.endpoint_patterns.items()
-        if pattern.fullmatch(endpoint_url)
-    ]
-
-
 def service_matches(cp: CompiledPolicy, decl_id: str, target: str) -> bool:
     """Does declared service ``decl_id`` cover ``target`` (URL or id)?"""
     if decl_id == target:
@@ -91,18 +81,41 @@ def service_matches(cp: CompiledPolicy, decl_id: str, target: str) -> bool:
     return pattern is not None and pattern.fullmatch(target) is not None
 
 
-def resolve_transforms(cp: CompiledPolicy, target: str) -> tuple[frozenset, frozenset]:
+def covering_declarations(
+    cp: CompiledPolicy, atom: str, url: str | None = None
+) -> tuple:
+    """Ids of the declarations covering a service, in declaration order.
+
+    A declaration covers the service when it matches the service's atom or,
+    when the route gives one, its endpoint URL. Memoised per (atom, url) on
+    the compiled policy, so the runtime and the verifier share one answer.
+    """
+    key = (atom, url)
+    ids = cp.covering.get(key)
+    if ids is None:
+        ids = cp.covering[key] = tuple(
+            sid
+            for sid in cp.service_index
+            if service_matches(cp, sid, atom)
+            or (url is not None and service_matches(cp, sid, url))
+        )
+    return ids
+
+
+def resolve_transforms(
+    cp: CompiledPolicy, atom: str, url: str | None = None
+) -> tuple[frozenset, frozenset]:
     """Label transformation sets for a service, by endpoint match or id.
 
-    Several matching declarations contribute the union of their sets; an
-    unmatched target gets empty transforms.
+    ``atom`` may itself be a URL. Several covering declarations contribute
+    the union of their sets; an uncovered service gets empty transforms.
     """
     removes: set[Term] = set()
     creates: set[Term] = set()
-    for sid, decl in cp.service_index.items():
-        if service_matches(cp, sid, target):
-            removes.update(decl.removes_labels)
-            creates.update(decl.creates_labels)
+    for sid in covering_declarations(cp, atom, url):
+        decl = cp.service_index[sid]
+        removes.update(decl.removes_labels)
+        creates.update(decl.creates_labels)
     return frozenset(removes), frozenset(creates)
 
 

@@ -55,10 +55,6 @@ class DanglingTarget(RouteError):
         self.target = dst
 
 
-class UnknownStatement(RouteError):
-    pass
-
-
 class SplitJoinError(RouteError):
     """A split's branches do not all converge on one aggregate."""
 
@@ -130,13 +126,6 @@ class Route:
             if atom is not None and atom not in out:
                 out.append(atom)
         return out
-
-
-def successors(route: Route, n: int) -> list[int]:
-    """Successor statement numbers; terminal statements yield []."""
-    if n not in route.statements:
-        raise UnknownStatement(f"no statement numbered {n}")
-    return list(route.successors_map.get(n, ()))
 
 
 def node_names(route: Route) -> dict:

@@ -75,21 +75,15 @@ Handler = Callable[[bytes, dict], tuple]
 class ServiceRegistry:
     def __init__(self):
         self._handlers: dict[str, Handler] = {}
-        self._urls: dict[str, str] = {}
 
-    def register(self, name: str, handler: Handler, url: str | None = None) -> None:
+    def register(self, name: str, handler: Handler) -> None:
         self._handlers[name] = handler
-        if url is not None:
-            self._urls[name] = url
 
     def handler(self, name: str) -> Handler:
         try:
             return self._handlers[name]
         except KeyError:
             raise UnresolvedService(f"no handler registered for service {name!r}")
-
-    def url(self, name: str) -> str | None:
-        return self._urls.get(name)
 
     def check_route(self, route: Route) -> None:
         missing = [s for s in route.service_atoms() if s not in self._handlers]
@@ -278,26 +272,10 @@ class _Execution:
         self.names = node_names(route)
         self.audit: list[AuditEvent] = []
         self._msg_counter = 0
-        self._transform_cache: dict[str, tuple] = {}
 
     def new_message_id(self) -> str:
         self._msg_counter += 1
         return f"m{self._msg_counter}"
-
-    def target_of(self, atom: str) -> tuple[str, str]:
-        """(primary target string, service id) for decision and transforms."""
-        url = self.services.url(atom) or self.route.endpoints.get(atom)
-        return (url or atom, atom)
-
-    def transforms(self, atom: str) -> tuple:
-        if atom not in self._transform_cache:
-            target, _ = self.target_of(atom)
-            removes, creates = resolve_transforms(self.policy, target)
-            if target != atom:
-                r2, c2 = resolve_transforms(self.policy, atom)
-                removes, creates = removes | r2, creates | c2
-            self._transform_cache[atom] = (removes, creates)
-        return self._transform_cache[atom]
 
     def record(self, stmt_no, msg, before, after, decision=None, rule=None):
         self.audit.append(
@@ -316,7 +294,9 @@ class _Execution:
             payload, props = handler(payload, dict(props))
         except Exception as exc:
             raise HandlerError(entry, exc)
-        _, creates = self.transforms(stmt.service)
+        _, creates = resolve_transforms(
+            self.policy, stmt.service, self.route.endpoints.get(stmt.service)
+        )
         msg = Message(self.new_message_id(), payload, props, frozenset(creates))
         self.record(entry, msg, frozenset(), msg.labels)
         succ = self.route.successors_map.get(entry, ())
@@ -366,13 +346,13 @@ class _Execution:
 
     def _enter_service(self, stmt_no: int, stmt, msg: Message) -> None:
         atom = stmt.service if isinstance(stmt, To) else stmt.name
-        target, service_id = self.target_of(atom)
+        url = self.route.endpoints.get(atom)
         before = msg.labels
         req = DecisionRequest(
-            target,
+            url or atom,
             before,
             message_ref=Str(msg.id),
-            service_id=service_id if service_id != target else None,
+            service_id=atom if url else None,
         )
         result = decide(self.policy, req, self.default_effect)
         effect = result.effect
@@ -393,7 +373,7 @@ class _Execution:
             msg.payload, msg.props = handler(msg.payload, msg.props)
         except Exception as exc:
             raise HandlerError(stmt_no, exc)
-        removes, creates = self.transforms(atom)
+        removes, creates = resolve_transforms(self.policy, atom, url)
         msg.labels = apply_label_transform(before, removes, creates)
         self.record(stmt_no, msg, before, msg.labels, "allow", rule)
 
@@ -512,6 +492,6 @@ def taint_permissiveness_demo(
         props["tainted"] = Int(1 if tainted else 0)
         return payload, props
 
-    services.register("source", source, url=program.endpoints.get("source"))
-    services.register("sink", echo_handler, url=program.endpoints.get("sink"))
+    services.register("source", source)
+    services.register("sink", echo_handler)
     return execute(program, policy, services)

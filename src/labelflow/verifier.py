@@ -20,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .engine import Clause
 from .pdp import DecisionRequest, apply_label_transform, decide
-from .policy_compiler import CompiledPolicy, service_matches
+from .policy_compiler import (
+    CompiledPolicy,
+    covering_declarations,
+    resolve_transforms,
+)
 from .routes import (
-    Aggregate,
     Bean,
     Choice,
     From,
@@ -33,41 +35,7 @@ from .routes import (
     To,
     node_names,
 )
-from .terms import Atom, Compound, format_labels
-
-
-@dataclass(frozen=True)
-class RouteFacts:
-    clauses: tuple  # stmt/1, succ/2, stmt_kind/2, stmt_service/2 facts
-
-
-def compile_route_facts(route: Route) -> RouteFacts:
-    """Translate a route into stmt/succ facts plus per-statement metadata."""
-    names = node_names(route)
-    clauses = []
-    kinds = {
-        From: "from",
-        To: "to",
-        Bean: "bean",
-        Choice: "choice",
-        Split: "split",
-        Aggregate: "aggregate",
-    }
-    for n, stmt in route.statements.items():
-        node = Atom(names[n])
-        clauses.append(Clause(Compound("stmt", (node,))))
-        kind = kinds.get(type(stmt), "assign")
-        clauses.append(Clause(Compound("stmt_kind", (node, Atom(kind)))))
-        if isinstance(stmt, (From, To)):
-            clauses.append(Clause(Compound("stmt_service", (node, Atom(stmt.service)))))
-        elif isinstance(stmt, Bean):
-            clauses.append(Clause(Compound("stmt_service", (node, Atom(stmt.name)))))
-    for n in route.statements:
-        for t in route.successors_map.get(n, ()):
-            clauses.append(
-                Clause(Compound("succ", (Atom(names[n]), Atom(names[t]))))
-            )
-    return RouteFacts(tuple(clauses))
+from .terms import format_labels
 
 
 @dataclass(frozen=True)
@@ -109,28 +77,14 @@ class _Verifier:
         self.memo: dict = {}
         self.violations: dict = {}  # (rule, stmt) -> list of Counterexample
         self.states = 0
-        self._transforms: dict = {}
-
-    def target_of(self, atom: str) -> tuple[str, str | None]:
-        url = self.route.endpoints.get(atom)
-        return (url or atom, atom if url else None)
 
     def transforms(self, atom: str):
-        if atom not in self._transforms:
-            from .policy_compiler import resolve_transforms
-
-            target, _ = self.target_of(atom)
-            removes, creates = resolve_transforms(self.policy, target)
-            if target != atom:
-                r2, c2 = resolve_transforms(self.policy, atom)
-                removes, creates = removes | r2, creates | c2
-            self._transforms[atom] = (removes, creates)
-        return self._transforms[atom]
+        return resolve_transforms(self.policy, atom, self.route.endpoints.get(atom))
 
     def check(self, n, stmt, labels, full_trace, full_choices) -> None:
         atom = stmt.service if isinstance(stmt, To) else stmt.name
-        target, service_id = self.target_of(atom)
-        req = DecisionRequest(target, labels, service_id=service_id)
+        url = self.route.endpoints.get(atom)
+        req = DecisionRequest(url or atom, labels, service_id=atom if url else None)
         result = decide(self.policy, req, self.default_effect)
         if result.effect not in ("drop", "error"):
             return
@@ -252,13 +206,7 @@ def verify(
     """Explore every label flow through the route; collect counterexamples."""
     warnings = []
     for atom in route.service_atoms():
-        url = route.endpoints.get(atom)
-        covered = any(
-            service_matches(policy, sid, url or atom)
-            or service_matches(policy, sid, atom)
-            for sid in policy.service_index
-        )
-        if not covered:
+        if not covering_declarations(policy, atom, route.endpoints.get(atom)):
             warnings.append(
                 f"service {atom!r} is not declared in the policy; "
                 "assuming it neither adds nor removes labels"

@@ -129,14 +129,18 @@ def test_bench_writes_csv(tmp_path, capsys):
 
 
 def test_build_registries_stub_kinds():
+    from labelflow.cli import CliError
     from labelflow.terms import parse_term
 
     manifest = json.loads(read_fixture("stub_services.json"))
     services, obligations = build_registries(manifest)
     payload, props = services.handler("sensor")(b"p", {})
     assert "t" in props
-    assert services.url("mqueue") == "https://mq.example/out"
     assert obligations.invoke(parse_term('log("x", m)'), None)
+    # Endpoint URLs come from the route alone; a manifest may not set one.
+    manifest["services"]["mqueue"]["url"] = "https://mq.example/out"
+    with pytest.raises(CliError, match="services block"):
+        build_registries(manifest)
 
 
 def test_build_registries_rejects_unknown_kind():
@@ -144,3 +148,65 @@ def test_build_registries_rejects_unknown_kind():
 
     with pytest.raises(CliError):
         build_registries({"services": {"x": {"kind": "quantum"}}})
+
+
+# ---------------------------------------------------------------------------
+# check and run resolve a service's endpoint from the same source.
+# ---------------------------------------------------------------------------
+
+PUBLIC_POLICY = """
+service { id sensor endpoint "sensor://.+" creates_label raw }
+flow_rule {
+  id noRawPublic
+  when service { endpoint "https://public.example/.+" } receives raw
+  decide drop
+}
+"""
+
+PUBLIC_ROUTE = """
+route R {
+  services {
+    pub = "https://public.example/in"
+  }
+  1: from(sensor)
+  2: to(pub)
+}
+"""
+
+
+def _write_public_case(tmp_path, route_text, manifest):
+    policy = tmp_path / "public.lucon"
+    route = tmp_path / "public.route"
+    services = tmp_path / "services.json"
+    policy.write_text(PUBLIC_POLICY)
+    route.write_text(route_text)
+    services.write_text(json.dumps(manifest))
+    return str(route), str(policy), str(services)
+
+
+def test_check_and_run_agree_on_route_endpoint(tmp_path, capsys):
+    manifest = {"services": {"sensor": {"kind": "source"}, "pub": {"kind": "sink"}}}
+    route, policy, services = _write_public_case(tmp_path, PUBLIC_ROUTE, manifest)
+    assert main(["check", route, policy, "--format", "json"]) == 1
+    (ce,) = json.loads(capsys.readouterr().out)["counterexamples"]
+    assert main(["run", route, policy, "--services", services]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["status"] == "dropped"
+    assert summary["rule"] == ce["rule"] == "noRawPublic"
+    assert summary["at_statement"] == ce["trace"][-1]["statement"] == 2
+
+
+def test_run_manifest_url_is_input_error(tmp_path, capsys):
+    manifest = {
+        "services": {
+            "sensor": {"kind": "source"},
+            "pub": {"kind": "sink", "url": "https://public.example/in"},
+        }
+    }
+    bare = PUBLIC_ROUTE.replace('pub = "https://public.example/in"', "")
+    route, policy, services = _write_public_case(tmp_path, bare, manifest)
+    assert main(["run", route, policy, "--services", services]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "url" in captured.err

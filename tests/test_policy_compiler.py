@@ -8,7 +8,6 @@ from labelflow.policy import parse_policy
 from labelflow.policy_compiler import (
     compile_policy,
     emit_clauses,
-    match_services,
     resolve_transforms,
     service_matches,
 )
@@ -98,11 +97,15 @@ def test_indexes_preserve_declaration_order(compiled):
     assert list(compiled.service_index)[:2] == ["sensor", "merge"]
 
 
-def test_match_services_anchored(compiled):
-    assert match_services(compiled, "sensor://temp1") == ["sensor"]
+def covering(cp, target):
+    return [sid for sid in cp.service_index if service_matches(cp, sid, target)]
+
+
+def test_service_matches_anchored(compiled):
+    assert covering(compiled, "sensor://temp1") == ["sensor"]
     # A substring match is not enough: matching is anchored at both ends.
-    assert match_services(compiled, "xsensor://temp1x") == []
-    assert match_services(compiled, "https://mq.example/out")[0].startswith("service")
+    assert covering(compiled, "xsensor://temp1x") == []
+    assert covering(compiled, "https://mq.example/out")[0].startswith("service")
 
 
 def test_service_matches_by_id_and_pattern(compiled):
@@ -138,9 +141,9 @@ def test_fixture_compiles(tmp_path):
 URL_ALPHABET = ["sensor://temp1", "bean://merge", "https://mq.example/out"]
 
 
-def test_match_services_against_re_oracle(compiled):
+def test_service_matches_against_re_oracle(compiled):
     rng = random.Random(0)
-    urls = URL_ALPHABET + [
+    urls = URL_ALPHABET + list(compiled.service_index) + [
         "".join(rng.choice("abc:/.+") for _ in range(rng.randint(1, 12)))
         for _ in range(300)
     ]
@@ -148,6 +151,6 @@ def test_match_services_against_re_oracle(compiled):
         expected = [
             s.id
             for s in compiled.ast.services
-            if re.fullmatch(s.endpoint, url) is not None
+            if s.id == url or re.fullmatch(s.endpoint, url) is not None
         ]
-        assert match_services(compiled, url) == expected
+        assert covering(compiled, url) == expected

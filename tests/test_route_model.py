@@ -14,11 +14,9 @@ from labelflow.routes import (
     Split,
     SplitJoinError,
     To,
-    UnknownStatement,
     format_route,
     node_names,
     parse_route,
-    successors,
     validate_route,
 )
 from labelflow.terms import Atom, Compound, Int, TermSyntaxError
@@ -51,14 +49,8 @@ def test_parse_endpoints(fan_out):
 
 
 def test_successors(fan_out):
-    assert successors(fan_out, 1) == [2]
-    assert successors(fan_out, 2) == [3, 4]
-    assert successors(fan_out, 3) == [5]
-    assert successors(fan_out, 4) == [5]
-    assert successors(fan_out, 5) == [6]
-    assert successors(fan_out, 6) == []
-    with pytest.raises(UnknownStatement):
-        successors(fan_out, 99)
+    succ = {n: tuple(fan_out.successors_map.get(n, ())) for n in fan_out.statements}
+    assert succ == {1: (2,), 2: (3, 4), 3: (5,), 4: (5,), 5: (6,), 6: ()}
 
 
 def test_joins(fan_out):

@@ -19,6 +19,7 @@ from labelflow.runtime import (
     taint_permissiveness_demo,
 )
 from labelflow.terms import Atom, Compound, Int, Str, Var
+from labelflow.verifier import verify
 
 from .conftest import read_fixture
 from .helpers import exhaustive_outcomes, random_policy, random_route
@@ -536,3 +537,33 @@ def test_implicit_leak_completes_and_copies_the_bit(tainted):
     assert msg.labels == frozenset()
     sink_events = [ev for ev in out.audit if ev.node == "sink"]
     assert sink_events and all(ev.decision == "allow" for ev in sink_events)
+
+
+# ---------------------------------------------------------------------------
+# Coverage by id or route URL, as the runtime and the verifier resolve it.
+# ---------------------------------------------------------------------------
+
+
+def test_verify_warns_only_for_services_covered_by_neither_id_nor_url():
+    policy = compile_policy(
+        parse_policy(
+            """
+            service { id sensor endpoint "sensor://.+" creates_label raw }
+            service { id pub_api endpoint "https://public.example/.+" }
+            """
+        )
+    )
+    route = parse_route(
+        """
+        route R {
+          services {
+            pub = "https://public.example/in"
+          }
+          1: from(sensor)
+          2: to(ghost)
+          3: to(pub)
+        }
+        """
+    )
+    (warning,) = verify(route, policy).warnings
+    assert "'ghost'" in warning

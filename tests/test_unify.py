@@ -1,13 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from labelflow import _kernel_py
 from labelflow import kernel
 from labelflow.terms import Atom, Compound, Int, Str, Var
 
@@ -85,18 +80,6 @@ def test_deep_terms_do_not_overflow():
     assert kernel.unify(a, b) is not None
 
 
-def test_env_var_forces_pure_kernel():
-    env = dict(os.environ, LABELFLOW_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from labelflow import kernel; print(kernel.IMPLEMENTATION)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure-python"
-
-
 # -- properties -------------------------------------------------------------
 
 
@@ -129,17 +112,3 @@ def test_pattern_unifies_with_its_instance(ground, seed):
     bindings = kernel.unify(pattern, ground)
     assert bindings is not None
     assert kernel.resolve(pattern, bindings) == ground
-
-
-@given(terms, terms)
-def test_pure_and_compiled_kernels_agree(a, b):
-    if kernel.IMPLEMENTATION == _kernel_py.IMPLEMENTATION:
-        pytest.skip("compiled kernel not active; nothing to compare")
-    # Keep the variable sets disjoint so resolution cannot hit a cycle.
-    b = _kernel_py.rename(b, "#r")
-    b1 = kernel.unify(a, b)
-    b2 = _kernel_py.unify(a, b)
-    assert (b1 is None) == (b2 is None)
-    if b1 is not None:
-        assert kernel.resolve(a, b1) == _kernel_py.resolve(a, b2)
-        assert kernel.resolve(b, b1) == _kernel_py.resolve(b, b2)

@@ -2,18 +2,12 @@ import random
 
 import pytest
 
-from labelflow.engine import KnowledgeBase, parse_query, provable
 from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
 from labelflow.routes import parse_route
 from labelflow.runtime import execute
 from labelflow.terms import Atom, Compound, Int
-from labelflow.verifier import (
-    compile_route_facts,
-    render_counterexample,
-    render_verdict,
-    verify,
-)
+from labelflow.verifier import render_counterexample, render_verdict, verify
 
 from .conftest import read_fixture
 from .helpers import (
@@ -208,25 +202,6 @@ def test_memoization_bounds_state_count():
     verdict = verify(route, policy)
     assert verdict.valid
     assert verdict.explored_states <= 3 * len(route.statements)
-
-
-def test_route_facts(sensor_route):
-    facts = compile_route_facts(sensor_route)
-    kb = KnowledgeBase(facts.clauses)
-    heads = [c.head for c in facts.clauses]
-    functors = {}
-    for h in heads:
-        functors[h.functor] = functors.get(h.functor, 0) + 1
-    assert functors["stmt"] == 6
-    assert functors["stmt_kind"] == 6
-    assert functors["succ"] == 6
-    assert functors["stmt_service"] == 4  # sensor, log, merge, mqueue
-    assert provable(kb, parse_query("succ(sensor, split)"))
-    assert provable(kb, parse_query("succ(split, log)"))
-    assert provable(kb, parse_query("succ(split, merge)"))
-    assert provable(kb, parse_query("succ(aggr, mqueue)"))
-    assert provable(kb, parse_query("stmt_kind(split, split)"))
-    assert provable(kb, parse_query("stmt_kind(mqueue, to)"))
 
 
 # ---------------------------------------------------------------------------
