@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .routes import RouteError, parse_route
 from .runtime import (
     ObligationRegistry,
     ServiceRegistry,
-    UnresolvedService,
+    RuntimeError_,
     echo_handler,
     execute,
 )
@@ -217,7 +216,6 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     from .pdp import bench_csv, bench_decide
 
-    random.seed(args.seed)
     sizes = [int(x) for x in args.rules.split(",")]
     labels = [int(x) for x in args.labels.split(",")]
     rows = bench_decide(sizes, labels, trials=args.trials)
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default="100,500,1000,5000")
     p.add_argument("--labels", default="10")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(fn=cmd_bench)
     return parser
@@ -273,7 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, UnresolvedService) as exc:
+    except (CliError, RuntimeError_) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

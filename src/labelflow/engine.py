@@ -1,7 +1,7 @@
 """Horn-clause store with SLD resolution and negation-as-failure.
 
-This is the single semantic substrate of the package: compiled policies,
-compiled routes, and choice conditions are all evaluated here. Resolution is
+This is the single semantic substrate of the package: compiled policies and
+the choice conditions of routes are both evaluated here. Resolution is
 top-down with leftmost literal selection and source-order clause selection,
 so solution order is deterministic across runs. Negation-as-failure is
 restricted to ground goals (non-ground negated goals raise Floundered rather
@@ -116,8 +116,8 @@ def _first_arg_key(t: Term):
 class KnowledgeBase:
     """Immutable clause store with first-argument indexing.
 
-    Build one with ``from_clauses`` (or ``extend`` an existing base); the
-    clause set never changes afterwards, so a loaded base is safely shared
+    Build one from clauses and builtins (or ``extend`` an existing base);
+    the clause set never changes afterwards, so a loaded base is safely shared
     across concurrent queries.
     """
 
@@ -139,23 +139,9 @@ class KnowledgeBase:
                 else:
                     self._index.setdefault((pred, key), []).append((pos, clause))
 
-    @classmethod
-    def from_clauses(
-        cls, clauses: Iterable[Clause], builtins: dict | None = None
-    ) -> "KnowledgeBase":
-        return cls(list(clauses), builtins)
-
     def extend(self, extra: Iterable[Clause]) -> "KnowledgeBase":
         """New base containing this base's clauses plus ``extra``."""
         return KnowledgeBase(list(self.clauses) + list(extra), self.builtins)
-
-    def register_builtin(self, name: str, arity: int, fn: Builtin) -> None:
-        key = (name, arity)
-        if key in self.builtins:
-            raise NameCollision(f"builtin {name}/{arity} already registered")
-        if key in self._by_pred:
-            raise NameCollision(f"user clauses already define {name}/{arity}")
-        self.builtins[key] = fn
 
     def candidates(self, goal: Term, bindings: dict) -> list:
         """Clauses that may match ``goal``, in source order."""

@@ -1,12 +1,14 @@
 """Policy decision point: from (target service, label set) to a decision.
 
-A rule matches when its target service covers the request's endpoint URL or
-service id and every trigger label is a member of the request's labels,
-membership up to unification (trigger ``merge(X)`` matches label
-``merge(10)``). The effects of all matched rules fold under the
-restrictiveness order error > drop > allow; obligations concatenate in rule
-declaration order. With no match the default effect applies (allow, unless
-a default-deny deployment flips it to drop).
+A rule matches when its target is one of the declarations covering the
+requested service and every trigger label is a member of the request's
+labels, membership up to unification (trigger ``merge(X)`` matches label
+``merge(10)``). The covering declarations come from
+``policy_compiler.covering_declarations``, the resolver the label transforms
+use too, memoised per service. The effects of all matched rules fold under
+the restrictiveness order error > drop > allow; obligations concatenate in
+rule declaration order. With no match the default effect applies (allow,
+unless a default-deny deployment flips it to drop).
 
 Requests pre-index their labels by functor/arity so decision time depends
 on the number of rules, not on the number of labels.
@@ -22,7 +24,9 @@ from statistics import mean
 
 from . import kernel
 from .policy import Decision, FlowRule, PolicyAst, ServiceDecl
-from .policy_compiler import CompiledPolicy, compile_policy, service_matches
+from .policy_compiler import CompiledPolicy, compile_policy, covering_declarations
+# flowbench/tracing.py patches labelflow.pdp.service_matches.
+from .policy_compiler import service_matches  # noqa: F401
 from .terms import Atom, Compound, Term, functor_arity
 
 _SEVERITY = {"allow": 0, "drop": 1, "error": 2}
@@ -105,11 +109,14 @@ class DecisionResult:
 
 
 def rule_matches(policy: CompiledPolicy, rule: FlowRule, req: DecisionRequest) -> bool:
-    if not service_matches(policy, rule.target, req.endpoint_url_or_service_id):
-        if req.service_id is None or not service_matches(
-            policy, rule.target, req.service_id
-        ):
-            return False
+    if req.service_id is None:
+        covering = covering_declarations(policy, req.endpoint_url_or_service_id)
+    else:
+        covering = covering_declarations(
+            policy, req.service_id, req.endpoint_url_or_service_id
+        )
+    if rule.target not in covering:
+        return False
     return all(req.label_index.contains(t) for t in rule.trigger_labels)
 
 

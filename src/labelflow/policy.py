@@ -131,7 +131,9 @@ def generated_service_id(decl: ServiceDecl) -> str:
 class _PolicyParser:
     def __init__(self, text: str):
         self.tok = Tokenizer(text, comment="//")
-        self.services: list[ServiceDecl] = []
+        # An insertion-ordered set, so identical inline declarations
+        # collapse to one hoisted service in constant time.
+        self.services: dict[ServiceDecl, None] = {}
         self.rules: list[FlowRule] = []
         self._anon_rules = 0
 
@@ -139,7 +141,7 @@ class _PolicyParser:
         tok = self.tok
         while tok.peek().kind != "EOF":
             if tok.at_keyword("service"):
-                self._add_service(self._parse_service())
+                self.services.setdefault(self._parse_service())
             elif tok.at_keyword("flow_rule"):
                 self.rules.append(self._parse_rule())
             else:
@@ -152,11 +154,6 @@ class _PolicyParser:
         ast = PolicyAst(tuple(self.services), tuple(self.rules))
         validate_policy(ast)
         return ast
-
-    def _add_service(self, decl: ServiceDecl) -> None:
-        # Identical inline declarations collapse to one hoisted service.
-        if not any(s == decl for s in self.services):
-            self.services.append(decl)
 
     def _parse_service(self) -> ServiceDecl:
         tok = self.tok
@@ -233,7 +230,7 @@ class _PolicyParser:
         tok.expect("ATOM", "when")
         if tok.at_keyword("service"):
             target_decl = self._parse_service()
-            self._add_service(target_decl)
+            self.services.setdefault(target_decl)
             target = target_decl.id
         else:
             target = tok.expect("ATOM").text

@@ -63,7 +63,7 @@ def compile_policy(ast: PolicyAst) -> CompiledPolicy:
         clauses.append(_fact("has_effect", dec, Atom(r.decision.effect)))
         for ob in r.decision.obligations:
             clauses.append(_fact("has_obligation", dec, ob.action))
-    kb = KnowledgeBase.from_clauses(clauses, default_builtins())
+    kb = KnowledgeBase(clauses, default_builtins())
     return CompiledPolicy(
         kb=kb,
         ast=ast,

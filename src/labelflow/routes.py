@@ -71,7 +71,7 @@ class To:
 
 @dataclass(frozen=True, slots=True)
 class Bean:
-    name: str
+    service: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,18 +118,13 @@ class Route:
     def service_atoms(self) -> list[str]:
         out = []
         for stmt in self.statements.values():
-            atom = None
-            if isinstance(stmt, (From, To)):
-                atom = stmt.service
-            elif isinstance(stmt, Bean):
-                atom = stmt.name
-            if atom is not None and atom not in out:
-                out.append(atom)
+            if isinstance(stmt, (From, To, Bean)) and stmt.service not in out:
+                out.append(stmt.service)
         return out
 
 
 def node_names(route: Route) -> dict:
-    """Human-readable node name per statement, as used in stmt/succ facts.
+    """Human-readable node name per statement, as shown in audits and traces.
 
     from/to/bean statements borrow their service atom; other kinds get a
     kind-derived name. Repeats are disambiguated with an ordinal suffix.
@@ -138,10 +133,8 @@ def node_names(route: Route) -> dict:
     used: dict[str, int] = {}
     for n in route.statements:
         stmt = route.statements[n]
-        if isinstance(stmt, (From, To)):
+        if isinstance(stmt, (From, To, Bean)):
             base = stmt.service
-        elif isinstance(stmt, Bean):
-            base = stmt.name
         elif isinstance(stmt, Split):
             base = "split"
         elif isinstance(stmt, Aggregate):
@@ -410,7 +403,7 @@ def format_route(route: Route) -> str:
         elif isinstance(stmt, To):
             body = f"to({stmt.service})"
         elif isinstance(stmt, Bean):
-            body = f"bean({stmt.name})"
+            body = f"bean({stmt.service})"
         elif isinstance(stmt, Choice):
             body = (
                 f"when {format_term(stmt.cond)} then goto {stmt.then_target} "

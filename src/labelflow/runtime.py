@@ -167,16 +167,16 @@ class RunOutcome:
     env: dict = field(default_factory=dict)
 
 
-class _Drop(Exception):
-    def __init__(self, statement: int, rule: str | None):
+class _PolicyStop(Exception):
+    """A drop or error decision ending the execution at a statement."""
+
+    def __init__(self, status: str, statement: int, rule: str | None):
+        self.status = status  # the RunOutcome status: dropped | errored
         self.statement = statement
         self.rule = rule
 
 
-class _PolicyError(Exception):
-    def __init__(self, statement: int, rule: str | None):
-        self.statement = statement
-        self.rule = rule
+_STOP_STATUS = {"drop": "dropped", "error": "errored"}
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ class _Execution:
         )
 
     def _enter_service(self, stmt_no: int, stmt, msg: Message) -> None:
-        atom = stmt.service if isinstance(stmt, To) else stmt.name
+        atom = stmt.service
         url = self.route.endpoints.get(atom)
         before = msg.labels
         req = DecisionRequest(
@@ -362,12 +362,9 @@ class _Execution:
                 effect = ob.otherwise
                 rule = ob.rule
                 break
-        if effect == "drop":
-            self.record(stmt_no, msg, before, before, "drop", rule)
-            raise _Drop(stmt_no, rule)
-        if effect == "error":
-            self.record(stmt_no, msg, before, before, "error", rule)
-            raise _PolicyError(stmt_no, rule)
+        if effect in _STOP_STATUS:
+            self.record(stmt_no, msg, before, before, effect, rule)
+            raise _PolicyStop(_STOP_STATUS[effect], stmt_no, rule)
         handler = self.services.handler(atom)
         try:
             msg.payload, msg.props = handler(msg.payload, msg.props)
@@ -443,10 +440,8 @@ def execute(
     )
     try:
         final = exe.run(payload, dict(props or {}))
-    except _Drop as d:
-        return RunOutcome("dropped", d.statement, d.rule, [], exe.audit, env)
-    except _PolicyError as e:
-        return RunOutcome("errored", e.statement, e.rule, [], exe.audit, env)
+    except _PolicyStop as stop:
+        return RunOutcome(stop.status, stop.statement, stop.rule, [], exe.audit, env)
     except HandlerError as h:
         return RunOutcome("errored", h.statement, None, [], exe.audit, env)
     return RunOutcome("completed", None, None, [final], exe.audit, env)

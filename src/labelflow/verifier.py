@@ -82,7 +82,7 @@ class _Verifier:
         return resolve_transforms(self.policy, atom, self.route.endpoints.get(atom))
 
     def check(self, n, stmt, labels, full_trace, full_choices) -> None:
-        atom = stmt.service if isinstance(stmt, To) else stmt.name
+        atom = stmt.service
         url = self.route.endpoints.get(atom)
         req = DecisionRequest(url or atom, labels, service_id=atom if url else None)
         result = decide(self.policy, req, self.default_effect)
@@ -128,8 +128,7 @@ class _Verifier:
         outcomes = []
         if isinstance(stmt, (To, Bean)):
             self.check(n, stmt, labels, trace1, prefix_choices)
-            atom = stmt.service if isinstance(stmt, To) else stmt.name
-            removes, creates = self.transforms(atom)
+            removes, creates = self.transforms(stmt.service)
             out_labels = apply_label_transform(labels, removes, creates)
         if isinstance(stmt, Choice):
             for taken, target in (

@@ -210,3 +210,19 @@ def test_run_manifest_url_is_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "url" in captured.err
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "2: set_msg_prop x := msg(nope)",
+        "2: when lt(msg(x), 3) then goto 3 otherwise goto 3",
+    ],
+)
+def test_run_eval_error_is_input_error(tmp_path, capsys, statement):
+    text = PUBLIC_ROUTE.replace("2: to(pub)", f"{statement}\n  3: to(pub)")
+    route, policy, _ = _write_public_case(tmp_path, text, {})
+    assert main(["run", route, policy]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unbound variable msg(")
+    assert "Traceback" not in captured.err

@@ -100,17 +100,11 @@ def test_clause_colliding_with_builtin():
         kb_of("eq(a, a).", default_builtins())
 
 
-def test_register_builtin_collisions():
-    kb = kb_of("p(a).", default_builtins())
-    with pytest.raises(NameCollision):
-        kb.register_builtin("eq", 2, lambda args: iter(()))
-    with pytest.raises(NameCollision):
-        kb.register_builtin("p", 1, lambda args: iter(()))
-
-
 def test_custom_builtin_yields_answers():
-    kb = kb_of("p(a).")
-    kb.register_builtin("double", 2, lambda args: [(args[0], Int(args[0].value * 2))])
+    def double(args):
+        return [(args[0], Int(args[0].value * 2))]
+
+    kb = kb_of("p(a).", {("double", 2): double})
     sols = all_solutions(kb, "double(21, X)")
     assert [s["X"] for s in sols] == [Int(42)]
 

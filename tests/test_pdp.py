@@ -20,7 +20,7 @@ from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
 from labelflow.terms import Atom, Compound, Int, Str, Var
 
-from .helpers import LABEL_POOL, match_pattern, random_policy
+from .helpers import LABEL_POOL, SERVICE_POOL, match_pattern, random_policy
 
 POLICY = """
 service { id sensor endpoint "sensor://.+" creates_label raw }
@@ -193,7 +193,8 @@ def test_decide_agrees_with_reference(seed):
         labels = frozenset(
             Atom(l) for l in rng.sample(LABEL_POOL, rng.randint(0, 4))
         )
-        req = DecisionRequest(target, labels)
+        service_id = rng.choice(SERVICE_POOL + (None,))
+        req = DecisionRequest(target, labels, service_id=service_id)
         got = decide(policy, req)
         effect, matched = reference_decide(policy, req)
         assert got.effect == effect
@@ -225,6 +226,29 @@ def test_worst_case_policy_all_rules_match():
         rule_matches(policy, rule, req) for rule in policy.rule_index.values()
     )
     assert len(policy.rule_index) == 7
+
+
+class _CountingPattern:
+    def __init__(self, pattern, calls):
+        self.pattern = pattern
+        self.calls = calls
+
+    def fullmatch(self, target):
+        self.calls.append(target)
+        return self.pattern.fullmatch(target)
+
+
+def test_repeated_decide_runs_no_regex():
+    policy = worst_case_policy(50)
+    calls: list = []
+    for sid, pattern in policy.endpoint_patterns.items():
+        policy.endpoint_patterns[sid] = _CountingPattern(pattern, calls)
+    req = bench_request(3)
+    first = decide(policy, req)
+    calls.clear()
+    assert decide(policy, req) == first
+    assert calls == []
+    assert len(first.matched_rules) == 50
 
 
 def test_bench_rows_and_csv():
