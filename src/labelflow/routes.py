@@ -295,21 +295,26 @@ def validate_route(route: Route) -> None:
 
 
 def _check_acyclic(route: Route) -> None:
+    """Depth-first search in declaration order; raises on the first back edge."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {n: WHITE for n in route.statements}
-
-    def visit(n: int):
-        color[n] = GRAY
-        for t in route.successors_map.get(n, ()):
-            if color[t] == GRAY:
-                raise CycleError(n, t)
-            if color[t] == WHITE:
-                visit(t)
-        color[n] = BLACK
-
-    for n in route.statements:
-        if color[n] == WHITE:
-            visit(n)
+    for root in route.statements:
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        stack = [(root, iter(route.successors_map.get(root, ())))]
+        while stack:
+            n, succs = stack[-1]
+            for t in succs:
+                if color[t] == GRAY:
+                    raise CycleError(n, t)
+                if color[t] == WHITE:
+                    color[t] = GRAY
+                    stack.append((t, iter(route.successors_map.get(t, ()))))
+                    break
+            else:
+                color[n] = BLACK
+                stack.pop()
 
 
 def _check_reachable(route: Route) -> None:
@@ -332,30 +337,35 @@ def _compute_joins(route: Route) -> dict:
 
     def first_joins(n: int, depth: int, memo: dict) -> frozenset:
         # Outcomes of walking forward from n: the aggregate that closes
-        # depth level 0, or None if the route ends first.
-        key = (n, depth)
-        if key in memo:
-            return memo[key]
-        memo[key] = frozenset()  # cycle guard; route is acyclic anyway
-        stmt = stmts[n]
-        if isinstance(stmt, Aggregate):
-            if depth == 0:
-                out = frozenset([n])
-                memo[key] = out
-                return out
-            depth -= 1
-        elif isinstance(stmt, Split):
-            depth += 1
-        succs = route.successors_map.get(n, ())
-        if not succs:
-            out = frozenset([None])
-        else:
-            acc = set()
-            for t in succs:
-                acc |= first_joins(t, depth, memo)
-            out = frozenset(acc)
-        memo[key] = out
-        return out
+        # depth level 0, or None if the route ends first. Computed in
+        # post-order with an explicit stack; the route is already acyclic.
+        stack = [(n, depth)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            at, level = key
+            stmt = stmts[at]
+            if isinstance(stmt, Aggregate):
+                if level == 0:
+                    memo[key] = frozenset([at])
+                    stack.pop()
+                    continue
+                level -= 1
+            elif isinstance(stmt, Split):
+                level += 1
+            succs = route.successors_map.get(at, ())
+            pending = [(t, level) for t in succs if (t, level) not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            if not succs:
+                memo[key] = frozenset([None])
+            else:
+                memo[key] = frozenset().union(*(memo[(t, level)] for t in succs))
+            stack.pop()
+        return memo[(n, depth)]
 
     joins: dict[int, int] = {}
     memo: dict = {}

@@ -10,15 +10,31 @@ verdict is therefore a conservative over-approximation.
 A violation is a reachable to/bean statement whose arrival label set folds
 to a drop or error decision. Each distinct (rule, statement) violation
 yields one counterexample with a concrete trace (the first discovered
-path); ``all_paths`` enumerates every violating path instead. Exploration
-memoizes on (statement, label set), keeping the walk linear in distinct
-reachable states.
+path).
+
+A state is a statement, its arrival label set and the join that ends the
+enclosing split branch. Each state is visited once; its summary keeps one
+outcome per distinct exit label set, with the first-discovered witness
+(suffix trace and choices), after Reps, Horwitz and Sagiv's IFDS summaries
+(POPL 1995). A split combines its branches' summaries, so its product runs
+over distinct exit sets, not paths. The walk costs states x distinct exit
+sets per state (a split also pays for its branch product), plus the length
+of the traces it reports: a chain of k choices has 2^k paths but 2k + 2
+states (``tests/test_verifier.py::test_choice_chain_is_linear_in_states``).
+Witness traces share their cells and are flattened only for a reported
+counterexample, and the walk keeps its own stack, so a route's length is
+not bounded by Python's recursion limit.
+
+``all_paths`` enumerates every violating path instead. It memoises
+nothing, so it is an opt-in whose cost is exponential in the number of
+choices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .pdp import DecisionRequest, apply_label_transform, decide
 from .policy_compiler import (
@@ -67,6 +83,32 @@ class Verdict:
     explored_states: int = 0
 
 
+class _Seq(NamedTuple):
+    """A witness trace or choice list: ``first``, then ``then``.
+
+    Either part is None (empty), a single item (an arrival triple or a
+    ``(choice, taken)`` pair) or another ``_Seq``. Witnesses share their
+    parts instead of copying them; ``_flatten`` lists the items in order
+    only when a counterexample is built.
+    """
+
+    first: object
+    then: object
+
+
+def _flatten(seq) -> list:
+    items = []
+    stack = [seq]
+    while stack:
+        part = stack.pop()
+        if type(part) is _Seq:
+            stack.append(part.then)
+            stack.append(part.first)
+        elif part is not None:
+            items.append(part)
+    return items
+
+
 class _Verifier:
     def __init__(self, route, policy, default_effect, all_paths):
         self.route = route
@@ -74,14 +116,14 @@ class _Verifier:
         self.default_effect = default_effect
         self.all_paths = all_paths
         self.names = node_names(route)
-        self.memo: dict = {}
+        self.memo: dict = {}  # (stmt, labels, stop_at) -> summary
         self.violations: dict = {}  # (rule, stmt) -> list of Counterexample
         self.states = 0
 
     def transforms(self, atom: str):
         return resolve_transforms(self.policy, atom, self.route.endpoints.get(atom))
 
-    def check(self, n, stmt, labels, full_trace, full_choices) -> None:
+    def check(self, n, stmt, labels, trace, choices) -> None:
         atom = stmt.service
         url = self.route.endpoints.get(atom)
         req = DecisionRequest(url or atom, labels, service_id=atom if url else None)
@@ -102,20 +144,44 @@ class _Verifier:
             rule=rule_name,
             violating_service=atom,
             offending_labels=offending,
-            trace=tuple(full_trace),
-            choices=dict(full_choices),
+            trace=tuple(_flatten(trace)),
+            choices=dict(_flatten(choices)),
         )
         self.violations.setdefault(key, []).append(ce)
 
-    def explore(self, n, labels, stop_at, prefix_trace, prefix_choices):
-        """Suffix outcomes (exit labels, suffix trace, suffix choices).
+    def explore(self) -> list:
+        """The entry state's outcomes, walked with an explicit stack.
 
-        ``prefix_trace``/``prefix_choices`` are used only to record full
-        counterexample traces; memoized results are prefix-independent.
+        Each ``_visit`` generator yields the states it needs, in the order
+        a recursive walk would visit them, and receives their outcomes;
+        Python's call stack stays flat however long the route is.
+        """
+        stack = [self._visit(self.route.entry, frozenset(), None, None, None)]
+        outcomes = None
+        while True:
+            try:
+                call = stack[-1].send(outcomes)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                outcomes = done.value
+                continue
+            outcomes = None if self.all_paths else self.memo.get(call[:3])
+            if outcomes is None:
+                stack.append(self._visit(*call))
+
+    def _visit(self, n, labels, stop_at, prefix, prefix_choices):
+        """Outcomes (exit labels, suffix trace, suffix choices) from state n.
+
+        Yields ``(stmt, labels, stop_at, prefix, prefix_choices)`` for each
+        successor state and receives that state's outcomes. ``prefix`` and
+        ``prefix_choices`` only feed counterexamples; outcomes are
+        prefix-independent. Unless ``all_paths`` is set, the outcomes are
+        summarised to the first-discovered witness per distinct exit label
+        set and memoised on ``(stmt, labels, stop_at)``.
         """
         key = (n, labels, stop_at)
-        if not self.all_paths and key in self.memo:
-            return self.memo[key]
         self.states += 1
         stmt = self.route.statements[n]
         out_labels = labels
@@ -124,10 +190,10 @@ class _Verifier:
             out_labels = frozenset(creates)
             labels = out_labels  # arrival shows the created set
         arrival = (n, self.names[n], labels)
-        trace1 = prefix_trace + (arrival,)
+        trace = _Seq(prefix, arrival)
         outcomes = []
         if isinstance(stmt, (To, Bean)):
-            self.check(n, stmt, labels, trace1, prefix_choices)
+            self.check(n, stmt, labels, trace, prefix_choices)
             removes, creates = self.transforms(stmt.service)
             out_labels = apply_label_transform(labels, removes, creates)
         if isinstance(stmt, Choice):
@@ -135,63 +201,55 @@ class _Verifier:
                 (True, stmt.then_target),
                 (False, stmt.else_target),
             ):
-                sc0 = {n: taken}
+                picked = (n, taken)
                 if target == stop_at:
-                    outcomes.append((labels, (arrival,), sc0))
-                else:
-                    for el, st, sc in self.explore(
-                        target, labels, stop_at, trace1, {**prefix_choices, **sc0}
-                    ):
-                        outcomes.append((el, (arrival,) + st, {**sc0, **sc}))
+                    outcomes.append((labels, arrival, picked))
+                    continue
+                downstream = yield (
+                    target, labels, stop_at, trace, _Seq(prefix_choices, picked)
+                )
+                for el, st, sc in downstream:
+                    outcomes.append((el, _Seq(arrival, st), _Seq(picked, sc)))
         elif isinstance(stmt, Split):
-            outcomes = self._explore_split(
-                n, labels, stop_at, arrival, trace1, prefix_choices
-            )
+            join = self.route.joins[n]
+            branch_outcomes = []
+            for b in self.route.successors_map[n]:
+                if b == join:
+                    branch_outcomes.append([(labels, None, None)])
+                else:
+                    branch_outcomes.append(
+                        (yield (b, labels, join, trace, prefix_choices))
+                    )
+            for combo in product(*branch_outcomes):
+                union = frozenset().union(*(el for el, _, _ in combo))
+                rep_trace = combo[0][1]  # the first branch is the reported flow
+                picked = None
+                for _, _, sc in combo:
+                    picked = _Seq(picked, sc)
+                head = _Seq(arrival, rep_trace)
+                reached = _Seq(trace, rep_trace)
+                downstream = yield (
+                    join, union, stop_at, reached, _Seq(prefix_choices, picked)
+                )
+                for el, st, sc in downstream:
+                    outcomes.append((el, _Seq(head, st), _Seq(picked, sc)))
         else:
             succs = self.route.successors_map.get(n, ())
             if not succs:
-                outcomes.append((out_labels, (arrival,), {}))
-            else:
-                for s in succs:
-                    if s == stop_at:
-                        outcomes.append((out_labels, (arrival,), {}))
-                    else:
-                        for el, st, sc in self.explore(
-                            s, out_labels, stop_at, trace1, prefix_choices
-                        ):
-                            outcomes.append((el, (arrival,) + st, sc))
+                outcomes.append((out_labels, arrival, None))
+            for s in succs:
+                if s == stop_at:
+                    outcomes.append((out_labels, arrival, None))
+                    continue
+                downstream = yield (s, out_labels, stop_at, trace, prefix_choices)
+                for el, st, sc in downstream:
+                    outcomes.append((el, _Seq(arrival, st), sc))
         if not self.all_paths:
+            summary: dict = {}
+            for outcome in outcomes:
+                summary.setdefault(outcome[0], outcome)
+            outcomes = list(summary.values())
             self.memo[key] = outcomes
-        return outcomes
-
-    def _explore_split(self, n, labels, stop_at, arrival, trace1, prefix_choices):
-        join = self.route.joins[n]
-        branch_outcomes = []
-        for b in self.route.successors_map[n]:
-            if b == join:
-                branch_outcomes.append([(labels, (), {})])
-            else:
-                branch_outcomes.append(
-                    self.explore(b, labels, join, trace1, prefix_choices)
-                )
-        outcomes = []
-        for combo in product(*branch_outcomes):
-            union = frozenset().union(*(el for el, _, _ in combo))
-            rep_trace = combo[0][1]  # the first branch is the reported flow
-            combo_choices: dict = {}
-            for _, _, sc in combo:
-                combo_choices.update(sc)
-            downstream = self.explore(
-                join,
-                union,
-                stop_at,
-                trace1 + rep_trace,
-                {**prefix_choices, **combo_choices},
-            )
-            for el, st, sc in downstream:
-                outcomes.append(
-                    (el, (arrival,) + rep_trace + st, {**combo_choices, **sc})
-                )
         return outcomes
 
 
@@ -211,7 +269,7 @@ def verify(
                 "assuming it neither adds nor removes labels"
             )
     v = _Verifier(route, policy, default_effect, all_paths)
-    v.explore(route.entry, frozenset(), None, (), {})
+    v.explore()
     counterexamples = [ce for ces in v.violations.values() for ce in ces]
     return Verdict(
         valid=not counterexamples,

@@ -226,3 +226,67 @@ def test_run_eval_error_is_input_error(tmp_path, capsys, statement):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: unbound variable msg(")
     assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Route length is not bounded by Python's recursion limit.
+# ---------------------------------------------------------------------------
+
+LONG_POLICY = """
+service { id src endpoint "svc://src" creates_label s }
+service { id out endpoint "svc://out" }
+flow_rule { id noS when out receives s decide drop }
+"""
+
+
+def _long_route():
+    lines = ["route Long {", '  services { a = "svc://src" }', "  1: from(a)"]
+    for n in range(2, 10_001):
+        lines.append(f"  {n}: to(b)" if n % 2 else f"  {n}: set_msg_prop x := {n}")
+    return "\n".join(lines + ["}"])
+
+
+def _wide_route():
+    # A split whose two branches each run 3,000 statements before the
+    # aggregate; the publish after it receives the source's label.
+    lines = [
+        "route Wide {",
+        '  services { a = "svc://src" o = "svc://out" }',
+        "  1: from(a)",
+        "  2: split parts -> 3, 3003",
+    ]
+    lines += [f"  {n}: to(b)" for n in range(3, 3002)]
+    lines.append("  3002: to(b) -> 6003")
+    lines += [f"  {n}: set_msg_prop y := 1" for n in range(3003, 6003)]
+    lines += ["  6003: aggregate concat", "  6004: to(o)", "}"]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "text, check_code, run_status, at_statement",
+    [
+        (_long_route(), 0, "completed", None),
+        (_wide_route(), 1, "dropped", 6004),
+    ],
+    ids=["long", "wide"],
+)
+def test_very_long_routes_check_and_run(
+    tmp_path, capsys, text, check_code, run_status, at_statement
+):
+    policy = tmp_path / "p.lucon"
+    route = tmp_path / "r.route"
+    policy.write_text(LONG_POLICY)
+    route.write_text(text)
+    assert main(["check", str(route), str(policy), "--format", "json"]) == check_code
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["counterexamples"]) == check_code
+    for ce in report["counterexamples"]:
+        # The reported flow runs through the whole first branch.
+        assert len(ce["trace"]) == 3004
+        assert ce["trace"][-1]["statement"] == at_statement
+    assert main(["run", str(route), str(policy)]) == check_code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    summary = json.loads(captured.out)
+    assert summary["status"] == run_status
+    assert summary["at_statement"] == at_statement

@@ -7,7 +7,12 @@ from labelflow.policy_compiler import compile_policy
 from labelflow.routes import parse_route
 from labelflow.runtime import execute
 from labelflow.terms import Atom, Compound, Int
-from labelflow.verifier import render_counterexample, render_verdict, verify
+from labelflow.verifier import (
+    _Verifier,
+    render_counterexample,
+    render_verdict,
+    verify,
+)
 
 from .conftest import read_fixture
 from .helpers import (
@@ -204,6 +209,67 @@ def test_memoization_bounds_state_count():
     assert verdict.explored_states <= 3 * len(route.statements)
 
 
+def _choice_chain(k: int, detour: bool):
+    """from(a), k choices in a row, then to(out).
+
+    Without ``detour`` both targets of a choice are the next statement (a
+    ladder); with it the then-branch passes a set_msg_prop first.
+    """
+    lines = ["route r {", '  services { a = "svc://src" }', "  1: from(a)"]
+    n = 2
+    for _ in range(k):
+        nxt = n + 2 if detour else n + 1
+        then = n + 1 if detour else nxt
+        lines.append(
+            f"  {n}: when env_prop(c{n}, 1) then goto {then} otherwise goto {nxt}"
+        )
+        if detour:
+            lines.append(f"  {n + 1}: set_msg_prop x := 1")
+        n = nxt
+    lines.append(f"  {n}: to(out)")
+    lines.append("}")
+    return parse_route("\n".join(lines))
+
+
+CHAIN_POLICY = """
+service { id src endpoint "svc://src" creates_label s }
+service { id out endpoint "out" }
+flow_rule { id noS when out receives s decide drop }
+"""
+
+
+def _summaries(route):
+    policy = compile_policy(parse_policy(CHAIN_POLICY))
+    v = _Verifier(route, policy, "allow", all_paths=False)
+    return v, v.explore()
+
+
+def test_summary_keeps_one_outcome_per_exit_label_set():
+    # The 12-choice ladder has 4,096 paths that all leave with the same
+    # labels, so the entry state's summary holds a single witness.
+    v, outcomes = _summaries(_choice_chain(12, detour=False))
+    assert len(outcomes) == 1
+    assert v.memo[(1, frozenset(), None)] is outcomes
+    assert all(len(summary) == 1 for summary in v.memo.values())
+
+
+def test_choice_chain_is_linear_in_states():
+    k = 2000
+    route = _choice_chain(k, detour=True)
+    v, outcomes = _summaries(route)
+    assert v.states == 2 * k + 2
+    assert all(len(summary) == 1 for summary in v.memo.values())
+    assert [exit_labels for exit_labels, _, _ in outcomes] == [
+        frozenset({Atom("s")})
+    ]
+    verdict = verify(route, v.policy)
+    assert verdict.explored_states == 2 * k + 2
+    # The witness is the first-discovered path: every then-branch.
+    (ce,) = verdict.counterexamples
+    assert [n for n, _, _ in ce.trace] == list(range(1, 2 * k + 3))
+    assert ce.choices == {n: True for n in range(2, 2 * k + 2, 2)}
+
+
 # ---------------------------------------------------------------------------
 # Random agreement and counterexample replay.
 # ---------------------------------------------------------------------------
@@ -238,3 +304,31 @@ def test_all_paths_agrees_on_validity(seed):
     route = random_route(rng)
     policy = random_policy(rng)
     assert verify(route, policy).valid == verify(route, policy, all_paths=True).valid
+
+
+def _first_per_violation(counterexamples):
+    first = {}
+    for ce in counterexamples:
+        first.setdefault((ce.rule, ce.trace[-1][0]), ce)
+    return list(first.values())
+
+
+def test_counterexamples_are_first_discovered_paths():
+    # Summaries must report, for each (rule, violating statement), exactly
+    # the path the exhaustive enumeration finds first.
+    for seed in range(500):
+        rng = random.Random(seed)
+        route = random_route(rng)
+        policy = random_policy(rng)
+        default_effect = "drop" if seed % 4 == 0 else "allow"
+        found = verify(route, policy, default_effect=default_effect)
+        exhaustive = verify(
+            route, policy, all_paths=True, default_effect=default_effect
+        )
+        expected = _first_per_violation(exhaustive.counterexamples)
+        assert [
+            (ce.rule, ce.trace, ce.choices, ce.offending_labels)
+            for ce in found.counterexamples
+        ] == [
+            (ce.rule, ce.trace, ce.choices, ce.offending_labels) for ce in expected
+        ], f"seed {seed}"
