@@ -326,31 +326,30 @@ def parse_program(text: str) -> list[Clause]:
     clauses = []
     while tok.peek().kind != "EOF":
         head = parse_term_from(tok)
-        body: list[Literal] = []
-        if tok.accept("PUNCT", ":-"):
-            body.append(_parse_body_literal(tok))
-            while tok.accept("PUNCT", ","):
-                body.append(_parse_body_literal(tok))
+        body = _parse_literals(tok) if tok.accept("PUNCT", ":-") else ()
         tok.expect("PUNCT", ".")
-        clauses.append(Clause(head, tuple(body)))
+        clauses.append(Clause(head, body))
     return clauses
 
 
-def _parse_body_literal(tok: Tokenizer) -> Literal:
-    negated = tok.accept("PUNCT", "\\+") is not None
-    return Literal(parse_term_from(tok), negated)
+def _parse_literals(tok: Tokenizer) -> tuple:
+    """Comma-separated literals, each optionally negated with ``\\+``."""
+    literals = []
+    while True:
+        negated = tok.accept("PUNCT", "\\+") is not None
+        literals.append(Literal(parse_term_from(tok), negated))
+        if not tok.accept("PUNCT", ","):
+            return tuple(literals)
 
 
 def parse_query(text: str) -> tuple:
     """Parse a comma-separated goal conjunction (no trailing period needed)."""
     tok = Tokenizer(text.rstrip().rstrip("."), comment="%")
-    goals = [_parse_body_literal(tok)]
-    while tok.accept("PUNCT", ","):
-        goals.append(_parse_body_literal(tok))
+    goals = _parse_literals(tok)
     end = tok.peek()
     if end.kind != "EOF":
         raise EngineError(f"trailing input in query: {end.text!r}")
-    return tuple(goals)
+    return goals
 
 
 def format_clause(clause: Clause) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .terms import (
     Str,
@@ -194,14 +194,7 @@ class _PolicyParser:
             removes_labels=sections.get("removes_label", ()),
         )
         if sid is None:
-            decl = ServiceDecl(
-                generated_service_id(decl),
-                decl.endpoint,
-                decl.properties,
-                decl.capabilities,
-                decl.creates_labels,
-                decl.removes_labels,
-            )
+            decl = replace(decl, id=generated_service_id(decl))
         return decl
 
     def _parse_term_list(self) -> tuple:

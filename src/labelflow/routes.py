@@ -221,23 +221,28 @@ def parse_route(text: str) -> Route:
     return route
 
 
+_SERVICE_STATEMENTS = {"from": From, "to": To, "bean": Bean}
+_EXPR_STATEMENTS = {"split": Split, "aggregate": Aggregate}
+_SET_STATEMENTS = {"set_msg_prop": SetMsgProp, "set_env_prop": SetEnvProp}
+
+
 def _parse_statement(tok: Tokenizer):
     t = tok.peek()
-    if tok.accept("ATOM", "from"):
+    word = t.text if t.kind == "ATOM" else None
+    if word in _SERVICE_STATEMENTS:
+        tok.next()
         tok.expect("PUNCT", "(")
         svc = tok.expect("ATOM").text
         tok.expect("PUNCT", ")")
-        return From(svc), _parse_targets(tok)
-    if tok.accept("ATOM", "to"):
-        tok.expect("PUNCT", "(")
-        svc = tok.expect("ATOM").text
-        tok.expect("PUNCT", ")")
-        return To(svc), _parse_targets(tok)
-    if tok.accept("ATOM", "bean"):
-        tok.expect("PUNCT", "(")
-        svc = tok.expect("ATOM").text
-        tok.expect("PUNCT", ")")
-        return Bean(svc), _parse_targets(tok)
+        return _SERVICE_STATEMENTS[word](svc), _parse_targets(tok)
+    if word in _EXPR_STATEMENTS:
+        tok.next()
+        return _EXPR_STATEMENTS[word](parse_term_from(tok)), _parse_targets(tok)
+    if word in _SET_STATEMENTS:
+        tok.next()
+        var = tok.expect("ATOM").text
+        tok.expect("PUNCT", ":=")
+        return _SET_STATEMENTS[word](var, parse_term_from(tok)), _parse_targets(tok)
     if tok.accept("ATOM", "when"):
         cond = parse_term_from(tok)
         tok.expect("ATOM", "then")
@@ -247,20 +252,6 @@ def _parse_statement(tok: Tokenizer):
         tok.expect("ATOM", "goto")
         else_target = tok.expect("INT").value
         return Choice(cond, then_target, else_target), None
-    if tok.accept("ATOM", "split"):
-        expr = parse_term_from(tok)
-        return Split(expr), _parse_targets(tok)
-    if tok.accept("ATOM", "aggregate"):
-        expr = parse_term_from(tok)
-        return Aggregate(expr), _parse_targets(tok)
-    if tok.accept("ATOM", "set_msg_prop"):
-        var = tok.expect("ATOM").text
-        tok.expect("PUNCT", ":=")
-        return SetMsgProp(var, parse_term_from(tok)), _parse_targets(tok)
-    if tok.accept("ATOM", "set_env_prop"):
-        var = tok.expect("ATOM").text
-        tok.expect("PUNCT", ":=")
-        return SetEnvProp(var, parse_term_from(tok)), _parse_targets(tok)
     raise TermSyntaxError(
         f"unknown statement {t.text or t.kind!r}", t.line, t.column
     )

@@ -302,16 +302,50 @@ class _Execution:
         succ = self.route.successors_map.get(entry, ())
         if not succ:
             return msg
-        return self.run_from(succ[0], msg, stop_at=None)
+        return self.run_from(succ[0], msg)
 
-    def run_from(self, stmt_no: int, msg: Message, stop_at: int | None) -> Message:
-        """Execute from ``stmt_no`` until the route ends or ``stop_at``."""
+    def run_from(self, stmt_no: int, msg: Message) -> Message:
+        """Execute from ``stmt_no`` until the route ends.
+
+        Open splits sit on an explicit stack, innermost last, so nesting
+        depth costs no Python frames. Each entry holds the message that
+        entered the split, its join, the branches not yet run and the
+        branch copies that reached the join.
+        """
+        open_splits: list[tuple] = []
         current: int | None = stmt_no
-        while current is not None and current != stop_at:
-            current = self.step(current, msg)
-        return msg
+        while True:
+            stop_at = open_splits[-1][1] if open_splits else None
+            if current is not None and current != stop_at:
+                stmt = self.route.statements[current]
+                if not isinstance(stmt, Split):
+                    current = self.step(current, msg)
+                    continue
+                self.record(current, msg, msg.labels, msg.labels)
+                branches = iter(self.route.successors_map[current])
+                open_splits.append((msg, self.route.joins[current], branches, []))
+            elif not open_splits:
+                return msg
+            else:
+                open_splits[-1][3].append(msg)
+            # Run the innermost split's next branch, or merge it at its join.
+            entered, join, branches, arrived = open_splits[-1]
+            branch = next(branches, None)
+            if branch is not None:
+                msg = Message(
+                    self.new_message_id(),
+                    entered.payload,
+                    dict(entered.props),
+                    entered.labels,
+                )
+                current = branch
+            else:
+                open_splits.pop()
+                msg = entered
+                current = self._merge(join, msg, arrived)
 
     def step(self, stmt_no: int, msg: Message) -> int | None:
+        """Execute one statement other than a split; return its successor."""
         stmt = self.route.statements[stmt_no]
         succ = self.route.successors_map.get(stmt_no, ())
         nxt = succ[0] if succ else None
@@ -322,8 +356,6 @@ class _Execution:
             taken = self._choice(stmt_no, stmt, msg)
             self.record(stmt_no, msg, msg.labels, msg.labels)
             return stmt.then_target if taken else stmt.else_target
-        if isinstance(stmt, Split):
-            return self._split(stmt_no, stmt, msg)
         if isinstance(stmt, SetMsgProp):
             msg.props[stmt.var] = eval_expr(stmt.expr, msg.props, self.env)
             self.record(stmt_no, msg, msg.labels, msg.labels)
@@ -333,7 +365,7 @@ class _Execution:
             self.record(stmt_no, msg, msg.labels, msg.labels)
             return nxt
         if isinstance(stmt, Aggregate):
-            # Reached only through _split, which handles the merge itself.
+            # Reached only as a split's join, which run_from handles itself.
             raise RuntimeError_(f"aggregate {stmt_no} reached outside a split")
         raise RuntimeError_(f"from statement {stmt_no} reached mid-route")
 
@@ -374,33 +406,16 @@ class _Execution:
         msg.labels = apply_label_transform(before, removes, creates)
         self.record(stmt_no, msg, before, msg.labels, "allow", rule)
 
-    def _split(self, stmt_no: int, stmt: Split, msg: Message) -> int | None:
-        branches = self.route.successors_map[stmt_no]
-        join = self.route.joins[stmt_no]
-        self.record(stmt_no, msg, msg.labels, msg.labels)
-        arrived: list[Message] = []
-        for branch in branches:
-            copy = Message(
-                self.new_message_id(), msg.payload, dict(msg.props), msg.labels
-            )
-            self.run_from(branch, copy, stop_at=join)
-            arrived.append(copy)
-        merged_labels = frozenset().union(*(m.labels for m in arrived))
-        merged_props: dict = {}
+    def _merge(self, join: int, msg: Message, arrived: list) -> int | None:
+        """Merge the branch copies into ``msg``; return the join's successor."""
+        props: dict = {}
         for m in arrived:
-            merged_props.update(m.props)
-        merged = Message(
-            self.new_message_id(),
-            b"".join(m.payload for m in arrived),
-            merged_props,
-            merged_labels,
-        )
-        self.record(join, merged, merged_labels, merged_labels)
-        # Adopt the merged state into the caller's message object.
-        msg.payload = merged.payload
-        msg.props = merged.props
-        msg.labels = merged.labels
-        msg.id = merged.id
+            props.update(m.props)
+        msg.payload = b"".join(m.payload for m in arrived)
+        msg.props = props
+        msg.labels = frozenset().union(*(m.labels for m in arrived))
+        msg.id = self.new_message_id()
+        self.record(join, msg, msg.labels, msg.labels)
         join_succ = self.route.successors_map.get(join, ())
         return join_succ[0] if join_succ else None
 

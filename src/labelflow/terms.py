@@ -5,12 +5,28 @@ service properties, route expressions, and clause heads/bodies are all terms.
 The syntax mirrors conventional Prolog notation: lowercase atoms, uppercase
 (or underscore) variables, integers, double-quoted strings, and compound
 terms like ``merge(10)``.
+
+Lexical syntax, shared by the term, clause, policy and route parsers:
+
+* a name is a letter or ``_`` followed by letters, digits and ``_``
+  (Unicode included); it is a variable when its first character is ``_``
+  or uppercase, and an atom otherwise;
+* an integer is an optional ``-`` and decimal digits; a non-decimal digit
+  such as ``²`` is a syntax error;
+* a string is double-quoted, may span lines, and knows the escapes
+  ``\\n \\t \\r \\" \\\\``;
+* a line comment starts with the tokenizer's introducer: ``%`` for clause
+  text, ``//`` for policy and route files;
+* whitespace is any Unicode whitespace; positions are 1-based lines,
+  counted at ``\\n`` only, and columns in characters.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from functools import cache
+from typing import NamedTuple, Union
 
 
 class TermSyntaxError(Exception):
@@ -98,10 +114,10 @@ _PUNCT = (":-", ":=", "->", "\\+", "(", ")", "{", "}", ",", ".", ":", "=")
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", '"': '\\"', "\\": "\\\\", "\r": "\\r"}
+_ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ATOM | VAR | INT | STR | PUNCT | EOF
     text: str
     line: int
@@ -109,8 +125,65 @@ class Token:
     value: object = None  # decoded payload for INT / STR
 
 
+@cache
+def _token_pattern(comment: str) -> re.Pattern:
+    # Skip whitespace and comments, then match exactly one alternative. A
+    # string without its closing quote stops at the end of text or at a
+    # backslash that starts a bad escape; BAD takes any other character.
+    return re.compile(
+        rf"(?:\s+|{re.escape(comment)}[^\n]*)*"
+        r'(?:(?P<STR>"(?P<body>[^"\\]*(?:\\[nt"\\r][^"\\]*)*)(?P<close>"?))'
+        r"|(?P<INT>-?\d+)"
+        r"|(?P<NAME>\w+)"
+        rf"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT))})"
+        r"|(?P<EOF>\Z)"
+        r"|(?P<BAD>.))",
+        re.DOTALL,
+    )
+
+
+def _syntax_error(message: str, text: str, pos: int) -> TermSyntaxError:
+    return TermSyntaxError(
+        message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    )
+
+
+def _scan(text: str, comment: str) -> list[Token]:
+    tokens = []
+    line, line_start, counted = 1, 0, 0  # newlines before `counted` are in `line`
+    for m in _token_pattern(comment).finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, start) + 1
+        counted = start
+        column = start - line_start + 1
+        raw, value = m[kind], None
+        if kind == "NAME":
+            first = raw[0]
+            if not (first.isalpha() or first == "_"):
+                raise _syntax_error(f"unexpected character {first!r}", text, start)
+            kind = "VAR" if first == "_" or first.isupper() else "ATOM"
+        elif kind == "INT":
+            value = int(raw)
+        elif kind == "STR":
+            if not m["close"]:
+                if m.end() == len(text):
+                    raise TermSyntaxError("unterminated string", line, column)
+                raise _syntax_error("bad escape sequence", text, m.end() + 1)
+            raw = value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], m["body"])
+        elif kind == "BAD":
+            raise _syntax_error(f"unexpected character {raw!r}", text, start)
+        tokens.append(Token(kind, raw, line, column, value))
+        if kind == "EOF":
+            break  # an empty match at the end would follow a non-empty one
+    return tokens
+
+
 class Tokenizer:
-    """Hand-rolled scanner with 1-based line/column tracking.
+    """Scanner over one compiled pattern, with 1-based line/column positions.
 
     ``comment`` selects the line-comment introducer: ``%`` for clause files,
     ``//`` for policy and route files.
@@ -119,86 +192,8 @@ class Tokenizer:
     def __init__(self, text: str, comment: str = "%"):
         self.text = text
         self.comment = comment
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens = list(self._scan())
+        self.tokens = _scan(text, comment)
         self.index = 0
-
-    def _error(self, msg: str) -> TermSyntaxError:
-        return TermSyntaxError(msg, self.line, self.column)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _scan(self) -> Iterator[Token]:
-        text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c.isspace():
-                self._advance()
-                continue
-            if text.startswith(self.comment, self.pos):
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-                continue
-            line, col = self.line, self.column
-            if c == '"':
-                yield self._scan_string(line, col)
-                continue
-            if c.isdigit() or (
-                c == "-" and self.pos + 1 < len(text) and text[self.pos + 1].isdigit()
-            ):
-                start = self.pos
-                self._advance()
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self._advance()
-                raw = text[start : self.pos]
-                yield Token("INT", raw, line, col, int(raw))
-                continue
-            if c.isalpha() or c == "_":
-                start = self.pos
-                while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-                    self._advance()
-                raw = text[start : self.pos]
-                kind = "VAR" if raw[0] == "_" or raw[0].isupper() else "ATOM"
-                yield Token(kind, raw, line, col)
-                continue
-            for p in _PUNCT:
-                if text.startswith(p, self.pos):
-                    self._advance(len(p))
-                    yield Token("PUNCT", p, line, col)
-                    break
-            else:
-                raise self._error(f"unexpected character {c!r}")
-        yield Token("EOF", "", self.line, self.column)
-
-    def _scan_string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        out = []
-        text = self.text
-        while True:
-            if self.pos >= len(text):
-                raise TermSyntaxError("unterminated string", line, col)
-            c = text[self.pos]
-            if c == '"':
-                self._advance()
-                return Token("STR", "".join(out), line, col, "".join(out))
-            if c == "\\":
-                self._advance()
-                if self.pos >= len(text) or text[self.pos] not in _ESCAPES:
-                    raise self._error("bad escape sequence")
-                out.append(_ESCAPES[text[self.pos]])
-                self._advance()
-            else:
-                out.append(c)
-                self._advance()
 
     # -- token-stream interface -------------------------------------------
 

@@ -1,9 +1,10 @@
 """Independent oracles and random-instance generators for the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-pattern matching is re-implemented from scratch, logical consequences are
-computed bottom-up instead of by resolution, and dynamic violation is
-decided by exhaustively forcing every choice valuation.
+tokens are scanned one character at a time instead of by regular
+expression, pattern matching is re-implemented from scratch, logical
+consequences are computed bottom-up instead of by resolution, and dynamic
+violation is decided by exhaustively forcing every choice valuation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,86 @@ from labelflow.routes import (
     validate_route,
 )
 from labelflow.runtime import ServiceRegistry, echo_handler, execute
-from labelflow.terms import Atom, Compound, Int, Term, Var
+from labelflow.terms import Atom, Compound, Int, Term, TermSyntaxError, Var
+
+# ---------------------------------------------------------------------------
+# A character-at-a-time scanner: the token tuples of ``terms.Tokenizer``.
+# ---------------------------------------------------------------------------
+
+_REF_PUNCT = (":-", ":=", "->", "\\+", "(", ")", "{", "}", ",", ".", ":", "=")
+_REF_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
+
+
+def reference_tokens(text: str, comment: str = "%") -> list[tuple]:
+    """(kind, text, line, column, value) per token, ending with EOF.
+
+    Raises ``TermSyntaxError`` where the tokenizer must; a non-decimal digit
+    such as ``²`` that starts or continues an integer raises ``ValueError``.
+    """
+    pos, line, column = 0, 1, 1
+    out = []
+
+    def advance(n=1):
+        nonlocal pos, line, column
+        for _ in range(n):
+            if text[pos] == "\n":
+                line, column = line + 1, 1
+            else:
+                column += 1
+            pos += 1
+
+    while pos < len(text):
+        c = text[pos]
+        if c.isspace():
+            advance()
+            continue
+        if text.startswith(comment, pos):
+            while pos < len(text) and text[pos] != "\n":
+                advance()
+            continue
+        at = (line, column)
+        if c == '"':
+            advance()
+            chars = []
+            while True:
+                if pos >= len(text):
+                    raise TermSyntaxError("unterminated string", *at)
+                c = text[pos]
+                advance()
+                if c == '"':
+                    break
+                if c == "\\":
+                    if pos >= len(text) or text[pos] not in _REF_ESCAPES:
+                        raise TermSyntaxError("bad escape sequence", line, column)
+                    chars.append(_REF_ESCAPES[text[pos]])
+                    advance()
+                else:
+                    chars.append(c)
+            out.append(("STR", "".join(chars), *at, "".join(chars)))
+        elif c.isdigit() or (
+            c == "-" and pos + 1 < len(text) and text[pos + 1].isdigit()
+        ):
+            start = pos
+            advance()
+            while pos < len(text) and text[pos].isdigit():
+                advance()
+            out.append(("INT", text[start:pos], *at, int(text[start:pos])))
+        elif c.isalpha() or c == "_":
+            start = pos
+            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+                advance()
+            raw = text[start:pos]
+            kind = "VAR" if raw[0] == "_" or raw[0].isupper() else "ATOM"
+            out.append((kind, raw, *at, None))
+        else:
+            p = next((p for p in _REF_PUNCT if text.startswith(p, pos)), None)
+            if p is None:
+                raise TermSyntaxError(f"unexpected character {c!r}", line, column)
+            advance(len(p))
+            out.append(("PUNCT", p, *at, None))
+    out.append(("EOF", "", line, column, None))
+    return out
+
 
 # ---------------------------------------------------------------------------
 # A from-scratch matcher: pattern (may contain variables) against ground term.

@@ -38,6 +38,15 @@ def test_compile_invalid_policy_is_usage_error(tmp_path, capsys):
     assert "endpoint" in capsys.readouterr().err
 
 
+def test_check_non_decimal_digit_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.lucon"
+    bad.write_text('service {\n  id s\n  endpoint "s://x"\n  creates_label a(²)\n}\n')
+    assert main(["check", ROUTE, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "unexpected character '²' (line 4, column 19)" in err
+    assert "Traceback" not in err
+
+
 def test_check_invalid_route_exits_1_with_golden_text(capsys):
     assert main(["check", ROUTE, POLICY]) == 1
     out = capsys.readouterr().out
@@ -229,7 +238,7 @@ def test_run_eval_error_is_input_error(tmp_path, capsys, statement):
 
 
 # ---------------------------------------------------------------------------
-# Route length is not bounded by Python's recursion limit.
+# Route length and split nesting are not bounded by Python's recursion limit.
 # ---------------------------------------------------------------------------
 
 LONG_POLICY = """
@@ -262,13 +271,29 @@ def _wide_route():
     return "\n".join(lines)
 
 
+def _nested_route(depth=400):
+    # Split i (statement 2 + 2i) runs split i + 1 (or, at the bottom, one
+    # to(b)) and a set_msg_prop; the aggregates close in reverse order.
+    bottom = 2 + 2 * depth
+    lines = ["route Nested {", '  services { a = "svc://src" }', "  1: from(a)"]
+    for i in range(depth):
+        split = 2 + 2 * i
+        lines.append(f"  {split}: split parts -> {split + 2}, {split + 1}")
+        lines.append(f"  {split + 1}: set_msg_prop y := {i} -> {bottom + depth - i}")
+    lines.append(f"  {bottom}: to(b)")
+    lines += [f"  {bottom + k}: aggregate concat" for k in range(1, depth + 1)]
+    lines += [f"  {bottom + depth + 1}: to(b)", "}"]
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize(
     "text, check_code, run_status, at_statement",
     [
         (_long_route(), 0, "completed", None),
         (_wide_route(), 1, "dropped", 6004),
+        (_nested_route(), 0, "completed", None),
     ],
-    ids=["long", "wide"],
+    ids=["long", "wide", "nested"],
 )
 def test_very_long_routes_check_and_run(
     tmp_path, capsys, text, check_code, run_status, at_statement

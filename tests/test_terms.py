@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from labelflow.terms import (
@@ -8,12 +8,15 @@ from labelflow.terms import (
     Int,
     Str,
     TermSyntaxError,
+    Tokenizer,
     Var,
     format_labels,
     format_term,
     functor_arity,
     parse_term,
 )
+
+from .helpers import reference_tokens
 
 
 def test_parse_atom():
@@ -60,6 +63,14 @@ def test_unterminated_string():
 def test_bad_escape():
     with pytest.raises(TermSyntaxError):
         parse_term(r'"\q"')
+
+
+@pytest.mark.parametrize("text", ["²", "-²"])
+def test_non_decimal_digit_is_syntax_error(text):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term(text)
+    assert (exc.value.line, exc.value.column) == (1, 1)
+    assert exc.value.message.startswith("unexpected character")
 
 
 def test_comments_are_skipped():
@@ -114,3 +125,67 @@ terms = st.recursive(
 @given(terms)
 def test_format_parse_round_trip(term):
     assert parse_term(format_term(term)) == term
+
+
+# -- the tokenizer against the character-at-a-time oracle --------------------
+
+
+def _scan_result(scan, text, comment):
+    try:
+        return [tuple(t) for t in scan(text, comment)]
+    except TermSyntaxError as exc:
+        return (exc.message, exc.line, exc.column)
+
+
+def _tokens(text, comment):
+    return Tokenizer(text, comment).tokens
+
+
+@pytest.mark.parametrize(
+    "text, comment, expected",
+    [
+        ('a\nb\n  "open', "%", ("unterminated string", 3, 3)),
+        ('"x\ny" "\\q"', "%", ("bad escape sequence", 2, 6)),
+        ('f("\\', "%", ("bad escape sequence", 1, 5)),
+        (
+            "a.\n// last",
+            "//",
+            [
+                ("ATOM", "a", 1, 1, None),
+                ("PUNCT", ".", 1, 2, None),
+                ("EOF", "", 2, 8, None),
+            ],
+        ),
+        ("a \n\t ", "%", [("ATOM", "a", 1, 1, None), ("EOF", "", 2, 3, None)]),
+    ],
+    ids=[
+        "open-string-line-3",
+        "bad-escape-after-multiline-string",
+        "backslash-at-end",
+        "final-comment-without-newline",
+        "eof-after-trailing-whitespace",
+    ],
+)
+def test_token_positions(text, comment, expected):
+    assert _scan_result(_tokens, text, comment) == expected
+    assert _scan_result(reference_tokens, text, comment) == expected
+
+
+SCANNER_ALPHABET = (
+    list("aZ_09-\"\\ntr(){},.:=+>%/# \n\t")
+    + ["\r", "\xa0", "\x85", "\x1c", "\u2028", "٣", "²", "Ⅷ", "é", "ǅ"]
+    + [":-", ":=", "->", "\\+", "//", '"s"', '"\\', "foo", "X1", "-5"]
+)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(
+    st.lists(st.sampled_from(SCANNER_ALPHABET), max_size=30).map("".join),
+    st.sampled_from(["%", "//"]),
+)
+def test_tokenizer_agrees_with_character_scanner(text, comment):
+    try:
+        expected = _scan_result(reference_tokens, text, comment)
+    except ValueError:
+        assume(False)  # the oracle's int() rejects a non-decimal digit
+    assert _scan_result(_tokens, text, comment) == expected
