@@ -227,6 +227,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="labelflow", description="Data flow control for message routes"
@@ -254,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--default-deny", action="store_true")
     p.add_argument("--env-reset", action="store_true",
                    help="fresh global variables for every route file")
-    p.add_argument("--depth-limit", type=int, default=10000)
+    p.add_argument("--depth-limit", type=_positive_int, default=10000)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("bench", help="decision-point scaling benchmark")

@@ -1,11 +1,13 @@
 """Horn-clause store with SLD resolution and negation-as-failure.
 
-This is the single semantic substrate of the package: compiled policies and
-the choice conditions of routes are both evaluated here. Resolution is
-top-down with leftmost literal selection and source-order clause selection,
-so solution order is deterministic across runs. Negation-as-failure is
-restricted to ground goals (non-ground negated goals raise Floundered rather
-than silently guessing). There is no cut and no assert/retract.
+The choice conditions of routes are proved here, against the clauses a
+policy compiles to (the ones ``labelflow compile`` dumps) plus the message's
+context facts. Decisions are not: ``pdp.decide`` reads the policy AST.
+Resolution is top-down with leftmost literal selection and source-order
+clause selection, so solution order is deterministic across runs.
+Negation-as-failure is restricted to ground goals (non-ground negated goals
+raise Floundered rather than silently guessing). There is no cut and no
+assert/retract.
 
 Textual clause format: ``head.`` for facts, ``head :- b1, b2.`` for rules,
 ``\\+ goal`` for negated body literals, ``%`` line comments.
@@ -52,6 +54,10 @@ class BuiltinError(EngineError):
     """A builtin was called with arguments it cannot handle."""
 
 
+class NotCallable(EngineError, ValueError):
+    """A literal or a clause head is not an atom or compound."""
+
+
 @dataclass(frozen=True, slots=True)
 class Literal:
     term: Term
@@ -59,7 +65,7 @@ class Literal:
 
     def __post_init__(self):
         if not isinstance(self.term, (Atom, Compound)):
-            raise ValueError(f"literal must be an atom or compound: {self.term!r}")
+            raise NotCallable(f"literal must be an atom or compound: {self.term!r}")
 
     def __repr__(self):
         return ("\\+ " if self.negated else "") + format_term(self.term)
@@ -72,7 +78,7 @@ class Clause:
 
     def __post_init__(self):
         if not isinstance(self.head, (Atom, Compound)):
-            raise ValueError(f"clause head must be an atom or compound: {self.head!r}")
+            raise NotCallable(f"clause head must be an atom or compound: {self.head!r}")
         object.__setattr__(self, "body", tuple(self.body))
 
     @property
@@ -116,18 +122,26 @@ def _first_arg_key(t: Term):
 class KnowledgeBase:
     """Immutable clause store with first-argument indexing.
 
-    Build one from clauses and builtins (or ``extend`` an existing base);
-    the clause set never changes afterwards, so a loaded base is safely shared
-    across concurrent queries.
+    Build one from clauses and builtins, or ``extend`` an existing base with
+    extra clauses. The clause set never changes afterwards, so a loaded base
+    is safely shared across concurrent queries.
+
+    An extended base is an overlay: it keeps a reference to its root, the
+    base that was first built from clauses, and indexes only its own
+    clauses. ``candidates`` returns the root's candidates followed by the
+    overlay's, which is source order because every overlay clause comes
+    after every root clause. Extending an overlay makes a new overlay over
+    the same root, so there is never more than one level.
     """
 
     def __init__(self, clauses: Sequence[Clause], builtins: dict | None = None):
-        self.clauses: tuple = tuple(clauses)
+        self._root: KnowledgeBase | None = None
+        self._own: tuple = tuple(clauses)
         self.builtins: dict[tuple[str, int], Builtin] = dict(builtins or {})
         self._by_pred: dict[tuple[str, int], list] = {}
         self._index: dict = {}
         self._unindexed: dict = {}
-        for pos, clause in enumerate(self.clauses):
+        for pos, clause in enumerate(self._own):
             pred = functor_arity(clause.head)
             if pred in self.builtins:
                 raise NameCollision(f"clause {pred[0]}/{pred[1]} collides with a builtin")
@@ -139,24 +153,51 @@ class KnowledgeBase:
                 else:
                     self._index.setdefault((pred, key), []).append((pos, clause))
 
-    def extend(self, extra: Iterable[Clause]) -> "KnowledgeBase":
-        """New base containing this base's clauses plus ``extra``."""
-        return KnowledgeBase(list(self.clauses) + list(extra), self.builtins)
+    @property
+    def clauses(self) -> tuple:
+        """Every clause, root first, in source order."""
+        if self._root is None:
+            return self._own
+        return self._root._own + self._own
 
-    def candidates(self, goal: Term, bindings: dict) -> list:
-        """Clauses that may match ``goal``, in source order."""
-        pred = functor_arity(goal)
-        if not isinstance(goal, Compound):
-            return [c for _, c in self._by_pred.get(pred, [])]
-        key = _first_arg_key(kernel.walk(goal.args[0], bindings))
+    def extend(self, extra: Iterable[Clause]) -> "KnowledgeBase":
+        """New base holding this base's clauses followed by ``extra``.
+
+        Costs O(|extra|) plus, when this base is itself an overlay, the size
+        of that overlay; it never depends on the size of the root, so proving
+        a goal against a few context facts on a large policy base costs the
+        same as on a small one. Neither base is modified.
+        """
+        if self._root is None:
+            root, own = self, ()
+        else:
+            root, own = self._root, self._own
+        overlay = KnowledgeBase(own + tuple(extra), root.builtins)
+        overlay._root = root
+        return overlay
+
+    def _own_candidates(self, pred, key) -> list:
         if key is None:
             return [c for _, c in self._by_pred.get(pred, [])]
         merged = self._index.get((pred, key), []) + self._unindexed.get(pred, [])
         merged.sort(key=lambda pc: pc[0])
         return [c for _, c in merged]
 
+    def candidates(self, goal: Term, bindings: dict) -> list:
+        """Clauses that may match ``goal``, in source order."""
+        pred = functor_arity(goal)
+        key = None
+        if isinstance(goal, Compound):
+            key = _first_arg_key(kernel.walk(goal.args[0], bindings))
+        own = self._own_candidates(pred, key)
+        if self._root is None:
+            return own
+        return self._root._own_candidates(pred, key) + own
+
     def __len__(self):
-        return len(self.clauses)
+        if self._root is None:
+            return len(self._own)
+        return len(self._root._own) + len(self._own)
 
 
 # ---------------------------------------------------------------------------

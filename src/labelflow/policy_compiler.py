@@ -29,9 +29,6 @@ class CompiledPolicy:
     # (service atom, route URL) -> ids of the declarations covering it
     covering: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def decision_id(self, rule_name: str) -> str:
-        return f"dec_{rule_name}"
-
 
 def _fact(functor: str, *args: Term) -> Clause:
     return Clause(Compound(functor, tuple(args)) if args else Atom(functor))

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .terms import (
+    Atom,
+    Compound,
     Term,
     TermSyntaxError,
     Tokenizer,
@@ -244,7 +246,14 @@ def _parse_statement(tok: Tokenizer):
         tok.expect("PUNCT", ":=")
         return _SET_STATEMENTS[word](var, parse_term_from(tok)), _parse_targets(tok)
     if tok.accept("ATOM", "when"):
+        start = tok.peek()
         cond = parse_term_from(tok)
+        if not isinstance(cond, (Atom, Compound)):
+            raise TermSyntaxError(
+                f"choice condition must be an atom or compound: {format_term(cond)}",
+                start.line,
+                start.column,
+            )
         tok.expect("ATOM", "then")
         tok.expect("ATOM", "goto")
         then_target = tok.expect("INT").value

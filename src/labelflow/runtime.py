@@ -224,7 +224,12 @@ def eval_condition(
     kb: KnowledgeBase | None = None,
     limits: SolveLimits | None = None,
 ) -> bool:
-    """A condition holds iff the goal is provable in the current contexts."""
+    """A condition holds iff the goal is provable in the current contexts.
+
+    The msg_prop/env_prop facts are overlaid on ``kb`` without re-indexing
+    it (``KnowledgeBase.extend``), so the cost of a condition does not depend
+    on the size of the policy base, only on the context facts and the proof.
+    """
     goal = eval_expr(cond, props, env) if _evaluable(cond) else cond
     base = kb if kb is not None else KnowledgeBase([], default_builtins())
     extended = base.extend(_context_facts(props, env))

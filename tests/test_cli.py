@@ -237,6 +237,42 @@ def test_run_eval_error_is_input_error(tmp_path, capsys, statement):
     assert "Traceback" not in captured.err
 
 
+def test_non_callable_condition_is_input_error(tmp_path, capsys):
+    statement = "2: when 2 then goto 3 otherwise goto 3"
+    text = PUBLIC_ROUTE.replace("2: to(pub)", f"{statement}\n  3: to(pub)")
+    route, policy, _ = _write_public_case(tmp_path, text, {})
+    for command in ("check", "run"):
+        assert main([command, route, policy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "choice condition must be an atom or compound: 2" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_condition_evaluating_to_a_number_is_input_error(tmp_path, capsys):
+    statements = (
+        "2: set_msg_prop x := 3\n  3: when msg(x) then goto 4 otherwise goto 4"
+    )
+    text = PUBLIC_ROUTE.replace("2: to(pub)", f"{statements}\n  4: to(pub)")
+    route, policy, _ = _write_public_case(tmp_path, text, {})
+    assert main(["check", route, policy]) == 1
+    capsys.readouterr()
+    assert main(["run", route, policy]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: condition msg(x) failed: literal must")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "ten"])
+def test_run_depth_limit_below_one_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", ROUTE, POLICY, "--depth-limit", value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--depth-limit: expected an integer >= 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # Route length and split nesting are not bounded by Python's recursion limit.
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from labelflow.engine import (
     KnowledgeBase,
     Literal,
     NameCollision,
+    NotCallable,
     SolveLimits,
     default_builtins,
     format_clause,
@@ -159,12 +160,44 @@ def test_literal_requires_callable_term():
         Clause(Var("X"))
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_program, "p :- 2."),
+    (parse_program, "X."),
+    (parse_query, '"s"'),
+    (parse_query, "p, \\+ 3"),
+])
+def test_non_callable_literal_is_engine_error(parse, text):
+    with pytest.raises(NotCallable):
+        parse(text)
+
+
 def test_extend_leaves_original_untouched():
     kb = kb_of("p(a).")
     bigger = kb.extend(parse_program("p(b)."))
     assert len(kb) == 1 and len(bigger) == 2
     assert not provable(kb, parse_query("p(b)"))
     assert provable(bigger, parse_query("p(b)"))
+
+
+def test_extend_overlays_the_same_root():
+    kb = kb_of("p(a).")
+    once = kb.extend(parse_program("p(b)."))
+    twice = once.extend(parse_program("p(c)."))
+    assert twice._root is kb and once._root is kb
+    assert twice.clauses == tuple(parse_program("p(a). p(b). p(c)."))
+    assert len(once) == 2 and len(twice) == 3
+    assert [s["X"] for s in all_solutions(twice, "p(X)")] == [
+        Atom("a"), Atom("b"), Atom("c")
+    ]
+    assert not provable(once, parse_query("p(c)"))
+
+
+def test_extend_rejects_clause_named_like_builtin():
+    kb = KnowledgeBase(parse_program("p(a)."), default_builtins())
+    with pytest.raises(NameCollision):
+        kb.extend(parse_program("lt(1, 2)."))
+    with pytest.raises(NameCollision):
+        kb.extend(parse_program("q(b).")).extend(parse_program("regex(a, b, c)."))
 
 
 # -- bottom-up oracle agreement ---------------------------------------------
@@ -208,3 +241,23 @@ def test_solve_agrees_with_fixpoint(seed):
             and len(f.args) == arity
         }
         assert derived == expected
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_overlay_agrees_with_one_base(seed):
+    # Any split into root, middle and suffix overlays gives the solutions
+    # of one base built from all clauses, in the same order.
+    rng = random.Random(seed)
+    clauses = random_program(rng)
+    whole = KnowledgeBase(clauses)
+    for _ in range(4):
+        a, b = sorted(rng.randint(0, len(clauses)) for _ in range(2))
+        layered = (
+            KnowledgeBase(clauses[:a]).extend(clauses[a:b]).extend(clauses[b:])
+        )
+        assert layered.clauses == whole.clauses
+        for functor, arity in (("e", 2), ("r", 2), ("top", 1)):
+            goal = Compound(functor, tuple(Var(f"V{i}") for i in range(arity)))
+            assert list(solve(layered, goal)) == list(solve(whole, goal))
+            bound = Compound(functor, (CONSTANTS[0],) + goal.args[1:])
+            assert list(solve(layered, bound)) == list(solve(whole, bound))

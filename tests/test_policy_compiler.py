@@ -63,7 +63,7 @@ def test_rule_fact_family(compiled):
     target = sol["S"]
     assert provable(kb, Compound("service", (target,)))
     assert provable(kb, parse_query("receives_label(dontPublishRaw, raw)"))
-    dec = Atom(compiled.decision_id("dontPublishRaw"))
+    dec = Atom("dec_dontPublishRaw")
     assert provable(kb, Compound("has_decision", (Atom("dontPublishRaw"), dec)))
     assert provable(kb, Compound("has_effect", (dec, Atom("drop"))))
     assert provable(

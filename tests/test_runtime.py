@@ -1,8 +1,10 @@
 import json
 import random
+import time
 
 import pytest
 
+from labelflow.pdp import worst_case_policy
 from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
 from labelflow.routes import parse_route
@@ -404,6 +406,27 @@ def test_eval_condition_against_fact_base():
     assert eval_condition(
         Compound("env_prop", (Atom("on"), Var("X"))), {}, {"on": Int(1)}
     )
+
+
+def test_condition_cost_does_not_depend_on_policy_size():
+    # The context facts are overlaid on the compiled base, never re-indexed
+    # with it, so a 5,000-rule base costs what a 10-rule base costs.
+    cond = Compound("msg_prop", (Atom("t"), Int(21)))
+    props = {"t": Int(21), "u": Str("x")}
+    env = {"on": Int(1)}
+
+    def best_of_15(kb):
+        best = float("inf")
+        for _ in range(15):
+            start = time.perf_counter()
+            for _ in range(10):
+                assert eval_condition(cond, props, env, kb)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    small = best_of_15(worst_case_policy(10).kb)
+    large = best_of_15(worst_case_policy(5000).kb)
+    assert large <= 3 * small, (small, large)
 
 
 def test_condition_with_builtin_comparison():
