@@ -65,6 +65,12 @@ def _load_route(path: str):
 _STUB_KINDS = ("echo", "const", "sink", "fail", "source")
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise CliError(f"{where}: expected a JSON object")
+    return value
+
+
 def build_registries(manifest: dict):
     """Registries from a declarative stub manifest.
 
@@ -75,7 +81,9 @@ def build_registries(manifest: dict):
     ``services`` block, so a ``url`` key is an input error.
     """
     services = ServiceRegistry()
-    for name, spec in manifest.get("services", {}).items():
+    manifest = _object(manifest, "manifest")
+    for name, spec in _object(manifest.get("services", {}), "services").items():
+        spec = _object(spec, f"service {name!r}")
         kind = spec.get("kind", "echo")
         if kind not in _STUB_KINDS:
             raise CliError(f"service {name!r}: unknown stub kind {kind!r}")
@@ -90,16 +98,22 @@ def build_registries(manifest: dict):
                 raise RuntimeError(f"stub service {_name} always fails")
 
         elif kind == "const":
-            const_payload = spec.get("payload", "").encode()
+            const_payload = spec.get("payload", "")
+            if not isinstance(const_payload, str):
+                raise CliError(f"service {name!r}: payload must be a string")
 
-            def handler(payload, props, _p=const_payload):
+            def handler(payload, props, _p=const_payload.encode()):
                 return _p, props
 
         elif kind == "source":
-            seeded = {
-                k: parse_term(v) if isinstance(v, str) else Int(int(v))
-                for k, v in spec.get("props", {}).items()
-            }
+            given = _object(spec.get("props", {}), f"service {name!r} props")
+            try:
+                seeded = {
+                    k: parse_term(v) if isinstance(v, str) else Int(int(v))
+                    for k, v in given.items()
+                }
+            except (TermSyntaxError, TypeError, ValueError, OverflowError) as exc:
+                raise CliError(f"service {name!r} props: {exc}")
 
             def handler(payload, props, _seed=seeded):
                 props.update(_seed)
@@ -110,8 +124,11 @@ def build_registries(manifest: dict):
         services.register(name, handler)
     obligations = ObligationRegistry()
     obligations.register("log", 2, lambda args, msg: True)
-    for key, behavior in manifest.get("obligations", {}).items():
+    table = _object(manifest.get("obligations", {}), "obligations")
+    for key, behavior in table.items():
         name, _, arity = key.partition("/")
+        if not arity.isdecimal() or behavior not in ("succeed", "fail"):
+            raise CliError(f"obligation {key!r}: expected name/arity: succeed|fail")
         ok = behavior == "succeed"
         obligations.register(name, int(arity), lambda args, msg, _ok=ok: _ok)
     return services, obligations
@@ -168,16 +185,20 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     policy = _load_policy(args.policy)
-    manifest = json.loads(_read(args.services)) if args.services else None
+    registries = None
+    if args.services:
+        try:
+            registries = build_registries(json.loads(_read(args.services)))
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{args.services}: {exc}")
     audit_lines = []
     worst = 0
     env: dict = {}
     for route_path in args.routes:
         route = _load_route(route_path)
-        if manifest is not None:
-            services, obligations = build_registries(manifest)
-        else:
-            services, obligations = _default_registry_for(route), ObligationRegistry()
+        services, obligations = registries or (
+            _default_registry_for(route), ObligationRegistry()
+        )
         if args.env_reset:
             env = {}
         outcome = execute(
@@ -216,9 +237,7 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     from .pdp import bench_csv, bench_decide
 
-    sizes = [int(x) for x in args.rules.split(",")]
-    labels = [int(x) for x in args.labels.split(",")]
-    rows = bench_decide(sizes, labels, trials=args.trials)
+    rows = bench_decide(args.rules, args.labels, trials=args.trials)
     text = bench_csv(rows)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -235,6 +254,10 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _positive_ints(text: str) -> list:
+    return [_positive_int(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("bench", help="decision-point scaling benchmark")
-    p.add_argument("--rules", default="100,500,1000,5000")
-    p.add_argument("--labels", default="10")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--rules", type=_positive_ints, default="100,500,1000,5000")
+    p.add_argument("--labels", type=_positive_ints, default="10")
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(fn=cmd_bench)
     return parser
@@ -280,10 +303,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, RuntimeError_) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, RuntimeError_, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,16 @@
 """Policy decision point: from (target service, label set) to a decision.
 
-A rule matches when its target is one of the declarations covering the
-requested service and every trigger label is a member of the request's
-labels, membership up to unification (trigger ``merge(X)`` matches label
-``merge(10)``). The covering declarations come from
-``policy_compiler.covering_declarations``, the resolver the label transforms
-use too, memoised per service. The effects of all matched rules fold under
-the restrictiveness order error > drop > allow; obligations concatenate in
-rule declaration order. With no match the default effect applies (allow,
-unless a default-deny deployment flips it to drop).
+A request names a service atom, or a bare endpoint URL, and the endpoint URL
+the route gives that atom. A rule covers the request when its target
+declaration matches either the atom or the URL; ``covering_declarations``
+in ``policy_compiler``, the resolver the label transforms use too, answers
+that once per decision, so each rule then costs one membership test plus its
+triggers. A rule matches when it covers the request and every trigger label
+is a member of the request's labels, membership up to unification (trigger
+``merge(X)`` matches label ``merge(10)``). The effects of all matched rules
+fold under the restrictiveness order error > drop > allow; obligations
+concatenate in rule declaration order. With no match the default effect
+applies (allow, unless a default-deny deployment flips it to drop).
 
 Requests pre-index their labels by functor/arity so decision time depends
 on the number of rules, not on the number of labels.
@@ -80,14 +82,17 @@ class _LabelIndex:
 
 @dataclass(frozen=True)
 class DecisionRequest:
-    endpoint_url_or_service_id: str
+    """``service`` is a service atom or a bare endpoint URL, ``url`` the route's
+    endpoint URL for that atom; a rule whose target matches either covers it."""
+
+    service: str
     labels: frozenset
+    url: str | None = None
     message_ref: Term | None = None
-    service_id: str | None = None  # set when both a URL and an id are known
     label_index: _LabelIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.endpoint_url_or_service_id:
+        if not self.service:
             raise ValueError("decision request needs a target")
         object.__setattr__(self, "labels", frozenset(self.labels))
         object.__setattr__(self, "label_index", _LabelIndex(self.labels))
@@ -108,16 +113,11 @@ class DecisionResult:
     effect_rule: str | None = None  # first matched rule with the folded effect
 
 
-def rule_matches(policy: CompiledPolicy, rule: FlowRule, req: DecisionRequest) -> bool:
-    if req.service_id is None:
-        covering = covering_declarations(policy, req.endpoint_url_or_service_id)
-    else:
-        covering = covering_declarations(
-            policy, req.service_id, req.endpoint_url_or_service_id
-        )
-    if rule.target not in covering:
-        return False
-    return all(req.label_index.contains(t) for t in rule.trigger_labels)
+def rule_matches(covering: tuple, rule: FlowRule, labels: _LabelIndex) -> bool:
+    """Is the rule's target among ``covering`` and every trigger in ``labels``?"""
+    return rule.target in covering and all(
+        labels.contains(t) for t in rule.trigger_labels
+    )
 
 
 def _bind_message(action: Term, ref: Term | None) -> Term:
@@ -139,8 +139,9 @@ def decide(
     matched: list[str] = []
     effects: list[str] = []
     obligations: list = []
+    covering = covering_declarations(policy, req.service, req.url)
     for name, rule in policy.rule_index.items():
-        if rule_matches(policy, rule, req):
+        if rule_matches(covering, rule, req.label_index):
             matched.append(name)
             effects.append(rule.decision.effect)
             for ob in rule.decision.obligations:

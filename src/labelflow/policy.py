@@ -101,11 +101,11 @@ class PolicyAst:
     services: tuple = ()
     rules: tuple = ()
 
-    def service(self, service_id: str) -> ServiceDecl:
+    def service(self, sid: str) -> ServiceDecl:
         for s in self.services:
-            if s.id == service_id:
+            if s.id == sid:
                 return s
-        raise KeyError(service_id)
+        raise KeyError(sid)
 
 
 def generated_service_id(decl: ServiceDecl) -> str:

@@ -385,12 +385,7 @@ class _Execution:
         atom = stmt.service
         url = self.route.endpoints.get(atom)
         before = msg.labels
-        req = DecisionRequest(
-            url or atom,
-            before,
-            message_ref=Str(msg.id),
-            service_id=atom if url else None,
-        )
+        req = DecisionRequest(atom, before, url, Str(msg.id))
         result = decide(self.policy, req, self.default_effect)
         effect = result.effect
         rule = result.effect_rule

@@ -125,8 +125,7 @@ class _Verifier:
 
     def check(self, n, stmt, labels, trace, choices) -> None:
         atom = stmt.service
-        url = self.route.endpoints.get(atom)
-        req = DecisionRequest(url or atom, labels, service_id=atom if url else None)
+        req = DecisionRequest(atom, labels, self.route.endpoints.get(atom))
         result = decide(self.policy, req, self.default_effect)
         if result.effect not in ("drop", "error"):
             return

@@ -137,6 +137,53 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--trials", "0"],
+        ["--rules", "ten"],
+        ["--rules", "10,"],
+        ["--rules", "-5"],
+        ["--rules", "0"],
+        ["--labels", "0"],
+    ],
+)
+def test_bench_bad_arguments_are_usage_errors(capsys, args):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", *args])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{args[0]}: expected an integer >= 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"services": ', "services.json"),
+        ("[]", "manifest"),
+        ('{"services": {"sensor": "echo"}}', "service 'sensor'"),
+        ('{"services": {"sensor": {"kind": "const", "payload": 5}}}', "payload"),
+        ('{"obligations": {"log": "succeed"}}', "obligation 'log'"),
+        ('{"obligations": {"log/2": "sucess"}}', "obligation 'log/2'"),
+        (
+            '{"services": {"sensor": {"kind": "source", "props": {"t": "Bad Term("}}}}',
+            "service 'sensor' props",
+        ),
+    ],
+)
+def test_run_malformed_manifest_is_input_error(tmp_path, capsys, text, named):
+    manifest = tmp_path / "services.json"
+    manifest.write_text(text)
+    assert main(["run", ROUTE, POLICY, "--services", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_build_registries_stub_kinds():
     from labelflow.cli import CliError
     from labelflow.terms import parse_term

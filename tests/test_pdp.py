@@ -17,7 +17,8 @@ from labelflow.pdp import (
     worst_case_policy,
 )
 from labelflow.policy import parse_policy
-from labelflow.policy_compiler import compile_policy
+from labelflow import pdp
+from labelflow.policy_compiler import compile_policy, covering_declarations
 from labelflow.terms import Atom, Compound, Int, Str, Var
 
 from .helpers import LABEL_POOL, SERVICE_POOL, match_pattern, random_policy
@@ -129,9 +130,7 @@ def test_service_id_match(compiled):
 
 def test_secondary_service_id(compiled):
     # URL target misses, but the known service id still matches the rule.
-    req = DecisionRequest(
-        "ftp://weird/", frozenset({Atom("raw")}), service_id="sensor"
-    )
+    req = DecisionRequest("sensor", frozenset({Atom("raw")}), url="ftp://weird/")
     assert decide(compiled, req).matched_rules == ("auditSensor",)
 
 
@@ -166,7 +165,7 @@ def reference_decide(policy, req, default_effect="allow"):
     for name, rule in policy.rule_index.items():
         decl = policy.ast.service(rule.target)
         covers = False
-        for target in (req.endpoint_url_or_service_id, req.service_id):
+        for target in (req.service, req.url):
             if target is None:
                 continue
             if target == rule.target or re.fullmatch(decl.endpoint, target):
@@ -193,8 +192,11 @@ def test_decide_agrees_with_reference(seed):
         labels = frozenset(
             Atom(l) for l in rng.sample(LABEL_POOL, rng.randint(0, 4))
         )
-        service_id = rng.choice(SERVICE_POOL + (None,))
-        req = DecisionRequest(target, labels, service_id=service_id)
+        atom = rng.choice(SERVICE_POOL + (None,))
+        if atom is None:
+            req = DecisionRequest(target, labels)
+        else:
+            req = DecisionRequest(atom, labels, url=target)
         got = decide(policy, req)
         effect, matched = reference_decide(policy, req)
         assert got.effect == effect
@@ -222,8 +224,10 @@ def test_monotonicity_in_labels(compiled):
 def test_worst_case_policy_all_rules_match():
     policy = worst_case_policy(7)
     req = bench_request(3)
+    covering = covering_declarations(policy, req.service, req.url)
     assert all(
-        rule_matches(policy, rule, req) for rule in policy.rule_index.values()
+        rule_matches(covering, rule, req.label_index)
+        for rule in policy.rule_index.values()
     )
     assert len(policy.rule_index) == 7
 
@@ -249,6 +253,19 @@ def test_repeated_decide_runs_no_regex():
     assert decide(policy, req) == first
     assert calls == []
     assert len(first.matched_rules) == 50
+
+
+def test_decide_resolves_coverage_once(monkeypatch):
+    calls: list = []
+
+    def counting(policy, service, url=None):
+        calls.append((service, url))
+        return covering_declarations(policy, service, url)
+
+    monkeypatch.setattr(pdp, "covering_declarations", counting)
+    result = decide(worst_case_policy(50), bench_request(3))
+    assert len(calls) == 1
+    assert len(result.matched_rules) == 50
 
 
 def test_bench_rows_and_csv():
