@@ -41,7 +41,10 @@ def _read(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise CliError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: not UTF-8 text")
 
 
 def _load_policy(path: str):

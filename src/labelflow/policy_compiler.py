@@ -1,4 +1,10 @@
-"""Compilation of a policy AST into a Horn-clause knowledge base.
+"""Compilation of a policy AST into lookup tables and Horn clauses.
+
+``compile_policy`` builds the tables that the decision point, the label
+transforms and the verifier read: rules and services by name and each
+service's compiled endpoint regex. The Horn-clause knowledge base is read
+only by route choice conditions and by ``labelflow compile``, so it is built
+from ``policy_clauses`` on the first read of ``CompiledPolicy.kb``.
 
 Every rule R produces the fact family ``rule(R)``, ``has_target(R,S)``,
 ``receives_label(R,L)`` per trigger, ``has_decision(R,D)``,
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .engine import Clause, KnowledgeBase, default_builtins, format_program
 from .policy import PolicyAst
@@ -21,7 +28,6 @@ from .terms import Atom, Compound, Str, Term
 
 @dataclass(frozen=True)
 class CompiledPolicy:
-    kb: KnowledgeBase
     ast: PolicyAst
     rule_index: dict  # rule name -> FlowRule, declaration order
     service_index: dict  # service id -> ServiceDecl, declaration order
@@ -29,12 +35,22 @@ class CompiledPolicy:
     # (service atom, route URL) -> ids of the declarations covering it
     covering: dict = field(default_factory=dict, compare=False, repr=False)
 
+    @cached_property
+    def kb(self) -> KnowledgeBase:
+        """The policy's Horn clauses, built and indexed on the first read.
+
+        Later reads return the same base. Building is deterministic, so two
+        threads racing on the first read (``cached_property`` takes no lock
+        on Python 3.12+) at worst build two equal bases.
+        """
+        return KnowledgeBase(policy_clauses(self.ast), default_builtins())
+
 
 def _fact(functor: str, *args: Term) -> Clause:
     return Clause(Compound(functor, tuple(args)) if args else Atom(functor))
 
 
-def compile_policy(ast: PolicyAst) -> CompiledPolicy:
+def policy_clauses(ast: PolicyAst) -> list[Clause]:
     """Deterministic translation of a validated AST into facts."""
     clauses: list[Clause] = []
     for s in ast.services:
@@ -60,9 +76,12 @@ def compile_policy(ast: PolicyAst) -> CompiledPolicy:
         clauses.append(_fact("has_effect", dec, Atom(r.decision.effect)))
         for ob in r.decision.obligations:
             clauses.append(_fact("has_obligation", dec, ob.action))
-    kb = KnowledgeBase(clauses, default_builtins())
+    return clauses
+
+
+def compile_policy(ast: PolicyAst) -> CompiledPolicy:
+    """Lookup tables of a validated AST; clauses wait for the first ``kb`` read."""
     return CompiledPolicy(
-        kb=kb,
         ast=ast,
         rule_index={r.name: r for r in ast.rules},
         service_index={s.id: s for s in ast.services},

@@ -39,8 +39,11 @@ class TermSyntaxError(Exception):
         self.column = column
 
 
+_find_whitespace = re.compile(r"\s").search
+
+
 def _check_name(name: str, what: str) -> None:
-    if not name or any(c.isspace() for c in name):
+    if not name or _find_whitespace(name):
         raise ValueError(f"{what} must be non-empty and contain no whitespace: {name!r}")
 
 

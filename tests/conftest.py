@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from labelflow import parse_policy, parse_route
+from labelflow import KnowledgeBase, parse_policy, parse_route
 from labelflow.policy_compiler import compile_policy
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -35,3 +35,17 @@ def chain_route():
 @pytest.fixture
 def chain_policy():
     return compile_policy(parse_policy(read_fixture("measurement_chain.lucon")))
+
+
+@pytest.fixture
+def kb_builds(monkeypatch) -> list:
+    """Clause counts of every ``KnowledgeBase`` constructed in the test."""
+    builds = []
+    init = KnowledgeBase.__init__
+
+    def counting_init(self, clauses, builtins=None):
+        builds.append(len(clauses))
+        init(self, clauses, builtins)
+
+    monkeypatch.setattr(KnowledgeBase, "__init__", counting_init)
+    return builds

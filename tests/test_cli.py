@@ -26,6 +26,36 @@ def test_compile_emit_clauses_to_file(tmp_path, capsys):
     assert "has_effect(dec_dontPublishRaw, drop)." in target.read_text()
 
 
+@pytest.mark.parametrize("name", ["dont_publish_raw", "measurement_chain"])
+def test_compile_prints_golden_clause_dump(capsys, name):
+    assert main(["compile", str(FIXTURES / f"{name}.lucon")]) == 0
+    assert capsys.readouterr().out == read_fixture(f"{name}.clauses")
+
+
+def test_check_builds_no_knowledge_base(capsys, kb_builds):
+    assert main(["check", ROUTE, POLICY]) == 1
+    assert main(["check", CHAIN_ROUTE, CHAIN_POLICY]) == 0
+    assert kb_builds == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda bad: ["compile", bad],
+        lambda bad: ["check", bad, POLICY],
+        lambda bad: ["run", CHAIN_ROUTE, CHAIN_POLICY, "--services", bad],
+    ],
+    ids=["policy", "route", "manifest"],
+)
+def test_non_utf8_input_is_input_error(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(argv(str(bad))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: not UTF-8 text\n"
+
+
 def test_compile_missing_file_is_usage_error(capsys):
     assert main(["compile", "no/such/file.lucon"]) == 2
     assert "error:" in capsys.readouterr().err

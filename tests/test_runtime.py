@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from labelflow import policy_compiler
 from labelflow.pdp import worst_case_policy
 from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
@@ -142,6 +143,25 @@ def test_rule_choice_true_takes_then_branch():
 def test_rule_choice_false_takes_else_branch():
     out = run_route(CHOICE_ROUTE % {"mode": 0})
     assert [ev.statement for ev in out.audit] == [1, 2, 3, 5]
+
+
+def test_executions_share_one_policy_base(monkeypatch):
+    policy = chain_policy()
+    built = []
+    clauses = policy_compiler.policy_clauses
+
+    def counting_clauses(ast):
+        built.append(ast)
+        return clauses(ast)
+
+    monkeypatch.setattr(policy_compiler, "policy_clauses", counting_clauses)
+    assert "kb" not in vars(policy)
+    first = run_route(CHOICE_ROUTE % {"mode": 1}, policy)
+    kb = policy.kb
+    second = run_route(CHOICE_ROUTE % {"mode": 0}, policy)
+    assert [first.status, second.status] == ["completed", "completed"]
+    assert built == [policy.ast]
+    assert policy.kb is kb
 
 
 SPLIT_ROUTE = """

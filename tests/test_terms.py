@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,17 @@ def test_atom_name_validation():
         Atom("has space")
     with pytest.raises(ValueError):
         Atom("")
+
+
+def test_name_check_agrees_with_isspace_on_every_code_point():
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    spaces = [c for c in chars if c.isspace()]
+    for c in spaces:
+        with pytest.raises(ValueError):
+            Atom(f"a{c}b")
+        with pytest.raises(ValueError):
+            Compound(f"f{c}", (Int(1),))
+    Atom("".join(c for c in chars if not c.isspace()))
 
 
 def test_functor_arity():

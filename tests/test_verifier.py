@@ -131,6 +131,25 @@ def test_both_choice_branches_are_explored():
     assert ce.choices == {2: False}
 
 
+def test_verify_builds_no_knowledge_base(sensor_route, dont_publish_raw, kb_builds):
+    # Choice conditions are not evaluated statically, so the clauses are
+    # never needed and never built.
+    route = parse_route(
+        """
+        route r {
+          1: from(sensor)
+          2: when env_prop(mode, 1) then goto 3 otherwise goto 4
+          3: to(log) -> end
+          4: to(mqueue)
+        }
+        """
+    )
+    assert not verify(sensor_route, dont_publish_raw).valid
+    assert verify(route, dont_publish_raw).explored_states > 0
+    assert kb_builds == []
+    assert "kb" not in vars(dont_publish_raw)
+
+
 def test_default_deny_counterexample_uses_arrival_labels():
     policy = compile_policy(
         parse_policy('service { id src endpoint "svc://src" creates_label x }')
