@@ -126,6 +126,14 @@ class KnowledgeBase:
     extra clauses. The clause set never changes afterwards, so a loaded base
     is safely shared across concurrent queries.
 
+    The clauses are grouped by predicate when the base is built. A
+    predicate's first-argument index (the offsets of its clauses per
+    first-argument key, and of those whose first argument is a variable) is
+    built when the predicate is first queried with a key, so a predicate no
+    query binds costs no index. The index is stored with
+    ``dict.setdefault``, so two threads racing on a predicate's first keyed
+    query at worst build it twice and both use the first one stored.
+
     An extended base is an overlay: it keeps a reference to its root, the
     base that was first built from clauses, and indexes only its own
     clauses. ``candidates`` returns the root's candidates followed by the
@@ -138,20 +146,15 @@ class KnowledgeBase:
         self._root: KnowledgeBase | None = None
         self._own: tuple = tuple(clauses)
         self.builtins: dict[tuple[str, int], Builtin] = dict(builtins or {})
-        self._by_pred: dict[tuple[str, int], list] = {}
-        self._index: dict = {}
-        self._unindexed: dict = {}
-        for pos, clause in enumerate(self._own):
+        self._by_pred: dict[tuple[str, int], list[Clause]] = {}
+        # pred -> (first-argument key -> offsets in _by_pred[pred], offsets
+        # of the clauses whose first argument has no key)
+        self._index: dict[tuple[str, int], tuple[dict, list]] = {}
+        for clause in self._own:
             pred = functor_arity(clause.head)
             if pred in self.builtins:
                 raise NameCollision(f"clause {pred[0]}/{pred[1]} collides with a builtin")
-            self._by_pred.setdefault(pred, []).append((pos, clause))
-            if isinstance(clause.head, Compound):
-                key = _first_arg_key(clause.head.args[0])
-                if key is None:
-                    self._unindexed.setdefault(pred, []).append((pos, clause))
-                else:
-                    self._index.setdefault((pred, key), []).append((pos, clause))
+            self._by_pred.setdefault(pred, []).append(clause)
 
     @property
     def clauses(self) -> tuple:
@@ -176,12 +179,31 @@ class KnowledgeBase:
         overlay._root = root
         return overlay
 
+    def _key_index(self, pred) -> tuple[dict, list]:
+        index = self._index.get(pred)
+        if index is None:
+            by_key: dict = {}
+            unkeyed: list = []
+            for pos, clause in enumerate(self._by_pred[pred]):
+                key = _first_arg_key(clause.head.args[0])
+                if key is None:
+                    unkeyed.append(pos)
+                else:
+                    by_key.setdefault(key, []).append(pos)
+            index = self._index.setdefault(pred, (by_key, unkeyed))
+        return index
+
     def _own_candidates(self, pred, key) -> list:
+        clauses = self._by_pred.get(pred)
+        if clauses is None:
+            return []
         if key is None:
-            return [c for _, c in self._by_pred.get(pred, [])]
-        merged = self._index.get((pred, key), []) + self._unindexed.get(pred, [])
-        merged.sort(key=lambda pc: pc[0])
-        return [c for _, c in merged]
+            return list(clauses)
+        by_key, unkeyed = self._key_index(pred)
+        offsets = by_key.get(key, [])
+        if unkeyed:
+            offsets = sorted(offsets + unkeyed)
+        return [clauses[pos] for pos in offsets]
 
     def candidates(self, goal: Term, bindings: dict) -> list:
         """Clauses that may match ``goal``, in source order."""

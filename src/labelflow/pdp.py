@@ -2,25 +2,31 @@
 
 A request names a service atom, or a bare endpoint URL, and the endpoint URL
 the route gives that atom. A rule covers the request when its target
-declaration matches either the atom or the URL; ``covering_declarations``
-in ``policy_compiler``, the resolver the label transforms use too, answers
-that once per decision, so each rule then costs one membership test plus its
-triggers. A rule matches when it covers the request and every trigger label
-is a member of the request's labels, membership up to unification (trigger
-``merge(X)`` matches label ``merge(10)``). The effects of all matched rules
-fold under the restrictiveness order error > drop > allow; obligations
-concatenate in rule declaration order. With no match the default effect
-applies (allow, unless a default-deny deployment flips it to drop).
+declaration matches either the atom or the URL. A rule matches when it
+covers the request and every trigger label is a member of the request's
+labels, membership up to unification (trigger ``merge(X)`` matches label
+``merge(10)``). The effects of all matched rules fold under the
+restrictiveness order error > drop > allow; obligations concatenate in rule
+declaration order. With no match the default effect applies (allow, unless
+a default-deny deployment flips it to drop).
+
+``covering_declarations`` in ``policy_compiler``, the resolver the label
+transforms use too, answers coverage once per decision, together with the
+service's rule plan: the rules whose target covers it, in declaration order
+(target indexing, after Liu et al., "XEngine", SIGMETRICS 2008). ``decide``
+scans only the plan, so a to/bean statement costs one decision linear in
+the rules that target its service, and linear in all rules only when all of
+them do (the worst case ``bench_decide`` times). Each planned rule costs one
+membership test plus its triggers.
 
 Requests pre-index their labels by functor/arity so decision time depends
-on the number of rules, not on the number of labels.
+on the number of planned rules, not on the number of labels.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 from statistics import mean
 
@@ -140,14 +146,16 @@ def decide(
     effects: list[str] = []
     obligations: list = []
     covering = covering_declarations(policy, req.service, req.url)
-    for name, rule in policy.rule_index.items():
+    for rule in covering.rules:
         if rule_matches(covering, rule, req.label_index):
-            matched.append(name)
+            matched.append(rule.name)
             effects.append(rule.decision.effect)
             for ob in rule.decision.obligations:
                 obligations.append(
                     BoundObligation(
-                        _bind_message(ob.action, req.message_ref), ob.otherwise, name
+                        _bind_message(ob.action, req.message_ref),
+                        ob.otherwise,
+                        rule.name,
                     )
                 )
     if not matched:
@@ -211,8 +219,11 @@ def bench_decide(
     """Worst-case decision timings and peak incremental memory.
 
     One row per (rules, labels) pair. Timing and memory are measured in
-    separate passes since tracemalloc skews wall-clock numbers.
+    separate passes since tracemalloc skews wall-clock numbers. tracemalloc
+    (and the pickle it loads) is imported here, not by ``import labelflow``.
     """
+    import tracemalloc
+
     rows = []
     for n_rules in policy_sizes:
         policy = worst_case_policy(n_rules)

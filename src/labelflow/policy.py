@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .terms import (
     Str,
@@ -100,12 +100,25 @@ class FlowRule:
 class PolicyAst:
     services: tuple = ()
     rules: tuple = ()
+    # endpoint text -> compiled regex, filled by ``endpoint_regex``
+    endpoint_regexes: dict = field(default_factory=dict, compare=False, repr=False)
 
     def service(self, sid: str) -> ServiceDecl:
         for s in self.services:
             if s.id == sid:
                 return s
         raise KeyError(sid)
+
+    def endpoint_regex(self, endpoint: str) -> re.Pattern:
+        """``endpoint`` compiled once per AST, for validation and compilation.
+
+        Memoised on the AST by endpoint text, not by service id, so an AST
+        derived with ``dataclasses.replace`` never reads a stale pattern.
+        """
+        pattern = self.endpoint_regexes.get(endpoint)
+        if pattern is None:
+            pattern = self.endpoint_regexes[endpoint] = re.compile(endpoint)
+        return pattern
 
 
 def generated_service_id(decl: ServiceDecl) -> str:
@@ -270,7 +283,7 @@ def validate_policy(ast: PolicyAst) -> None:
             raise ValidationError(f"duplicate service id {s.id!r}")
         seen_services.add(s.id)
         try:
-            re.compile(s.endpoint)
+            ast.endpoint_regex(s.endpoint)
         except re.error as exc:
             raise ValidationError(
                 f"service {s.id!r} has an invalid endpoint regex: {exc}"

@@ -17,7 +17,6 @@ bases diff cleanly.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,7 +31,8 @@ class CompiledPolicy:
     rule_index: dict  # rule name -> FlowRule, declaration order
     service_index: dict  # service id -> ServiceDecl, declaration order
     endpoint_patterns: dict  # service id -> compiled regex
-    # (service atom, route URL) -> ids of the declarations covering it
+    # (service atom, route URL) -> Coverage: the covering declarations' ids
+    # and the rules that target them
     covering: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
@@ -85,7 +85,9 @@ def compile_policy(ast: PolicyAst) -> CompiledPolicy:
         ast=ast,
         rule_index={r.name: r for r in ast.rules},
         service_index={s.id: s for s in ast.services},
-        endpoint_patterns={s.id: re.compile(s.endpoint) for s in ast.services},
+        endpoint_patterns={
+            s.id: ast.endpoint_regex(s.endpoint) for s in ast.services
+        },
     )
 
 
@@ -97,25 +99,42 @@ def service_matches(cp: CompiledPolicy, decl_id: str, target: str) -> bool:
     return pattern is not None and pattern.fullmatch(target) is not None
 
 
+class Coverage(tuple):
+    """Ids of the declarations covering one service, in declaration order.
+
+    ``rules`` is the service's rule plan: the rules whose target is one of
+    these ids, in rule declaration order. Every other rule fails the target
+    test of ``pdp.rule_matches``, so ``decide`` scans only the plan.
+    """
+
+    rules: tuple
+
+
 def covering_declarations(
     cp: CompiledPolicy, atom: str, url: str | None = None
-) -> tuple:
-    """Ids of the declarations covering a service, in declaration order.
+) -> Coverage:
+    """Ids of the declarations covering a service, with its rule plan.
 
     A declaration covers the service when it matches the service's atom or,
-    when the route gives one, its endpoint URL. Memoised per (atom, url) on
-    the compiled policy, so the runtime and the verifier share one answer.
+    when the route gives one, its endpoint URL. The ids and the plan (see
+    ``Coverage``) are memoised together per (atom, url) on the compiled
+    policy, so the runtime and the verifier share one answer and each key
+    pays one pass over the services and one over the rules. Two threads
+    racing on a new key at worst build two equal entries.
     """
     key = (atom, url)
-    ids = cp.covering.get(key)
-    if ids is None:
-        ids = cp.covering[key] = tuple(
+    cov = cp.covering.get(key)
+    if cov is None:
+        cov = Coverage(
             sid
             for sid in cp.service_index
             if service_matches(cp, sid, atom)
             or (url is not None and service_matches(cp, sid, url))
         )
-    return ids
+        targets = set(cov)
+        cov.rules = tuple(r for r in cp.rule_index.values() if r.target in targets)
+        cp.covering[key] = cov
+    return cov
 
 
 def resolve_transforms(

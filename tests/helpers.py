@@ -252,6 +252,39 @@ def random_policy(rng, max_rules: int = 10) -> CompiledPolicy:
     return compile_policy(ast)
 
 
+def sink_policy(n_rules: int) -> CompiledPolicy:
+    """``n_rules`` rules on ``raw``: three target ``sink``, the rest ``other``.
+
+    The sink rules sit first, in the middle and last, so a plan that lost
+    declaration order would show. ``src`` creates ``raw``.
+    """
+    decls = (
+        ServiceDecl("src", "svc://src", creates_labels=(Atom("raw"),)),
+        ServiceDecl("sink", "svc://sink"),
+        ServiceDecl("other", "svc://other"),
+    )
+    sink_at = {0, n_rules // 2, n_rules - 1}
+    rules = tuple(
+        FlowRule(
+            name=f"rule{i}",
+            target="sink" if i in sink_at else "other",
+            trigger_labels=(Atom("raw"),),
+            decision=Decision("allow" if i in sink_at else "drop"),
+        )
+        for i in range(n_rules)
+    )
+    return compile_policy(PolicyAst(decls, rules))
+
+
+SINK_ROUTE = """
+route r {
+  services { s = "svc://src" k = "svc://sink" }
+  1: from(s)
+  2: to(k)
+}
+"""
+
+
 # ---------------------------------------------------------------------------
 # Random acyclic routes (split branches are statement-disjoint).
 # ---------------------------------------------------------------------------

@@ -143,6 +143,40 @@ def test_indexing_matches_unindexed_semantics():
     assert by_var == bound
 
 
+INTERLEAVED = """
+p(a, 1). p(X, 2). p(b, 3). p(a, 4). p(Y, 5). p(f(a), 6). p(f(b), 7). p(1, 8).
+q(a).
+"""
+
+
+def numbers(kb, query_text):
+    return [s["N"].value for s in all_solutions(kb, query_text)]
+
+
+def test_keyed_and_unkeyed_clauses_interleave_in_source_order():
+    kb = kb_of(INTERLEAVED)
+    assert numbers(kb, "p(a, N)") == [1, 2, 4, 5]
+    assert numbers(kb, "p(b, N)") == [2, 3, 5]
+    assert numbers(kb, "p(f(Z), N)") == [2, 5, 6, 7]
+    assert numbers(kb, "p(1, N)") == [2, 5, 8]
+    assert numbers(kb, "p(c, N)") == [2, 5]
+    assert numbers(kb, "p(Z, N)") == [1, 2, 3, 4, 5, 6, 7, 8]
+    bigger = kb.extend(parse_program("p(a, 9). p(W, 10). p(b, 11)."))
+    assert numbers(bigger, "p(a, N)") == [1, 2, 4, 5, 9, 10]
+    assert numbers(bigger, "p(Z, N)") == list(range(1, 12))
+
+
+def test_first_argument_index_is_built_per_predicate_on_first_keyed_query():
+    kb = kb_of(INTERLEAVED)
+    assert kb._index == {}
+    assert numbers(kb, "p(Z, N)") == list(range(1, 9))
+    assert kb._index == {}
+    assert provable(kb, parse_query("q(a)"))
+    assert set(kb._index) == {("q", 1)}
+    assert numbers(kb, "p(b, N)") == [2, 3, 5]
+    assert set(kb._index) == {("q", 1), ("p", 2)}
+
+
 def test_program_round_trip():
     clauses = parse_program(GRAPH)
     assert parse_program(format_program(clauses)) == clauses

@@ -1,5 +1,8 @@
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -266,6 +269,50 @@ def test_decide_resolves_coverage_once(monkeypatch):
     result = decide(worst_case_policy(50), bench_request(3))
     assert len(calls) == 1
     assert len(result.matched_rules) == 50
+
+
+@pytest.mark.parametrize("n_rules", [10, 300])
+def test_worst_case_decide_scans_every_rule(monkeypatch, n_rules):
+    scanned: list = []
+
+    def counting(covering, rule, labels):
+        scanned.append(rule.name)
+        return rule_matches(covering, rule, labels)
+
+    monkeypatch.setattr(pdp, "rule_matches", counting)
+    policy = worst_case_policy(n_rules)
+    for _ in range(2):
+        scanned.clear()
+        result = decide(policy, bench_request(3))
+        assert scanned == list(policy.rule_index)
+        assert result.matched_rules == tuple(policy.rule_index)
+
+
+def test_rule_plan_is_memoised_with_the_coverage():
+    policy = compile_policy(parse_policy(POLICY))
+    covering = covering_declarations(policy, "mq", "https://mq.example/out")
+    assert covering_declarations(policy, "mq", "https://mq.example/out") is covering
+    assert [r.name for r in covering.rules] == [
+        r.name for r in policy.rule_index.values() if r.target in covering
+    ]
+    assert covering_declarations(policy, "nobody").rules == ()
+
+
+def test_import_leaves_tracemalloc_unloaded():
+    # Only bench_decide needs tracemalloc; loading it (and pickle) costs
+    # every process that imports labelflow about 0.3 MiB of RSS.
+    src = os.path.dirname(os.path.dirname(pdp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, labelflow; print('tracemalloc' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_bench_rows_and_csv():

@@ -1,10 +1,11 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from labelflow.engine import parse_program, parse_query, provable, solve
-from labelflow.policy import parse_policy
+from labelflow.policy import ValidationError, parse_policy
 from labelflow.policy_compiler import (
     compile_policy,
     emit_clauses,
@@ -154,3 +155,27 @@ def test_service_matches_against_re_oracle(compiled):
             if s.id == url or re.fullmatch(s.endpoint, url) is not None
         ]
         assert covering(compiled, url) == expected
+
+
+def test_each_endpoint_is_compiled_once(monkeypatch):
+    # 600 endpoints overflow re's own cache (512), so validation and
+    # compilation must share one compiled pattern per endpoint.
+    endpoints = [f"svc://host{i}/.+" for i in range(600)]
+    text = "\n".join(
+        f'service {{ id s{i} endpoint "{e}" }}' for i, e in enumerate(endpoints)
+    )
+    calls: list = []
+    compile_regex = re.compile
+
+    def counting(pattern, flags=0):
+        calls.append(pattern)
+        return compile_regex(pattern, flags)
+
+    re.purge()
+    monkeypatch.setattr(re, "compile", counting)
+    compiled = compile_policy(parse_policy(text))
+    counts = Counter(calls)
+    assert [counts[e] for e in endpoints] == [1] * len(endpoints)
+    assert compiled.endpoint_patterns["s599"].fullmatch("svc://host599/x")
+    with pytest.raises(ValidationError):
+        parse_policy('service { id bad endpoint "svc://(" }')

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from labelflow import policy_compiler
+from labelflow import pdp, policy_compiler, runtime
 from labelflow.pdp import worst_case_policy
 from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
@@ -25,7 +25,13 @@ from labelflow.terms import Atom, Compound, Int, Str, Var
 from labelflow.verifier import verify
 
 from .conftest import read_fixture
-from .helpers import exhaustive_outcomes, random_policy, random_route
+from .helpers import (
+    SINK_ROUTE,
+    exhaustive_outcomes,
+    random_policy,
+    random_route,
+    sink_policy,
+)
 
 EMPTY_POLICY = compile_policy(
     parse_policy('service { id unused endpoint "unused://" }')
@@ -446,6 +452,56 @@ def test_condition_cost_does_not_depend_on_policy_size():
 
     small = best_of_15(worst_case_policy(10).kb)
     large = best_of_15(worst_case_policy(5000).kb)
+    assert large <= 3 * small, (small, large)
+
+
+@pytest.mark.parametrize("n_rules", [10, 5000])
+def test_to_scans_only_the_rules_targeting_its_service(monkeypatch, n_rules):
+    policy = sink_policy(n_rules)
+    route = parse_route(SINK_ROUTE)
+    scanned: list = []
+    decisions: list = []
+    rule_matches = pdp.rule_matches
+
+    def counting_rule_matches(covering, rule, labels):
+        scanned.append(rule.name)
+        return rule_matches(covering, rule, labels)
+
+    def counting_decide(*args, **kwargs):
+        decisions.append(args[1].service)
+        return pdp.decide(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "decide", counting_decide)
+    monkeypatch.setattr(pdp, "rule_matches", counting_rule_matches)
+    sink_rules = [f"rule{i}" for i in sorted({0, n_rules // 2, n_rules - 1})]
+    for _ in range(2):
+        scanned.clear()
+        decisions.clear()
+        out = execute(route, policy, registry(route))
+        assert out.status == "completed"
+        assert decisions == ["k"]
+        assert scanned == sink_rules
+        assert [ev.rule for ev in out.audit] == [None, sink_rules[0]]
+
+
+def test_execute_cost_does_not_depend_on_untargeted_rules():
+    # decide scans only the rules that target the service, so 4,997 rules
+    # that target another service cost a message nothing.
+    route = parse_route(SINK_ROUTE)
+    services = registry(route)
+
+    def best_of_15(policy):
+        assert execute(route, policy, services).status == "completed"
+        best = float("inf")
+        for _ in range(15):
+            start = time.perf_counter()
+            for _ in range(10):
+                execute(route, policy, services)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    small = best_of_15(sink_policy(10))
+    large = best_of_15(sink_policy(5000))
     assert large <= 3 * small, (small, large)
 
 
