@@ -29,7 +29,7 @@ from .runtime import (
     echo_handler,
     execute,
 )
-from .terms import Int, TermSyntaxError, parse_term
+from .terms import Atom, Int, TermSyntaxError, parse_term
 from .verifier import render_verdict, verify
 
 
@@ -111,8 +111,9 @@ def build_registries(manifest: dict):
         elif kind == "source":
             given = _object(spec.get("props", {}), f"service {name!r} props")
             try:
+                # Conditions read each prop as msg_prop(key, value).
                 seeded = {
-                    k: parse_term(v) if isinstance(v, str) else Int(int(v))
+                    Atom(k).name: parse_term(v) if isinstance(v, str) else Int(int(v))
                     for k, v in given.items()
                 }
             except (TermSyntaxError, TypeError, ValueError, OverflowError) as exc:

@@ -1,10 +1,10 @@
 """Horn-clause store with SLD resolution and negation-as-failure.
 
 The choice conditions of routes are proved here, against the clauses a
-policy compiles to (the ones ``labelflow compile`` dumps) plus the message's
-context facts. Decisions are not: ``pdp.decide`` reads the policy AST.
-Resolution is top-down with leftmost literal selection and source-order
-clause selection, so solution order is deterministic across runs.
+policy compiles to (the ones ``labelflow compile`` dumps) plus per-query
+builtins that read the message's variables. Decisions are not: ``pdp.decide``
+reads the policy AST. Resolution is top-down with leftmost literal selection
+and source-order clause selection, so solution order is deterministic.
 Negation-as-failure is restricted to ground goals (non-ground negated goals
 raise Floundered rather than silently guessing). There is no cut and no
 assert/retract.
@@ -133,51 +133,24 @@ class KnowledgeBase:
     query binds costs no index. The index is stored with
     ``dict.setdefault``, so two threads racing on a predicate's first keyed
     query at worst build it twice and both use the first one stored.
-
-    An extended base is an overlay: it keeps a reference to its root, the
-    base that was first built from clauses, and indexes only its own
-    clauses. ``candidates`` returns the root's candidates followed by the
-    overlay's, which is source order because every overlay clause comes
-    after every root clause. Extending an overlay makes a new overlay over
-    the same root, so there is never more than one level.
     """
 
     def __init__(self, clauses: Sequence[Clause], builtins: dict | None = None):
-        self._root: KnowledgeBase | None = None
-        self._own: tuple = tuple(clauses)
+        self.clauses: tuple = tuple(clauses)
         self.builtins: dict[tuple[str, int], Builtin] = dict(builtins or {})
         self._by_pred: dict[tuple[str, int], list[Clause]] = {}
         # pred -> (first-argument key -> offsets in _by_pred[pred], offsets
         # of the clauses whose first argument has no key)
         self._index: dict[tuple[str, int], tuple[dict, list]] = {}
-        for clause in self._own:
+        for clause in self.clauses:
             pred = functor_arity(clause.head)
             if pred in self.builtins:
                 raise NameCollision(f"clause {pred[0]}/{pred[1]} collides with a builtin")
             self._by_pred.setdefault(pred, []).append(clause)
 
-    @property
-    def clauses(self) -> tuple:
-        """Every clause, root first, in source order."""
-        if self._root is None:
-            return self._own
-        return self._root._own + self._own
-
     def extend(self, extra: Iterable[Clause]) -> "KnowledgeBase":
-        """New base holding this base's clauses followed by ``extra``.
-
-        Costs O(|extra|) plus, when this base is itself an overlay, the size
-        of that overlay; it never depends on the size of the root, so proving
-        a goal against a few context facts on a large policy base costs the
-        same as on a small one. Neither base is modified.
-        """
-        if self._root is None:
-            root, own = self, ()
-        else:
-            root, own = self._root, self._own
-        overlay = KnowledgeBase(own + tuple(extra), root.builtins)
-        overlay._root = root
-        return overlay
+        """New base: this base's clauses followed by ``extra``; neither is modified."""
+        return KnowledgeBase(self.clauses + tuple(extra), self.builtins)
 
     def _key_index(self, pred) -> tuple[dict, list]:
         index = self._index.get(pred)
@@ -193,10 +166,15 @@ class KnowledgeBase:
             index = self._index.setdefault(pred, (by_key, unkeyed))
         return index
 
-    def _own_candidates(self, pred, key) -> list:
+    def candidates(self, goal: Term, bindings: dict) -> list:
+        """Clauses that may match ``goal``, in source order."""
+        pred = functor_arity(goal)
         clauses = self._by_pred.get(pred)
         if clauses is None:
             return []
+        key = None
+        if isinstance(goal, Compound):
+            key = _first_arg_key(kernel.walk(goal.args[0], bindings))
         if key is None:
             return list(clauses)
         by_key, unkeyed = self._key_index(pred)
@@ -205,22 +183,6 @@ class KnowledgeBase:
             offsets = sorted(offsets + unkeyed)
         return [clauses[pos] for pos in offsets]
 
-    def candidates(self, goal: Term, bindings: dict) -> list:
-        """Clauses that may match ``goal``, in source order."""
-        pred = functor_arity(goal)
-        key = None
-        if isinstance(goal, Compound):
-            key = _first_arg_key(kernel.walk(goal.args[0], bindings))
-        own = self._own_candidates(pred, key)
-        if self._root is None:
-            return own
-        return self._root._own_candidates(pred, key) + own
-
-    def __len__(self):
-        if self._root is None:
-            return len(self._own)
-        return len(self._root._own) + len(self._own)
-
 
 # ---------------------------------------------------------------------------
 # Resolution.
@@ -228,9 +190,13 @@ class KnowledgeBase:
 
 
 class _Solver:
-    def __init__(self, kb: KnowledgeBase, limits: SolveLimits):
+    def __init__(self, kb: KnowledgeBase, limits: SolveLimits, builtins: dict):
         self.kb = kb
         self.limits = limits
+        self.builtins = {**kb.builtins, **builtins}
+        for pred in builtins:
+            if pred in kb._by_pred:
+                raise NameCollision(f"clause {pred[0]}/{pred[1]} collides with a builtin")
         self.fresh = 0
 
     def _rename_clause(self, clause: Clause) -> Clause:
@@ -262,7 +228,7 @@ class _Solver:
                 yield from self.solve(rest, bindings, trail, depth)
             return
         pred = functor_arity(goal)
-        builtin = self.kb.builtins.get(pred)
+        builtin = self.builtins.get(pred)
         if builtin is not None:
             args = goal.args if isinstance(goal, Compound) else ()
             for out in builtin(args):
@@ -303,27 +269,32 @@ def _as_literals(query) -> tuple:
     return tuple(q if isinstance(q, Literal) else Literal(q) for q in query)
 
 
-def solve(kb: KnowledgeBase, query, limits: SolveLimits | None = None) -> Iterator[dict]:
+def solve(
+    kb: KnowledgeBase, query, limits: SolveLimits | None = None, builtins=None
+) -> Iterator[dict]:
     """Enumerate substitutions (query-variable name -> ground-ish term).
 
     ``query`` may be a term, a Literal, or a sequence of either. The stream
     is lazy; consuming it fully enumerates every SLD derivation in clause
-    source order.
+    source order. ``builtins`` adds builtins for this query only; like the
+    base's own, none may share a predicate with a clause (NameCollision).
     """
     goals = _as_literals(query)
     limits = limits or DEFAULT_LIMITS
     names: list[str] = []
     for lit in goals:
         _query_vars(lit.term, names)
-    solver = _Solver(kb, limits)
+    solver = _Solver(kb, limits, builtins or {})
     bindings: dict = {}
     trail: list = []
     for _ in solver.solve(goals, bindings, trail, 1):
         yield {n: kernel.resolve(Var(n), bindings) for n in names}
 
 
-def provable(kb: KnowledgeBase, query, limits: SolveLimits | None = None) -> bool:
-    for _ in solve(kb, query, limits):
+def provable(
+    kb: KnowledgeBase, query, limits: SolveLimits | None = None, builtins=None
+) -> bool:
+    for _ in solve(kb, query, limits, builtins):
         return True
     return False
 

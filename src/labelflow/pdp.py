@@ -16,8 +16,8 @@ service's rule plan: the rules whose target covers it, in declaration order
 (target indexing, after Liu et al., "XEngine", SIGMETRICS 2008). ``decide``
 scans only the plan, so a to/bean statement costs one decision linear in
 the rules that target its service, and linear in all rules only when all of
-them do (the worst case ``bench_decide`` times). Each planned rule costs one
-membership test plus its triggers.
+them do (the worst case ``bench_decide`` times). Each planned rule costs
+only its triggers.
 
 Requests pre-index their labels by functor/arity so decision time depends
 on the number of planned rules, not on the number of labels.
@@ -119,11 +119,10 @@ class DecisionResult:
     effect_rule: str | None = None  # first matched rule with the folded effect
 
 
-def rule_matches(covering: tuple, rule: FlowRule, labels: _LabelIndex) -> bool:
-    """Is the rule's target among ``covering`` and every trigger in ``labels``?"""
-    return rule.target in covering and all(
-        labels.contains(t) for t in rule.trigger_labels
-    )
+def rule_matches(rule: FlowRule, labels: _LabelIndex) -> bool:
+    """Is every trigger of ``rule`` in ``labels``? (Only planned rules are
+    asked about, and those all cover the request.)"""
+    return all(labels.contains(t) for t in rule.trigger_labels)
 
 
 def _bind_message(action: Term, ref: Term | None) -> Term:
@@ -147,7 +146,7 @@ def decide(
     obligations: list = []
     covering = covering_declarations(policy, req.service, req.url)
     for rule in covering.rules:
-        if rule_matches(covering, rule, req.label_index):
+        if rule_matches(rule, req.label_index):
             matched.append(rule.name)
             effects.append(rule.decision.effect)
             for ob in rule.decision.obligations:

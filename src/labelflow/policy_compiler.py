@@ -103,8 +103,8 @@ class Coverage(tuple):
     """Ids of the declarations covering one service, in declaration order.
 
     ``rules`` is the service's rule plan: the rules whose target is one of
-    these ids, in rule declaration order. Every other rule fails the target
-    test of ``pdp.rule_matches``, so ``decide`` scans only the plan.
+    these ids, in rule declaration order. No other rule covers the service,
+    so ``decide`` scans only the plan.
     """
 
     rules: tuple

@@ -118,11 +118,10 @@ class Route:
     joins: dict = field(default_factory=dict)  # split number -> aggregate number
 
     def service_atoms(self) -> list[str]:
-        out = []
-        for stmt in self.statements.values():
-            if isinstance(stmt, (From, To, Bean)) and stmt.service not in out:
-                out.append(stmt.service)
-        return out
+        """The services of from/to/bean statements, once each, first seen first."""
+        stmts = self.statements.values()
+        services = (s.service for s in stmts if isinstance(s, (From, To, Bean)))
+        return list(dict.fromkeys(services))
 
 
 def node_names(route: Route) -> dict:
@@ -181,9 +180,13 @@ def parse_route(text: str) -> Route:
         tok.next()
         tok.expect("PUNCT", "{")
         while not tok.accept("PUNCT", "}"):
-            svc = tok.expect("ATOM").text
+            svc = tok.expect("ATOM")
+            if svc.text in endpoints:
+                raise TermSyntaxError(
+                    f"duplicate service binding {svc.text}", svc.line, svc.column
+                )
             tok.expect("PUNCT", "=")
-            endpoints[svc] = tok.expect("STR").value
+            endpoints[svc.text] = tok.expect("STR").value
     statements: dict[int, Statement] = {}
     explicit: dict[int, tuple] = {}
     order: list[int] = []

@@ -5,8 +5,8 @@ Implements the taint-controlled execution rules:
 * from      — a fresh message carrying the source service's created labels
 * to / bean — the decision point is consulted first; when allowed the
               handler runs and labels become (labels \\ removed) | created
-* choice    — the condition goal is proved against the policy base plus
-              msg_prop/env_prop facts; provable means the then branch
+* choice    — the condition goal is proved against the policy base and the
+              variables (msg_prop/env_prop); provable means the then branch
 * split     — one copy per branch, each with the original label set
 * aggregate — one message tainted with the union of all branch labels
 * set_msg_prop / set_env_prop — variable updates; never touch labels
@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable
 
+from . import kernel
 from .engine import (
-    Clause,
+    BuiltinError,
     EngineError,
     KnowledgeBase,
     Literal,
@@ -46,7 +48,7 @@ from .routes import (
     To,
     node_names,
 )
-from .terms import Atom, Compound, Int, Str, Term, format_term, functor_arity
+from .terms import Atom, Compound, Int, Str, Term, Var, format_term, functor_arity
 
 
 class RuntimeError_(Exception):
@@ -208,40 +210,62 @@ def eval_expr(expr: Term, props: dict, env: dict) -> Term:
     raise EvalError(f"cannot evaluate {expr!r}")
 
 
-def _context_facts(props: dict, env: dict) -> list[Clause]:
-    facts = []
-    for k, v in props.items():
-        facts.append(Clause(Compound("msg_prop", (Atom(k), v))))
-    for k, v in env.items():
-        facts.append(Clause(Compound("env_prop", (Atom(k), v))))
-    return facts
+def _context_builtins(props: dict, env: dict) -> dict:
+    """``msg_prop/2`` and ``env_prop/2``, answering as one fact per entry would:
+    an atom key gives its entry, a variable key every entry in insertion order,
+    any other key nothing, and each answer renames the value apart."""
+    fresh = count(1)
+
+    def lookup(table: dict):
+        def builtin(args: tuple):
+            key = args[0]
+            if isinstance(key, Atom):
+                entries = [(key, table[key.name])] if key.name in table else ()
+            elif isinstance(key, Var):
+                entries = map(_atom_key, table.items())
+            else:
+                return
+            for atom, value in entries:
+                yield atom, kernel.rename(value, f"#c{next(fresh)}")
+
+        return builtin
+
+    return {("msg_prop", 2): lookup(props), ("env_prop", 2): lookup(env)}
+
+
+def _atom_key(entry: tuple) -> tuple:
+    try:
+        return Atom(entry[0]), entry[1]
+    except (TypeError, ValueError):
+        raise BuiltinError(f"msg_prop/env_prop key {entry[0]!r} is not an atom name")
+
+
+_NO_POLICY = KnowledgeBase([], default_builtins())
 
 
 def eval_condition(
     cond: Term,
     props: dict,
     env: dict,
-    kb: KnowledgeBase | None = None,
+    kb: KnowledgeBase = _NO_POLICY,
     limits: SolveLimits | None = None,
 ) -> bool:
     """A condition holds iff the goal is provable in the current contexts.
 
-    The msg_prop/env_prop facts are overlaid on ``kb`` without re-indexing
-    it (``KnowledgeBase.extend``), so the cost of a condition does not depend
-    on the size of the policy base, only on the context facts and the proof.
+    It is proved on ``kb`` as it is, with ``msg_prop``/``env_prop`` looked up
+    in ``props``/``env``; no base is built, so an atom key costs one dict
+    lookup whatever the size of the policy or of the maps.
     """
     goal = eval_expr(cond, props, env) if _evaluable(cond) else cond
-    base = kb if kb is not None else KnowledgeBase([], default_builtins())
-    extended = base.extend(_context_facts(props, env))
     try:
-        return provable(extended, Literal(goal), limits)
+        return provable(kb, Literal(goal), limits, _context_builtins(props, env))
     except EngineError as exc:
         raise EvalError(f"condition {format_term(cond)} failed: {exc}") from exc
 
 
 def _evaluable(cond: Term) -> bool:
     # Substitute msg()/env() reads inside conditions when present; plain
-    # goals like msg_prop(k, v) are proved against the fact base instead.
+    # goals like msg_prop(k, v) are proved by the lookup builtins instead.
     if isinstance(cond, Compound):
         if cond.functor in ("msg", "env") and len(cond.args) == 1:
             return True

@@ -3,14 +3,17 @@
 Everything here deliberately avoids the code paths it is used to check:
 tokens are scanned one character at a time instead of by regular
 expression, pattern matching is re-implemented from scratch, logical
-consequences are computed bottom-up instead of by resolution, and dynamic
-violation is decided by exhaustively forcing every choice valuation.
+consequences are computed bottom-up instead of by resolution, choice
+conditions read the message's variables as one fact per variable instead of
+through lookup builtins, and dynamic violation is decided by exhaustively
+forcing every choice valuation.
 """
 
 from __future__ import annotations
 
 from itertools import count, product
 
+from labelflow.engine import Clause, KnowledgeBase, Literal, provable
 from labelflow.policy import (
     Decision,
     FlowRule,
@@ -412,3 +415,24 @@ def dynamically_violates(route: Route, policy, default_effect: str = "allow") ->
         o.status != "completed"
         for o in exhaustive_outcomes(route, policy, default_effect)
     )
+
+
+# ---------------------------------------------------------------------------
+# Choice conditions over context facts: one msg_prop/env_prop fact per
+# message or global variable, on a base that also holds the policy clauses.
+# ---------------------------------------------------------------------------
+
+
+def context_facts(props: dict, env: dict) -> list[Clause]:
+    facts = [Clause(Compound("msg_prop", (Atom(k), v))) for k, v in props.items()]
+    facts += [Clause(Compound("env_prop", (Atom(k), v))) for k, v in env.items()]
+    return facts
+
+
+def reference_condition(cond: Term, props: dict, env: dict, kb) -> bool:
+    """Is ``cond`` provable over ``kb``'s clauses plus the context facts?
+
+    Engine errors propagate as raised.
+    """
+    base = KnowledgeBase(kb.clauses + tuple(context_facts(props, env)), kb.builtins)
+    return provable(base, Literal(cond))

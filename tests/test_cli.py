@@ -201,6 +201,10 @@ def test_bench_bad_arguments_are_usage_errors(capsys, args):
             '{"services": {"sensor": {"kind": "source", "props": {"t": "Bad Term("}}}}',
             "service 'sensor' props",
         ),
+        (
+            '{"services": {"sensor": {"kind": "source", "props": {"my key": 1}}}}',
+            "'my key'",
+        ),
     ],
 )
 def test_run_malformed_manifest_is_input_error(tmp_path, capsys, text, named):

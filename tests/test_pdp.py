@@ -228,10 +228,8 @@ def test_worst_case_policy_all_rules_match():
     policy = worst_case_policy(7)
     req = bench_request(3)
     covering = covering_declarations(policy, req.service, req.url)
-    assert all(
-        rule_matches(covering, rule, req.label_index)
-        for rule in policy.rule_index.values()
-    )
+    assert covering.rules == tuple(policy.rule_index.values())
+    assert all(rule_matches(rule, req.label_index) for rule in covering.rules)
     assert len(policy.rule_index) == 7
 
 
@@ -275,9 +273,9 @@ def test_decide_resolves_coverage_once(monkeypatch):
 def test_worst_case_decide_scans_every_rule(monkeypatch, n_rules):
     scanned: list = []
 
-    def counting(covering, rule, labels):
+    def counting(rule, labels):
         scanned.append(rule.name)
-        return rule_matches(covering, rule, labels)
+        return rule_matches(rule, labels)
 
     monkeypatch.setattr(pdp, "rule_matches", counting)
     policy = worst_case_policy(n_rules)

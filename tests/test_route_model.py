@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -59,6 +60,28 @@ def test_joins(fan_out):
 
 def test_service_atoms(fan_out):
     assert fan_out.service_atoms() == ["sensor", "log", "merge", "mqueue"]
+
+
+def test_service_atoms_cost_is_linear_in_statements():
+    # Four times the distinct services costs about four times as much; a
+    # membership test per statement against the list so far made it ~16x.
+    def chain(n):
+        statements = {1: From("s0")}
+        statements.update({i: To(f"s{i}") for i in range(2, n + 1)})
+        return Route("r", statements, 1, {})
+
+    def best_of_15(route):
+        best = float("inf")
+        for _ in range(15):
+            start = time.perf_counter()
+            atoms = route.service_atoms()
+            best = min(best, time.perf_counter() - start)
+        assert len(atoms) == len(route.statements)
+        return best
+
+    small = best_of_15(chain(2000))
+    large = best_of_15(chain(8000))
+    assert large <= 8 * small, (small, large)
 
 
 def test_node_names_disambiguate():
@@ -129,6 +152,13 @@ def test_assignment_statements():
 def test_duplicate_statement_number():
     with pytest.raises(TermSyntaxError):
         parse_route("route r { 1: from(a) 1: to(b) }")
+
+
+def test_duplicate_service_binding():
+    text = 'route r {\n services {\n  a = "svc://one"\n  a = "svc://two"\n }\n 1: from(a)\n}'
+    with pytest.raises(TermSyntaxError, match="duplicate service binding a") as err:
+        parse_route(text)
+    assert (err.value.line, err.value.column) == (4, 3)
 
 
 def test_unknown_statement_kind():

@@ -5,6 +5,13 @@ import time
 import pytest
 
 from labelflow import pdp, policy_compiler, runtime
+from labelflow.engine import (
+    EngineError,
+    KnowledgeBase,
+    NameCollision,
+    default_builtins,
+    parse_program,
+)
 from labelflow.pdp import worst_case_policy
 from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
@@ -30,6 +37,7 @@ from .helpers import (
     exhaustive_outcomes,
     random_policy,
     random_route,
+    reference_condition,
     sink_policy,
 )
 
@@ -432,11 +440,141 @@ def test_eval_condition_against_fact_base():
     assert eval_condition(
         Compound("env_prop", (Atom("on"), Var("X"))), {}, {"on": Int(1)}
     )
+    # Each answer renames the value's variables apart, as a fact would be.
+    kb = KnowledgeBase(
+        parse_program("both(a) :- msg_prop(x, a), msg_prop(y, b)."),
+        default_builtins(),
+    )
+    assert eval_condition(
+        Compound("both", (Atom("a"),)), {"x": Var("X"), "y": Var("X")}, {}, kb
+    )
+
+
+# Rules that mix the context lookups with policy predicates, lt and negation.
+CONDITION_RULES = parse_program(
+    """
+    both(A) :- msg_prop(x, A), msg_prop(y, A).
+    pair(A, B) :- msg_prop(x, A), env_prop(y, B).
+    hot(K) :- msg_prop(K, V), lt(20, V).
+    creates(K, L) :- msg_prop(K, S), creates_label(S, L).
+    targeted(K, R) :- msg_prop(K, S), has_target(R, S).
+    shared(K) :- msg_prop(K, V), env_prop(K, V).
+    absent(K) :- \\+ msg_prop(K, 1).
+    """
+)
+CONTEXT_KEYS = ("x", "y", "n", "svc")
+CONTEXT_VALUES = (
+    Int(1), Int(7), Int(21), Int(35), Atom("s1"), Atom("s2"), Atom("s3"),
+    Atom("r0"), Atom("r1"), Var("X"), Var("Y"),
+    Compound("f", (Var("X"), Int(1))), Compound("f", (Atom("a"), Var("Z"))),
+)
+
+
+def random_context(rng, values) -> dict:
+    keys = rng.sample(CONTEXT_KEYS, rng.randint(0, len(CONTEXT_KEYS)))
+    return {k: rng.choice(values) for k in keys}
+
+
+def random_condition(rng):
+    key = rng.choice([Atom(k) for k in CONTEXT_KEYS] + [Var("K"), Int(1), Str("x")])
+    value = rng.choice(CONTEXT_VALUES + (Var("V"),))
+    return rng.choice([
+        Compound("msg_prop", (key, value)),
+        Compound("env_prop", (key, value)),
+        Compound("both", (value,)),
+        Compound("pair", (Var("A"), value)),
+        Compound("hot", (key,)),
+        Compound("creates", (key, rng.choice((Var("L"), Atom("la"), Atom("lc"))))),
+        Compound("targeted", (key, Var("R"))),
+        Compound("shared", (key,)),
+        Compound("absent", (key,)),
+    ])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_condition_agrees_with_context_fact_base(seed):
+    # The lookup builtins answer as one msg_prop/env_prop fact per variable
+    # on a base that also holds the policy clauses: same truth value, or
+    # the same engine error.
+    rng = random.Random(seed)
+    kb = KnowledgeBase(
+        random_policy(rng).kb.clauses + tuple(CONDITION_RULES), default_builtins()
+    )
+    for _ in range(60):
+        # Few distinct values per round, so that lookups meet and join.
+        values = rng.sample(CONTEXT_VALUES, 3)
+        cond = random_condition(rng)
+        props, env = random_context(rng, values), random_context(rng, values)
+        try:
+            expected = reference_condition(cond, props, env, kb)
+        except EngineError as exc:
+            expected = type(exc)
+        try:
+            got = eval_condition(cond, props, env, kb)
+        except EvalError as exc:
+            got = type(exc.__cause__)
+        assert got == expected, (cond, props, env)
+
+
+def test_condition_on_a_base_with_context_clauses_is_an_error():
+    kb = KnowledgeBase(parse_program("msg_prop(t, 21)."), default_builtins())
+    with pytest.raises(EvalError) as err:
+        eval_condition(Compound("msg_prop", (Atom("t"), Int(21))), {}, {}, kb)
+    assert isinstance(err.value.__cause__, NameCollision)
+
+
+def test_variable_key_over_a_non_name_prop_is_an_error():
+    # A handler may set a key no atom can name; only a variable key meets it.
+    props = {"t": Int(1), "my key": Int(1)}
+    assert eval_condition(Compound("msg_prop", (Atom("t"), Int(1))), props, {})
+    with pytest.raises(EvalError, match="'my key'"):
+        eval_condition(Compound("msg_prop", (Var("K"), Int(2))), props, {})
+
+
+def test_choices_build_no_knowledge_base(kb_builds):
+    # The policy's base is built once, at the first condition; conditions
+    # themselves build none.
+    policy = compile_policy(parse_policy(CHAIN_POLICY_TEXT))
+    route = parse_route(
+        """
+        route r {
+          1: from(src)
+          2: set_msg_prop t := 21
+          3: when msg_prop(t, 21) then goto 4 otherwise goto 5
+          4: when env_prop(on, 1) then goto 5 otherwise goto 5
+          5: to(fussy)
+        }
+        """
+    )
+    for _ in range(2):
+        out = execute(route, policy, registry(route), env={"on": Int(1)})
+        assert [ev.statement for ev in out.audit] == [1, 2, 3, 4, 5]
+    assert kb_builds == [len(policy.kb.clauses)]
+
+
+def test_condition_cost_does_not_depend_on_context_size():
+    cond = Compound("msg_prop", (Atom("t"), Int(21)))
+
+    def best_of_15(n_props):
+        props = {f"p{i}": Int(i) for i in range(n_props - 1)}
+        props["t"] = Int(21)
+        best = float("inf")
+        for _ in range(15):
+            start = time.perf_counter()
+            for _ in range(10):
+                assert eval_condition(cond, props, {})
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    small = best_of_15(2)
+    large = best_of_15(1000)
+    assert large <= 3 * small, (small, large)
 
 
 def test_condition_cost_does_not_depend_on_policy_size():
-    # The context facts are overlaid on the compiled base, never re-indexed
-    # with it, so a 5,000-rule base costs what a 10-rule base costs.
+    # A condition proves its goal on the compiled base as it is and builds
+    # no base of its own, so a 5,000-rule base costs what a 10-rule base
+    # costs.
     cond = Compound("msg_prop", (Atom("t"), Int(21)))
     props = {"t": Int(21), "u": Str("x")}
     env = {"on": Int(1)}
@@ -463,9 +601,9 @@ def test_to_scans_only_the_rules_targeting_its_service(monkeypatch, n_rules):
     decisions: list = []
     rule_matches = pdp.rule_matches
 
-    def counting_rule_matches(covering, rule, labels):
+    def counting_rule_matches(rule, labels):
         scanned.append(rule.name)
-        return rule_matches(covering, rule, labels)
+        return rule_matches(rule, labels)
 
     def counting_decide(*args, **kwargs):
         decisions.append(args[1].service)
