@@ -124,6 +124,59 @@ def test_service_without_endpoint_rejected():
         parse_policy("service { id s }")
 
 
+_SVC = 'service {\n  id s\n  endpoint "s://.+"\n}\n'
+
+# One malformed document per raise site of the policy parser, plus the
+# tokenizer's own errors in policy context. Each row pins (message, line,
+# column).
+POLICY_SYNTAX_ERRORS = [
+    (
+        "// c\n" + _SVC + "  bogus",
+        ("expected 'service' or 'flow_rule', found 'bogus'", 6, 3),
+    ),
+    (
+        'service {\n  id s\n  endpoint "s://.+"\n  color red\n}',
+        ("unexpected token in service block: 'color'", 4, 3),
+    ),
+    ("service {\n  id s\n}\n\n  flow_rule", ("service block missing endpoint", 5, 3)),
+    ("service {\n  id s\n}", ("service block missing endpoint", 3, 2)),
+    (
+        _SVC + "flow_rule {\n  when service {\n    id t\n  } receives raw\n}",
+        ("service block missing endpoint", 8, 5),
+    ),
+    (
+        _SVC + "flow_rule {\n  when s receives raw,\n    decide drop\n}",
+        ("keyword 'decide' cannot start a term", 7, 5),
+    ),
+    (
+        _SVC + "flow_rule {\n  when s receives raw\n  decide panic\n}",
+        ("unknown effect 'panic'", 7, 10),
+    ),
+    (
+        _SVC
+        + "flow_rule {\n  when s receives raw\n  decide drop\n"
+        + "    require log(x) otherwise shrug\n}",
+        ("unknown effect 'shrug'", 8, 30),
+    ),
+    (
+        _SVC + "flow_rule {\n  id r\n  receives raw\n}",
+        ("expected 'when', found 'receives'", 7, 3),
+    ),
+    (
+        '// "quoted\n' + _SVC + 'flow_rule {\n  when s receives "a\nb" decide\n}',
+        ("expected 'atom', found '}'", 9, 1),
+    ),
+    ("service {\n  id s\n  endpoint /x/\n}", ("unexpected character '/'", 3, 12)),
+]
+
+
+@pytest.mark.parametrize("text, expected", POLICY_SYNTAX_ERRORS)
+def test_syntax_error_positions(text, expected):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_policy(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == expected
+
+
 def test_validation_duplicate_service():
     text = 'service { id s endpoint "a" }\nservice { id s endpoint "b" }'
     with pytest.raises(ValidationError):

@@ -161,6 +161,37 @@ def test_duplicate_service_binding():
     assert (err.value.line, err.value.column) == (4, 3)
 
 
+# One malformed route per raise site of the route parser, plus errors raised
+# by the shared tokenizer. Each row pins (message, line, column).
+ROUTE_SYNTAX_ERRORS = [
+    ("route\n  1: from(a)\n}", ("expected route name", 2, 3)),
+    (
+        'route r {\n services {\n  a = "svc://one"\n  a = "svc://two"\n }\n 1: from(a)\n}',
+        ("duplicate service binding a", 4, 3),
+    ),
+    (
+        "route r {\n  1: from(a)\n  2: to(b)\n  1: to(c)\n}",
+        ("duplicate statement number 1", 4, 3),
+    ),
+    ("route r {\n  1: from(a)\n}\n  extra", ("trailing input after route: 'extra'", 4, 3)),
+    (
+        "route r {\n  1: from(a)\n  2: when\n    X then goto 3 otherwise goto 3\n"
+        "  3: to(b)\n}",
+        ("choice condition must be an atom or compound: X", 4, 5),
+    ),
+    ("route r {\n  1: from(a)\n  2: teleport(b)\n}", ("unknown statement 'teleport'", 3, 6)),
+    ("route r {\n  1: from(a) -> two\n}", ("expected 'int', found 'two'", 2, 17)),
+    ("// x\nroute r {\n  1: from(a)\n", ("expected 'int', found 'EOF'", 4, 1)),
+]
+
+
+@pytest.mark.parametrize("text, expected", ROUTE_SYNTAX_ERRORS)
+def test_syntax_error_positions(text, expected):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_route(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == expected
+
+
 def test_unknown_statement_kind():
     with pytest.raises(TermSyntaxError):
         parse_route("route r { 1: from(a) 2: teleport(b) }")

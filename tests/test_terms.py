@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from labelflow.engine import parse_program
 from labelflow.terms import (
     Atom,
     Compound,
@@ -73,6 +74,35 @@ def test_non_decimal_digit_is_syntax_error(text):
         parse_term(text)
     assert (exc.value.line, exc.value.column) == (1, 1)
     assert exc.value.message.startswith("unexpected character")
+
+
+# One malformed input per raise site of the term scanner and parser; the
+# clause parser shares the tokenizer. Each row pins (message, line, column).
+TERM_SYNTAX_ERRORS = [
+    (parse_term, "f(a,\n  ²)", ("unexpected character '²'", 2, 3)),
+    (parse_term, 'f(a,\n  "open\nmore', ("unterminated string", 2, 3)),
+    (parse_term, 'f("x\ny\\q")', ("bad escape sequence", 2, 3)),
+    (parse_term, "f(a,\n   #b)", ("unexpected character '#'", 2, 4)),
+    (parse_term, "f(a\n  b)", ("expected ')', found 'b'", 2, 3)),
+    (parse_term, 'f(a ""', ("expected ')', found 'STR'", 1, 5)),
+    (parse_term, "f(a,\n  b", ("expected ')', found 'EOF'", 2, 4)),
+    (parse_term, "f(a,\n   )", ("expected a term, found ')'", 2, 4)),
+    (parse_term, "% only a comment\n  ", ("expected a term, found 'EOF'", 2, 3)),
+    (parse_term, '"x\ny" z', ("trailing input after term: 'z'", 2, 4)),
+    (parse_program, "p(a) :- q(b)\nr.", ("expected '.', found 'r'", 2, 1)),
+    (parse_program, "p(a).\n% c\n  q(X) :- \\+ .", ("expected a term, found '.'", 3, 14)),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, expected",
+    TERM_SYNTAX_ERRORS,
+    ids=[f"{parse.__name__}-{i}" for i, (parse, _, _) in enumerate(TERM_SYNTAX_ERRORS)],
+)
+def test_syntax_error_positions(parse, text, expected):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == expected
 
 
 def test_comments_are_skipped():
@@ -170,6 +200,8 @@ def _tokens(text, comment):
             ],
         ),
         ("a \n\t ", "%", [("ATOM", "a", 1, 1, None), ("EOF", "", 2, 3, None)]),
+        ("Ⅷ", "%", ("unexpected character 'Ⅷ'", 1, 1)),
+        ("ǅ", "%", [("ATOM", "ǅ", 1, 1, None), ("EOF", "", 1, 2, None)]),
     ],
     ids=[
         "open-string-line-3",
@@ -177,6 +209,8 @@ def _tokens(text, comment):
         "backslash-at-end",
         "final-comment-without-newline",
         "eof-after-trailing-whitespace",
+        "upper-case-but-not-alphabetic",
+        "title-case-is-an-atom",
     ],
 )
 def test_token_positions(text, comment, expected):
