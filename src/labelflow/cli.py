@@ -52,6 +52,8 @@ def _load_policy(path: str):
         return compile_policy(parse_policy(_read(path)))
     except (TermSyntaxError, ValidationError) as exc:
         raise CliError(f"{path}: {exc}")
+    except RecursionError:  # the term parser still recurses per nesting level
+        raise CliError(f"{path}: term nested too deeply")
 
 
 def _load_route(path: str):
@@ -59,6 +61,8 @@ def _load_route(path: str):
         return parse_route(_read(path))
     except (TermSyntaxError, RouteError) as exc:
         raise CliError(f"{path}: {exc}")
+    except RecursionError:
+        raise CliError(f"{path}: term nested too deeply")
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 
+from .kernel import is_ground
 from .terms import (
     Str,
     Term,
@@ -141,6 +142,18 @@ def generated_service_id(decl: ServiceDecl) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Service-block section -> kind of its one value token, or None for a term
+# list. A STR token's text is its decoded value.
+_SERVICE_SECTIONS = {
+    "id": "ATOM",
+    "endpoint": "STR",
+    "properties": None,
+    "capabilities": None,
+    "creates_label": None,
+    "removes_label": None,
+}
+
+
 class _PolicyParser:
     def __init__(self, text: str):
         self.tok = Tokenizer(text, comment="//")
@@ -161,8 +174,7 @@ class _PolicyParser:
                 t = tok.peek()
                 raise TermSyntaxError(
                     f"expected 'service' or 'flow_rule', found {t.text or t.kind!r}",
-                    t.line,
-                    t.column,
+                    *tok.position(t),
                 )
         ast = PolicyAst(tuple(self.services), tuple(self.rules))
         validate_policy(ast)
@@ -172,41 +184,37 @@ class _PolicyParser:
         tok = self.tok
         tok.expect("ATOM", "service")
         tok.expect("PUNCT", "{")
-        sid = None
-        endpoint = None
-        sections: dict[str, tuple] = {}
-        while not tok.accept("PUNCT", "}"):
-            t = tok.peek()
-            if tok.accept("ATOM", "id"):
-                sid = tok.expect("ATOM").text
-            elif tok.accept("ATOM", "endpoint"):
-                endpoint = tok.expect("STR").value
-            elif t.kind == "ATOM" and t.text in (
-                "properties",
-                "capabilities",
-                "creates_label",
-                "removes_label",
-            ):
-                tok.next()
-                sections[t.text] = self._parse_term_list()
+        sections: dict[str, object] = {}
+        while True:
+            t = tok.next()
+            word = t.text
+            kind = t.kind
+            if kind == "ATOM" and word in _SERVICE_SECTIONS:
+                value_kind = _SERVICE_SECTIONS[word]
+                if value_kind is None:
+                    sections[word] = self._parse_term_list()
+                else:
+                    sections[word] = tok.expect(value_kind).text
+            elif kind == "PUNCT" and word == "}":
+                break
             else:
                 raise TermSyntaxError(
-                    f"unexpected token in service block: {t.text or t.kind!r}",
-                    t.line,
-                    t.column,
+                    f"unexpected token in service block: {word or kind!r}",
+                    *tok.position(t),
                 )
+        endpoint = sections.get("endpoint")
         if endpoint is None:
             t = tok.peek()
-            raise TermSyntaxError("service block missing endpoint", t.line, t.column)
+            raise TermSyntaxError("service block missing endpoint", *tok.position(t))
         decl = ServiceDecl(
-            id=sid or "",
+            id=sections.get("id", ""),
             endpoint=endpoint,
             properties=sections.get("properties", ()),
             capabilities=sections.get("capabilities", ()),
             creates_labels=sections.get("creates_label", ()),
             removes_labels=sections.get("removes_label", ()),
         )
-        if sid is None:
+        if "id" not in sections:
             decl = replace(decl, id=generated_service_id(decl))
         return decl
 
@@ -219,12 +227,19 @@ class _PolicyParser:
     def _parse_term(self) -> Term:
         # Bare section keywords terminate lists, so a list element may not
         # be a keyword atom unless it takes arguments.
-        t = self.tok.peek()
+        tok = self.tok
+        t = tok.peek()
         if t.kind == "ATOM" and t.text in _SECTION_KEYWORDS:
             raise TermSyntaxError(
-                f"keyword {t.text!r} cannot start a term", t.line, t.column
+                f"keyword {t.text!r} cannot start a term", *tok.position(t)
             )
-        return parse_term_from(self.tok)
+        return parse_term_from(tok)
+
+    def _effect(self) -> str:
+        t = self.tok.expect("ATOM")
+        if t.text not in EFFECTS:
+            raise TermSyntaxError(f"unknown effect {t.text!r}", *self.tok.position(t))
+        return t.text
 
     def _parse_rule(self) -> FlowRule:
         tok = self.tok
@@ -243,30 +258,17 @@ class _PolicyParser:
         tok.expect("ATOM", "receives")
         triggers = self._parse_term_list()
         tok.expect("ATOM", "decide")
-        effect_tok = tok.expect("ATOM")
-        if effect_tok.text not in EFFECTS:
-            raise TermSyntaxError(
-                f"unknown effect {effect_tok.text!r}", effect_tok.line, effect_tok.column
-            )
+        effect = self._effect()
         obligations = []
         while tok.accept("ATOM", "require"):
             action = self._parse_term()
-            otherwise = "error"
-            if tok.accept("ATOM", "otherwise"):
-                ot = tok.expect("ATOM")
-                if ot.text not in EFFECTS:
-                    raise TermSyntaxError(
-                        f"unknown effect {ot.text!r}", ot.line, ot.column
-                    )
-                otherwise = ot.text
+            otherwise = self._effect() if tok.accept("ATOM", "otherwise") else "error"
             obligations.append(Obligation(action, otherwise))
         tok.expect("PUNCT", "}")
         if name is None:
             self._anon_rules += 1
             name = f"rule{self._anon_rules}"
-        return FlowRule(
-            name, target, triggers, Decision(effect_tok.text, tuple(obligations))
-        )
+        return FlowRule(name, target, triggers, Decision(effect, tuple(obligations)))
 
 
 def parse_policy(text: str) -> PolicyAst:
@@ -288,6 +290,11 @@ def validate_policy(ast: PolicyAst) -> None:
             raise ValidationError(
                 f"service {s.id!r} has an invalid endpoint regex: {exc}"
             ) from exc
+        for label in s.creates_labels:
+            if not is_ground(label):
+                raise ValidationError(
+                    f"service {s.id!r} creates non-ground label {format_term(label)}"
+                )
         overlap = set(s.creates_labels) & set(s.removes_labels)
         if overlap:
             names = ", ".join(sorted(format_term(t) for t in overlap))

@@ -172,7 +172,7 @@ def parse_route(text: str) -> Route:
     tok.expect("ATOM", "route")
     name_tok = tok.peek()
     if name_tok.kind not in ("ATOM", "VAR"):  # route names may be capitalized
-        raise TermSyntaxError("expected route name", name_tok.line, name_tok.column)
+        raise TermSyntaxError("expected route name", *tok.position(name_tok))
     name = tok.next().text
     tok.expect("PUNCT", "{")
     endpoints: dict[str, str] = {}
@@ -183,7 +183,7 @@ def parse_route(text: str) -> Route:
             svc = tok.expect("ATOM")
             if svc.text in endpoints:
                 raise TermSyntaxError(
-                    f"duplicate service binding {svc.text}", svc.line, svc.column
+                    f"duplicate service binding {svc.text}", *tok.position(svc)
                 )
             tok.expect("PUNCT", "=")
             endpoints[svc.text] = tok.expect("STR").value
@@ -195,7 +195,7 @@ def parse_route(text: str) -> Route:
         num = num_tok.value
         if num in statements:
             raise TermSyntaxError(
-                f"duplicate statement number {num}", num_tok.line, num_tok.column
+                f"duplicate statement number {num}", *tok.position(num_tok)
             )
         tok.expect("PUNCT", ":")
         stmt, targets = _parse_statement(tok)
@@ -206,7 +206,7 @@ def parse_route(text: str) -> Route:
     end = tok.peek()
     if end.kind != "EOF":
         raise TermSyntaxError(
-            f"trailing input after route: {end.text!r}", end.line, end.column
+            f"trailing input after route: {end.text!r}", *tok.position(end)
         )
     if not statements:
         raise RouteError("route has no statements")
@@ -254,8 +254,7 @@ def _parse_statement(tok: Tokenizer):
         if not isinstance(cond, (Atom, Compound)):
             raise TermSyntaxError(
                 f"choice condition must be an atom or compound: {format_term(cond)}",
-                start.line,
-                start.column,
+                *tok.position(start),
             )
         tok.expect("ATOM", "then")
         tok.expect("ATOM", "goto")
@@ -264,9 +263,7 @@ def _parse_statement(tok: Tokenizer):
         tok.expect("ATOM", "goto")
         else_target = tok.expect("INT").value
         return Choice(cond, then_target, else_target), None
-    raise TermSyntaxError(
-        f"unknown statement {t.text or t.kind!r}", t.line, t.column
-    )
+    raise TermSyntaxError(f"unknown statement {t.text or t.kind!r}", *tok.position(t))
 
 
 # ---------------------------------------------------------------------------

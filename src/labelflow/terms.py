@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from typing import NamedTuple, Union
 
 
@@ -123,9 +124,10 @@ _ESCAPE = re.compile(r"\\(.)")
 class Token(NamedTuple):
     kind: str  # ATOM | VAR | INT | STR | PUNCT | EOF
     text: str
-    line: int
-    column: int
     value: object = None  # decoded payload for INT / STR
+
+
+_new_token = tuple.__new__  # C-level constructor, skips NamedTuple's __new__
 
 
 @cache
@@ -145,48 +147,56 @@ def _token_pattern(comment: str) -> re.Pattern:
     )
 
 
+def _line_column(text: str, pos: int) -> tuple[int, int]:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 def _syntax_error(message: str, text: str, pos: int) -> TermSyntaxError:
-    return TermSyntaxError(
-        message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-    )
+    return TermSyntaxError(message, *_line_column(text, pos))
+
+
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES[m[1]]
 
 
 def _scan(text: str, comment: str) -> list[Token]:
+    """The tokens of ``text``, ending with EOF; positions are not kept."""
     tokens = []
-    line, line_start, counted = 1, 0, 0  # newlines before `counted` are in `line`
+    append = tokens.append
     for m in _token_pattern(comment).finditer(text):
         kind = m.lastgroup
-        start = m.start(kind)
-        newlines = text.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", counted, start) + 1
-        counted = start
-        column = start - line_start + 1
-        raw, value = m[kind], None
         if kind == "NAME":
+            raw = m[kind]
             first = raw[0]
             if not (first.isalpha() or first == "_"):
-                raise _syntax_error(f"unexpected character {first!r}", text, start)
+                raise _syntax_error(f"unexpected character {first!r}", text, m.start(kind))
             kind = "VAR" if first == "_" or first.isupper() else "ATOM"
-        elif kind == "INT":
-            value = int(raw)
+            append(_new_token(Token, (kind, raw, None)))
+        elif kind == "PUNCT":
+            append(_new_token(Token, (kind, m[kind], None)))
         elif kind == "STR":
             if not m["close"]:
                 if m.end() == len(text):
-                    raise TermSyntaxError("unterminated string", line, column)
+                    raise _syntax_error("unterminated string", text, m.start(kind))
                 raise _syntax_error("bad escape sequence", text, m.end() + 1)
-            raw = value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], m["body"])
-        elif kind == "BAD":
-            raise _syntax_error(f"unexpected character {raw!r}", text, start)
-        tokens.append(Token(kind, raw, line, column, value))
-        if kind == "EOF":
+            value = _ESCAPE.sub(_unescape, m["body"])
+            append(_new_token(Token, (kind, value, value)))
+        elif kind == "INT":
+            raw = m[kind]
+            append(_new_token(Token, (kind, raw, int(raw))))
+        elif kind == "EOF":
+            append(_new_token(Token, (kind, "", None)))
             break  # an empty match at the end would follow a non-empty one
+        else:
+            raise _syntax_error(f"unexpected character {m[kind]!r}", text, m.start(kind))
     return tokens
 
 
 class Tokenizer:
-    """Scanner over one compiled pattern, with 1-based line/column positions.
+    """Scanner over one compiled pattern; tokens carry no source position.
+
+    ``position`` recovers a token's 1-based line and column when an error
+    is raised, by scanning the text again up to that token.
 
     ``comment`` selects the line-comment introducer: ``%`` for clause files,
     ``//`` for policy and route files.
@@ -197,6 +207,15 @@ class Tokenizer:
         self.comment = comment
         self.tokens = _scan(text, comment)
         self.index = 0
+
+    def position(self, token: Token) -> tuple[int, int]:
+        """(line, column) of ``token``, one of this tokenizer's; costs O(text)."""
+        i = next((i for i, t in enumerate(self.tokens) if t is token), None)
+        if i is None:
+            raise ValueError(f"not a token of this text: {token!r}")
+        # The scan succeeded, so the i-th match is the i-th token.
+        m = next(islice(_token_pattern(self.comment).finditer(self.text), i, None))
+        return _line_column(self.text, m.start(m.lastgroup))
 
     # -- token-stream interface -------------------------------------------
 
@@ -210,22 +229,22 @@ class Tokenizer:
         return tok
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.index]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind.lower()
             raise TermSyntaxError(
-                f"expected {want!r}, found {tok.text or tok.kind!r}", tok.line, tok.column
+                f"expected {want!r}, found {tok.text or tok.kind!r}", *self.position(tok)
             )
         return self.next()
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.peek()
+        tok = self.tokens[self.index]
         if tok.kind == kind and (text is None or tok.text == text):
             return self.next()
         return None
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.index]
         return tok.kind == "ATOM" and tok.text == word
 
 
@@ -244,7 +263,8 @@ def parse_term_from(tok: Tokenizer) -> Term:
     if t.kind == "VAR":
         return Var(t.text)
     if t.kind == "ATOM":
-        if tok.peek().kind == "PUNCT" and tok.peek().text == "(":
+        after = tok.tokens[tok.index]
+        if after.text == "(" and after.kind == "PUNCT":
             tok.next()
             args = [parse_term_from(tok)]
             while tok.accept("PUNCT", ","):
@@ -252,7 +272,7 @@ def parse_term_from(tok: Tokenizer) -> Term:
             tok.expect("PUNCT", ")")
             return Compound(t.text, tuple(args))
         return Atom(t.text)
-    raise TermSyntaxError(f"expected a term, found {t.text or t.kind!r}", t.line, t.column)
+    raise TermSyntaxError(f"expected a term, found {t.text or t.kind!r}", *tok.position(t))
 
 
 def parse_term(text: str, comment: str = "%") -> Term:
@@ -262,7 +282,7 @@ def parse_term(text: str, comment: str = "%") -> Term:
     end = tok.peek()
     if end.kind != "EOF":
         raise TermSyntaxError(
-            f"trailing input after term: {end.text!r}", end.line, end.column
+            f"trailing input after term: {end.text!r}", *tok.position(end)
         )
     return term
 

@@ -77,6 +77,45 @@ def test_check_non_decimal_digit_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_compile_non_ground_created_label_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.lucon"
+    bad.write_text('service {\n  id s\n  endpoint "s://x"\n  creates_label pair(b, X)\n}\n')
+    assert main(["compile", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "service 's' creates non-ground label pair(b, X)" in err
+    assert "Traceback" not in err
+
+
+def _nested(depth, leaf):
+    return "f(" * depth + leaf + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "command, deep_file",
+    [("compile", "policy"), ("check", "policy"), ("check", "route")],
+)
+def test_too_deeply_nested_term_is_input_error(tmp_path, capsys, command, deep_file):
+    policy, route = tmp_path / "p.lucon", tmp_path / "r.route"
+    if deep_file == "policy":
+        deep = policy
+        label = _nested(3000, "a")
+        policy.write_text(f'service {{\n  id s\n  endpoint "s://x"\n  creates_label {label}\n}}\n')
+        route.write_text(read_fixture("sensor.route"))
+    else:
+        deep = route
+        policy.write_text(read_fixture("dont_publish_raw.lucon"))
+        route.write_text(
+            "route r {\n  1: from(a)\n"
+            f"  2: when {_nested(3000, 'ok')} then goto 3 otherwise goto 3\n"
+            "  3: to(b)\n}\n"
+        )
+    argv = [command, str(policy)] if command == "compile" else [command, str(route), str(policy)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{deep}: term nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_check_invalid_route_exits_1_with_golden_text(capsys):
     assert main(["check", ROUTE, POLICY]) == 1
     out = capsys.readouterr().out

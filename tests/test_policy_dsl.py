@@ -203,6 +203,13 @@ def test_validation_creates_removes_overlap():
         parse_policy('service { id s endpoint "x" creates_label a removes_label a }')
 
 
+@pytest.mark.parametrize("label", ["pair(b, X)", "_", "f(g(h(1, Y)))"])
+def test_validation_created_label_must_be_ground(label):
+    text = f'service {{ id s endpoint "x" creates_label a, {label} removes_label r(X) }}'
+    with pytest.raises(ValidationError, match=r"service 's' creates non-ground label"):
+        parse_policy(text)
+
+
 def test_validation_undeclared_target():
     with pytest.raises(ValidationError):
         parse_policy("flow_rule { when ghost receives a decide drop }")

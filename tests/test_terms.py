@@ -181,7 +181,8 @@ def _scan_result(scan, text, comment):
 
 
 def _tokens(text, comment):
-    return Tokenizer(text, comment).tokens
+    tok = Tokenizer(text, comment)
+    return [(t.kind, t.text, *tok.position(t), t.value) for t in tok.tokens]
 
 
 @pytest.mark.parametrize(
