@@ -227,13 +227,12 @@ class _PolicyParser:
     def _parse_term(self) -> Term:
         # Bare section keywords terminate lists, so a list element may not
         # be a keyword atom unless it takes arguments.
-        tok = self.tok
-        t = tok.peek()
+        t = self.tok.peek()
         if t.kind == "ATOM" and t.text in _SECTION_KEYWORDS:
             raise TermSyntaxError(
-                f"keyword {t.text!r} cannot start a term", *tok.position(t)
+                f"keyword {t.text!r} cannot start a term", *self.tok.position(t)
             )
-        return parse_term_from(tok)
+        return parse_term_from(self.tok)
 
     def _effect(self) -> str:
         t = self.tok.expect("ATOM")

@@ -209,7 +209,7 @@ class Tokenizer:
         self.index = 0
 
     def position(self, token: Token) -> tuple[int, int]:
-        """(line, column) of ``token``, one of this tokenizer's; costs O(text)."""
+        """(line, column) of ``token``, one of this tokenizer's tokens."""
         i = next((i for i, t in enumerate(self.tokens) if t is token), None)
         if i is None:
             raise ValueError(f"not a token of this text: {token!r}")

@@ -11,6 +11,7 @@ from labelflow.terms import (
     Int,
     Str,
     TermSyntaxError,
+    Token,
     Tokenizer,
     Var,
     format_labels,
@@ -178,6 +179,10 @@ def _scan_result(scan, text, comment):
         return [tuple(t) for t in scan(text, comment)]
     except TermSyntaxError as exc:
         return (exc.message, exc.line, exc.column)
+
+
+def test_tokens_carry_no_position():
+    assert Token._fields == ("kind", "text", "value")
 
 
 def _tokens(text, comment):
