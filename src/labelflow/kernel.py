@@ -1,7 +1,9 @@
 """Unification kernel.
 
 Hot inner loop of resolution: variable dereferencing, destructive
-unification with a trail for backtracking, and deep substitution.
+unification with a trail for backtracking, and deep substitution. The
+decision point and the label transforms use ``match`` instead, one-way
+matching of a pattern against a ground label.
 
 Bindings are a plain dict mapping variable names to terms; the trail records
 bound names in order so a failed branch can be undone cheaply. The occurs
@@ -82,6 +84,40 @@ def unify(a, b, bindings=None):
     if unify_inplace(a, b, new, trail):
         return new
     return None
+
+
+def match(pattern, term):
+    """Does ``pattern`` match the ground ``term`` one way?
+
+    Only the pattern's variables bind, and each occurrence of a variable must
+    meet an equal subterm (``pair(X, X)`` matches ``pair(a, a)``, not
+    ``pair(a, b)``). Because ``term`` is ground this agrees with ``unify``,
+    without a trail or renaming apart. Iterative over an explicit work stack:
+    a repeated variable compares its two ground subterms by matching one
+    against the other, so no comparison recurses either.
+    """
+    bindings = {}
+    stack = [(pattern, term)]
+    while stack:
+        p, t = stack.pop()
+        tp = type(p)
+        if tp is Var:
+            bound = bindings.get(p.name)
+            if bound is None:
+                bindings[p.name] = t
+            elif bound is not t:
+                stack.append((bound, t))
+        elif tp is Compound:
+            if (
+                type(t) is not Compound
+                or p.functor != t.functor
+                or len(p.args) != len(t.args)
+            ):
+                return False
+            stack.extend(zip(p.args, t.args))
+        elif p != t:
+            return False
+    return True
 
 
 def resolve(t, bindings):

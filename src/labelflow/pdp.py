@@ -3,12 +3,15 @@
 A request names a service atom, or a bare endpoint URL, and the endpoint URL
 the route gives that atom. A rule covers the request when its target
 declaration matches either the atom or the URL. A rule matches when it
-covers the request and every trigger label is a member of the request's
-labels, membership up to unification (trigger ``merge(X)`` matches label
-``merge(10)``). The effects of all matched rules fold under the
-restrictiveness order error > drop > allow; obligations concatenate in rule
-declaration order. With no match the default effect applies (allow, unless
-a default-deny deployment flips it to drop).
+covers the request and every trigger matches one of the request's labels
+one way (trigger ``merge(X)`` matches label ``merge(10)``; labels are
+ground, so this agrees with unification). Each trigger is tested on its
+own: variables shared between one rule's triggers bind independently, so
+``receives p(X), q(X)`` matches ``{p(a), q(b)}`` (ROADMAP item 7 asks
+whether they should bind jointly). The effects of all matched rules fold
+under the restrictiveness order error > drop > allow; obligations
+concatenate in rule declaration order. With no match the default effect
+applies (allow, unless a default-deny deployment flips it to drop).
 
 ``covering_declarations`` in ``policy_compiler``, the resolver the label
 transforms use too, answers coverage once per decision, together with the
@@ -16,26 +19,31 @@ service's rule plan: the rules whose target covers it, in declaration order
 (target indexing, after Liu et al., "XEngine", SIGMETRICS 2008). ``decide``
 scans only the plan, so a to/bean statement costs one decision linear in
 the rules that target its service, and linear in all rules only when all of
-them do (the worst case ``bench_decide`` times). Each planned rule costs
-only its triggers.
+them do (the worst case ``bench_decide`` times).
 
-Requests pre-index their labels by functor/arity so decision time depends
-on the number of planned rules, not on the number of labels.
+A rule's triggers are split once, on its first scan, into a frozenset of
+ground triggers and a tuple of one-way patterns keyed by functor/arity (the
+alpha tests of Forgy's Rete, 1982). A decision costs one subset test per
+planned rule, O(sum of the ground triggers of the planned rules) in all.
+Only when it reaches a pattern does it also pay one pass over the labels,
+at most once, to bucket them by functor/arity, and one ``kernel.match``
+per label in the pattern's bucket. A policy whose planned triggers are
+ground therefore decides in time independent of the number of labels.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import mean
 
-from . import kernel
+from .kernel import is_ground, match
 from .policy import Decision, FlowRule, PolicyAst, ServiceDecl
 from .policy_compiler import CompiledPolicy, compile_policy, covering_declarations
 # flowbench/tracing.py patches labelflow.pdp.service_matches.
 from .policy_compiler import service_matches  # noqa: F401
-from .terms import Atom, Compound, Term, functor_arity
+from .terms import Atom, Compound, Term
 
 _SEVERITY = {"allow": 0, "drop": 1, "error": 2}
 
@@ -52,38 +60,42 @@ def most_restrictive(effects) -> str:
 def apply_label_transform(labels: frozenset, removes, creates) -> frozenset:
     """The per-service taint step: remove matching labels, then add new ones.
 
-    Removal is by unification so a pattern like ``classification(X)`` strips
-    every classification label. Shared by the runtime and the verifier.
+    Removal is by one-way match of each pattern against the ground labels,
+    so a pattern like ``classification(X)`` strips every classification
+    label. Shared by the runtime and the verifier.
     """
-    kept = [
-        l
-        for l in labels
-        if not any(kernel.unify(l, r) is not None for r in removes)
-    ]
+    kept = [l for l in labels if not any(match(r, l) for r in removes)]
     return frozenset(kept) | frozenset(creates)
 
 
+def _bucket_labels(labels: frozenset) -> dict:
+    """Compound labels by functor/arity; key ``None`` holds every label."""
+    buckets: dict = {None: labels}
+    for l in labels:
+        if type(l) is Compound:
+            buckets.setdefault((l.functor, len(l.args)), []).append(l)
+    return buckets
+
+
 class _LabelIndex:
-    """Labels bucketed by functor/arity, with an exact set for ground probes."""
+    """One decision's view of the request's label set, which it does not copy.
 
-    def __init__(self, labels):
-        self.exact = frozenset(labels)
-        self.buckets: dict[tuple[str, int], list] = {}
-        for l in labels:
-            try:
-                self.buckets.setdefault(functor_arity(l), []).append(l)
-            except TypeError:
-                self.buckets.setdefault(("", -1), []).append(l)
+    Ground triggers are tested against ``exact``. The functor buckets that
+    patterns read are built on the first ``bucket`` call, so a decision that
+    reaches no pattern never builds them.
+    """
 
-    def contains(self, trigger: Term) -> bool:
-        if kernel.is_ground(trigger):
-            if trigger in self.exact:
-                return True
-        try:
-            bucket = self.buckets.get(functor_arity(trigger), ())
-        except TypeError:
-            bucket = ()
-        return any(kernel.unify(trigger, l) is not None for l in bucket)
+    __slots__ = ("exact", "_buckets")
+
+    def __init__(self, labels: frozenset):
+        self.exact = labels
+        self._buckets = None
+
+    def bucket(self, key):
+        """The labels a pattern with this functor/arity key can match."""
+        if self._buckets is None:
+            self._buckets = _bucket_labels(self.exact)
+        return self._buckets.get(key, ())
 
 
 @dataclass(frozen=True)
@@ -95,13 +107,12 @@ class DecisionRequest:
     labels: frozenset
     url: str | None = None
     message_ref: Term | None = None
-    label_index: _LabelIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.service:
             raise ValueError("decision request needs a target")
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        object.__setattr__(self, "label_index", _LabelIndex(self.labels))
+        if type(self.labels) is not frozenset:
+            object.__setattr__(self, "labels", frozenset(self.labels))
 
 
 @dataclass(frozen=True)
@@ -119,10 +130,40 @@ class DecisionResult:
     effect_rule: str | None = None  # first matched rule with the folded effect
 
 
+def _compile_triggers(rule: FlowRule) -> tuple:
+    """Split ``rule``'s triggers into a ground frozenset and one-way patterns.
+
+    A pattern is keyed by its functor/arity, or by ``None`` when it is a bare
+    variable, which matches any label. Stored on the rule, so each rule is
+    compiled once, on its first scan; two threads racing on that scan at worst
+    store two equal splits.
+    """
+    ground = []
+    patterns = []
+    for t in rule.trigger_labels:
+        if is_ground(t):
+            ground.append(t)
+        else:
+            key = (t.functor, len(t.args)) if type(t) is Compound else None
+            patterns.append((key, t))
+    tests = (frozenset(ground), tuple(patterns))
+    object.__setattr__(rule, "trigger_tests", tests)
+    return tests
+
+
 def rule_matches(rule: FlowRule, labels: _LabelIndex) -> bool:
-    """Is every trigger of ``rule`` in ``labels``? (Only planned rules are
-    asked about, and those all cover the request.)"""
-    return all(labels.contains(t) for t in rule.trigger_labels)
+    """Does every trigger of ``rule`` match a label in ``labels``? (Only
+    planned rules are asked about, and those all cover the request.)"""
+    ground, patterns = rule.trigger_tests or _compile_triggers(rule)
+    if not ground <= labels.exact:
+        return False
+    for key, pattern in patterns:
+        for label in labels.bucket(key):
+            if match(pattern, label):
+                break
+        else:
+            return False
+    return True
 
 
 def _bind_message(action: Term, ref: Term | None) -> Term:
@@ -145,8 +186,9 @@ def decide(
     effects: list[str] = []
     obligations: list = []
     covering = covering_declarations(policy, req.service, req.url)
+    labels = _LabelIndex(req.labels)
     for rule in covering.rules:
-        if rule_matches(rule, req.label_index):
+        if rule_matches(rule, labels):
             matched.append(rule.name)
             effects.append(rule.decision.effect)
             for ob in rule.decision.obligations:

@@ -95,6 +95,11 @@ class FlowRule:
     target: str  # id of a declared service
     trigger_labels: tuple = ()
     decision: Decision = Decision("allow")
+    # trigger_labels split into ground ones and one-way patterns; compiled by
+    # the decision point on the rule's first scan, not at parse time
+    trigger_tests: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True, slots=True)

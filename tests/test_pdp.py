@@ -19,8 +19,8 @@ from labelflow.pdp import (
     rule_matches,
     worst_case_policy,
 )
-from labelflow.policy import parse_policy
-from labelflow import pdp
+from labelflow.policy import Decision, FlowRule, PolicyAst, ServiceDecl, parse_policy
+from labelflow import kernel, pdp
 from labelflow.policy_compiler import compile_policy, covering_declarations
 from labelflow.terms import Atom, Compound, Int, Str, Var
 
@@ -229,7 +229,8 @@ def test_worst_case_policy_all_rules_match():
     req = bench_request(3)
     covering = covering_declarations(policy, req.service, req.url)
     assert covering.rules == tuple(policy.rule_index.values())
-    assert all(rule_matches(rule, req.label_index) for rule in covering.rules)
+    labels = pdp._LabelIndex(req.labels)
+    assert all(rule_matches(rule, labels) for rule in covering.rules)
     assert len(policy.rule_index) == 7
 
 
@@ -327,3 +328,190 @@ def test_linear_fit_r2():
     assert linear_fit_r2(xs, [2 * x + 1 for x in xs]) == pytest.approx(1.0)
     assert linear_fit_r2(xs, [5, 5, 5, 5]) == pytest.approx(1.0)
     assert linear_fit_r2([1, 2, 3, 4], [1, -4, 9, -2]) < 0.9
+
+
+# -- trigger shapes and one-way matching -----------------------------------
+
+SHAPES = """
+service { id s endpoint "svc://s" }
+flow_rule { id wx when s receives w(X) decide drop }
+flow_rule { id wy when s receives w(Y) decide drop }
+flow_rule { id same when s receives pair(X, X) decide drop }
+flow_rule { id int when s receives 5 decide drop }
+flow_rule { id str when s receives "s" decide drop }
+flow_rule { id level when s receives level(3, X) decide drop }
+flow_rule { id shared when s receives p(X), q(X) decide drop }
+flow_rule { id any when s receives X decide drop }
+"""
+
+
+def _pair(x, y):
+    return Compound("pair", (x, y))
+
+
+def _matched(policy, *labels):
+    return decide(policy, DecisionRequest("s", frozenset(labels))).matched_rules
+
+
+def test_alpha_equivalent_rules_decide_alike():
+    policy = compile_policy(parse_policy(SHAPES))
+    for labels in (
+        (),
+        (Atom("w"),),
+        (Compound("w", (Int(1),)),),
+        (Compound("w", (Atom("a"), Atom("b"))),),
+        (Compound("w", (Str("x"),)), Atom("raw")),
+    ):
+        matched = _matched(policy, *labels)
+        assert ("wx" in matched) == ("wy" in matched), labels
+    assert {"wx", "wy"} <= set(_matched(policy, Compound("w", (Int(1),))))
+
+
+def test_non_linear_trigger_and_removal():
+    a, b = Atom("a"), Atom("b")
+    policy = compile_policy(parse_policy(SHAPES))
+    assert "same" in _matched(policy, _pair(a, a))
+    assert "same" not in _matched(policy, _pair(a, b))
+    assert "same" in _matched(policy, _pair(a, b), _pair(b, b))
+    removed = apply_label_transform(
+        frozenset({_pair(a, a), _pair(a, b)}), {_pair(Var("X"), Var("X"))}, ()
+    )
+    assert removed == frozenset({_pair(a, b)})
+
+
+def test_int_and_str_triggers_match_int_and_str_labels():
+    policy = compile_policy(parse_policy(SHAPES))
+    assert _matched(policy, Int(5)) == ("int", "any")
+    assert _matched(policy, Str("s")) == ("str", "any")
+    assert _matched(policy, Str("5"), Int(6)) == ("any",)
+    level = Compound("level", (Int(3), Atom("high")))
+    assert "level" in _matched(policy, level)
+    assert "level" not in _matched(policy, Compound("level", (Str("3"), Atom("high"))))
+
+
+def test_shared_trigger_variables_bind_independently():
+    # Each trigger is tested on its own, so X need not be the same label
+    # argument in p(X) and q(X) (see the pdp module docstring).
+    policy = compile_policy(parse_policy(SHAPES))
+    p_a = Compound("p", (Atom("a"),))
+    q_a = Compound("q", (Atom("a"),))
+    q_b = Compound("q", (Atom("b"),))
+    assert "shared" in _matched(policy, p_a, q_b)
+    assert "shared" in _matched(policy, p_a, q_a)
+    assert "shared" not in _matched(policy, p_a)
+
+
+def test_bare_variable_trigger_matches_any_label():
+    policy = compile_policy(parse_policy(SHAPES))
+    assert _matched(policy) == ()
+    assert _matched(policy, Atom("anything")) == ("any",)
+
+
+def test_decide_and_removal_never_unify(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unification called")
+
+    monkeypatch.setattr(kernel, "unify", refuse)
+    monkeypatch.setattr(kernel, "unify_inplace", refuse)
+    policy = compile_policy(parse_policy(SHAPES))
+    labels = (
+        Compound("w", (Int(1),)),
+        _pair(Atom("a"), Atom("a")),
+        Int(5),
+        Compound("p", (Atom("a"),)),
+        Compound("q", (Atom("b"),)),
+    )
+    assert _matched(policy, *labels) == ("wx", "wy", "same", "int", "shared", "any")
+    assert _matched(policy, Atom("raw")) == ("any",)
+    out = apply_label_transform(
+        frozenset(labels),
+        {Int(5), Compound("w", (Var("X"),)), _pair(Var("X"), Var("X"))},
+        {Atom("new")},
+    )
+    assert out == frozenset(labels[3:] + (Atom("new"),)) - {Int(5)}
+
+
+def test_label_buckets_are_built_only_for_patterns_and_once(monkeypatch):
+    builds = []
+
+    def counting(labels):
+        builds.append(labels)
+        return bucket_labels(labels)
+
+    bucket_labels = pdp._bucket_labels
+    monkeypatch.setattr(pdp, "_bucket_labels", counting)
+    ground_only = worst_case_policy(20)
+    decide(ground_only, bench_request(50))
+    assert builds == []
+    policy = compile_policy(parse_policy(SHAPES))
+    labels = frozenset({Compound("w", (Int(1),)), _pair(Atom("a"), Atom("b"))})
+    result = decide(policy, DecisionRequest("s", labels))
+    assert result.matched_rules == ("wx", "wy", "any")  # six patterns reached
+    assert builds == [labels]
+    decide(policy, DecisionRequest("s", labels))
+    assert len(builds) == 2  # once per decision; nothing is kept between them
+
+
+def test_request_keeps_its_frozenset():
+    labels = frozenset({Atom("raw")})
+    assert DecisionRequest("s", labels).labels is labels
+    assert DecisionRequest("s", [Atom("raw")]).labels == labels
+
+
+# -- the from-scratch matcher, over pattern triggers ------------------------
+
+_PATTERN_TRIGGERS = (
+    Atom("la"),
+    Compound("w", (Var("X"),)),
+    Compound("w", (Int(3),)),
+    _pair(Var("X"), Var("X")),
+    _pair(Var("X"), Var("Y")),
+    Compound("cls", (Str("s"),)),
+    Int(5),
+    Var("X"),
+    Compound("p", (Var("X"),)),
+    Compound("q", (Var("X"),)),
+)
+_GROUND_LABELS = (
+    Atom("la"),
+    Compound("w", (Int(1),)),
+    Compound("w", (Int(3),)),
+    _pair(Atom("a"), Atom("a")),
+    _pair(Atom("a"), Atom("b")),
+    Compound("cls", (Str("s"),)),
+    Compound("cls", (Str("t"),)),
+    Int(5),
+    Str("s"),
+    Compound("p", (Atom("a"),)),
+    Compound("q", (Atom("b"),)),
+)
+
+
+def _pattern_policy(rng):
+    services = (ServiceDecl("s1", "svc://s1"), ServiceDecl("s2", "svc://.+"))
+    rules = tuple(
+        FlowRule(
+            f"r{i}",
+            rng.choice(services).id,
+            tuple(rng.sample(_PATTERN_TRIGGERS, rng.randint(1, 3))),
+            Decision(rng.choice(("allow", "drop", "error"))),
+        )
+        for i in range(rng.randint(1, 8))
+    )
+    return compile_policy(PolicyAst(services, rules))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pattern_triggers_agree_with_reference(seed):
+    rng = random.Random(seed)
+    policy = _pattern_policy(rng)
+    for _ in range(15):
+        labels = frozenset(rng.sample(_GROUND_LABELS, rng.randint(0, 4)))
+        req = DecisionRequest(rng.choice(("s1", "s2")), labels, url="svc://s1")
+        got = decide(policy, req)
+        assert (got.effect, got.matched_rules) == reference_decide(policy, req)
+        removes = rng.sample(_PATTERN_TRIGGERS, rng.randint(0, 2))
+        kept = {
+            l for l in labels if all(match_pattern(r, l) is None for r in removes)
+        }
+        assert apply_label_transform(labels, removes, ()) == kept

@@ -1,4 +1,5 @@
 import random
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from labelflow import kernel
 from labelflow.terms import Atom, Compound, Int, Str, Var
 
+from .helpers import match_pattern
 from .test_terms import terms
 
 
@@ -112,3 +114,89 @@ def test_pattern_unifies_with_its_instance(ground, seed):
     bindings = kernel.unify(pattern, ground)
     assert bindings is not None
     assert kernel.resolve(pattern, bindings) == ground
+
+
+# -- one-way matching -------------------------------------------------------
+
+_LEAVES = (Atom("a"), Atom("b"), Int(0), Int(-3), Str("a"), Str(""))
+_FUNCTORS = (("f", 1), ("pair", 2), ("g", 3))
+
+
+def _random_ground(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_LEAVES)
+    name, arity = rng.choice(_FUNCTORS)
+    return Compound(name, tuple(_random_ground(rng, depth - 1) for _ in range(arity)))
+
+
+def _chain(inner, depth):
+    for _ in range(depth):
+        inner = Compound("f", (inner,))
+    return inner
+
+
+def _random_pattern(term, rng):
+    """Abstract and perturb ``term``: variables come from a pool of three
+    names, so a name often occurs twice (a non-linear pattern), and now and
+    then a leaf or a functor changes, so the pattern may not match."""
+    roll = rng.random()
+    if roll < 0.2:
+        return Var(rng.choice("XYZ"))
+    if roll < 0.3:
+        return rng.choice(_LEAVES)
+    if isinstance(term, Compound):
+        functor = term.functor if rng.random() < 0.95 else "h"
+        return Compound(functor, tuple(_random_pattern(a, rng) for a in term.args))
+    return term
+
+
+def _rebuild(term, rng, change):
+    """A new object equal to ``term``, except that each leaf is redrawn with
+    probability ``change``."""
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(_rebuild(a, rng, change) for a in term.args))
+    return rng.choice(_LEAVES) if rng.random() < change else term
+
+
+_PAIR_XX = Compound("pair", (Var("X"), Var("X")))
+
+
+def _match_cases(n):
+    rng = random.Random(20261018)
+    for i in range(n):
+        ground = _random_ground(rng, rng.randint(0, 5))
+        if i % 10 == 0:
+            # deep, but within reach of the oracle, whose ``!=`` recurses
+            ground = _chain(ground, rng.randint(50, 150))
+        if i % 4 == 0:
+            # pair(X, X) against two distinct objects, equal or not
+            twin = _rebuild(ground, rng, 0.3 if i % 8 == 0 else 0.0)
+            yield _PAIR_XX, Compound("pair", (ground, twin))
+        else:
+            yield _random_pattern(ground, rng), ground
+
+
+def test_match_agrees_with_the_from_scratch_matcher():
+    outcomes = {True: 0, False: 0}
+    nonlinear_matches = 0
+    for pattern, ground in _match_cases(600):
+        expected = match_pattern(pattern, ground) is not None
+        assert kernel.match(pattern, ground) == expected, (pattern, ground)
+        outcomes[expected] += 1
+        if expected and pattern is _PAIR_XX:
+            nonlinear_matches += 1
+    # the cases exercise both answers, and repeated variables that match
+    assert outcomes[True] >= 150 and outcomes[False] >= 100, outcomes
+    assert nonlinear_matches >= 20
+
+
+def test_match_does_not_recurse():
+    depth = 20 * sys.getrecursionlimit()
+    deep = _chain(Atom("a"), depth)
+    same = _chain(Atom("a"), depth)  # equal to ``deep``, another object
+    other = _chain(Atom("b"), depth)
+    assert kernel.match(_chain(Var("X"), depth), deep)
+    assert kernel.match(deep, same)
+    assert not kernel.match(deep, other)
+    assert kernel.match(_PAIR_XX, Compound("pair", (deep, same)))
+    assert not kernel.match(_PAIR_XX, Compound("pair", (deep, other)))
