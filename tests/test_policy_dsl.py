@@ -167,6 +167,49 @@ POLICY_SYNTAX_ERRORS = [
         ("expected 'atom', found '}'", 9, 1),
     ),
     ("service {\n  id s\n  endpoint /x/\n}", ("unexpected character '/'", 3, 12)),
+    # The offending lexeme also occurs before and after the reported one.
+    (
+        _SVC
+        + "flow_rule { when s receives bogus decide drop }\n  bogus\n"
+        + "flow_rule { when s receives bogus decide drop }",
+        ("expected 'service' or 'flow_rule', found 'bogus'", 6, 3),
+    ),
+    (
+        'service {\n  id s\n  s\n  endpoint "s"\n}\n'
+        + "flow_rule { when s receives a decide drop }",
+        ("unexpected token in service block: 's'", 3, 3),
+    ),
+    (
+        'service { id a endpoint "x" }\nservice { id t }\n  service { id u }\nservice',
+        ("service block missing endpoint", 3, 3),
+    ),
+    (
+        _SVC
+        + "flow_rule {\n  when s receives raw\n  decide drop\n}\n"
+        + "flow_rule {\n  when s receives raw,\n    decide drop\n}\n"
+        + "flow_rule { when s receives a decide drop }",
+        ("keyword 'decide' cannot start a term", 11, 5),
+    ),
+    (
+        _SVC
+        + "flow_rule {\n  when s receives panic\n  decide panic\n}\n"
+        + "flow_rule { when s receives panic decide drop }",
+        ("unknown effect 'panic'", 7, 10),
+    ),
+    (
+        _SVC
+        + "flow_rule {\n  when s receives raw\n  decide drop\n"
+        + "    require log(shrug) otherwise shrug\n}\n"
+        + "flow_rule { when s receives shrug decide drop }",
+        ("unknown effect 'shrug'", 8, 34),
+    ),
+    (
+        _SVC
+        + "flow_rule { when s receives a decide drop }\n"
+        + "flow_rule {\n  id r\n  receives raw\n}\n"
+        + "flow_rule { when s receives b decide drop }",
+        ("expected 'when', found 'receives'", 8, 3),
+    ),
 ]
 
 

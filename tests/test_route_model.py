@@ -182,6 +182,34 @@ ROUTE_SYNTAX_ERRORS = [
     ("route r {\n  1: from(a)\n  2: teleport(b)\n}", ("unknown statement 'teleport'", 3, 6)),
     ("route r {\n  1: from(a) -> two\n}", ("expected 'int', found 'two'", 2, 17)),
     ("// x\nroute r {\n  1: from(a)\n", ("expected 'int', found 'EOF'", 4, 1)),
+    # The offending lexeme also occurs before and after the reported one;
+    # a route name is the second token, so nothing can precede it.
+    ("route\n  1: from(a)\n  2: to(b) -> 1\n}", ("expected route name", 2, 3)),
+    (
+        'route a {\n services {\n  b = "x"\n  a = "y"\n  a = "z"\n }\n 1: from(a)\n}',
+        ("duplicate service binding a", 5, 3),
+    ),
+    (
+        "route r {\n  1: from(a) -> 2\n  2: to(b)\n  2: to(c) -> 2\n}",
+        ("duplicate statement number 2", 4, 3),
+    ),
+    (
+        "route r {\n  1: from(extra)\n}\n  extra extra",
+        ("trailing input after route: 'extra'", 4, 3),
+    ),
+    (
+        "route r {\n  1: set_msg_prop k := X\n  2: when\n"
+        "    X then goto 3 otherwise goto 3\n  3: set_msg_prop k := X\n}",
+        ("choice condition must be an atom or compound: X", 4, 5),
+    ),
+    (
+        "route r {\n  1: from(teleport)\n  2: teleport(b)\n  3: to(teleport)\n}",
+        ("unknown statement 'teleport'", 3, 6),
+    ),
+    (
+        "route r {\n  1: from(two) -> two\n  2: to(two)\n}",
+        ("expected 'int', found 'two'", 2, 19),
+    ),
 ]
 
 

@@ -92,6 +92,13 @@ TERM_SYNTAX_ERRORS = [
     (parse_term, '"x\ny" z', ("trailing input after term: 'z'", 2, 4)),
     (parse_program, "p(a) :- q(b)\nr.", ("expected '.', found 'r'", 2, 1)),
     (parse_program, "p(a).\n% c\n  q(X) :- \\+ .", ("expected a term, found '.'", 3, 14)),
+    # The offending lexeme also occurs before and after the reported one.
+    (parse_term, "f(b, g(a\n  b), b)", ("expected ')', found 'b'", 2, 3)),
+    (parse_term, 'f("s"\n "s", "s")', ("expected ')', found 's'", 2, 2)),
+    (parse_term, "f(a,\n ,b,c)", ("expected a term, found ','", 2, 2)),
+    (parse_term, "f(a)\n a a", ("trailing input after term: 'a'", 2, 2)),
+    (parse_program, "p(r) :- q(b)\nr. r.", ("expected '.', found 'r'", 2, 1)),
+    (parse_program, "p(a).\n  q(X) :- \\+ .\nr.", ("expected a term, found '.'", 2, 14)),
 ]
 
 
@@ -242,3 +249,31 @@ def test_tokenizer_agrees_with_character_scanner(text, comment):
     except ValueError:
         assume(False)  # the oracle's int() rejects a non-decimal digit
     assert _scan_result(_tokens, text, comment) == expected
+
+
+# A small alphabet, so that lexemes repeat; at most one piece is malformed.
+REPEATING_PIECES = [
+    "a", "ab", "X", "_", "1", "-2", '"s"', '"\\n"', "(", ")", ",", ".", ":-",
+    " ", "\n",
+]
+MALFORMED_PIECES = ["#", "Ⅷ", '"open', '"\\q"']
+
+
+@st.composite
+def repetitive_texts(draw):
+    comment = draw(st.sampled_from(["%", "//"]))
+    alphabet = REPEATING_PIECES + [comment + " c\n"]
+    pieces = draw(st.lists(st.sampled_from(alphabet), max_size=60))
+    if pieces and draw(st.booleans()):
+        at = draw(st.integers(0, len(pieces) - 1))
+        pieces[at] = draw(st.sampled_from(MALFORMED_PIECES))
+    return "".join(pieces), comment
+
+
+@settings(derandomize=True, max_examples=300)
+@given(repetitive_texts())
+def test_tokenizer_agrees_with_character_scanner_on_repeated_lexemes(case):
+    text, comment = case
+    assert _scan_result(_tokens, text, comment) == _scan_result(
+        reference_tokens, text, comment
+    )
