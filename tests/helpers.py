@@ -127,7 +127,7 @@ def match_pattern(pattern: Term, ground: Term, subst: dict | None = None):
         p, g = stack.pop()
         if isinstance(p, Var):
             if p.name in subst:
-                if subst[p.name] != g:
+                if not _same_term(subst[p.name], g):
                     return None
             else:
                 subst[p.name] = g
@@ -142,6 +142,25 @@ def match_pattern(pattern: Term, ground: Term, subst: dict | None = None):
         elif p != g:
             return None
     return subst
+
+
+def _same_term(a: Term, b: Term) -> bool:
+    """Structural equality over an explicit stack: the term dataclasses'
+    ``==`` recurses once per nesting level."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, Compound):
+            if (
+                not isinstance(y, Compound)
+                or x.functor != y.functor
+                or len(x.args) != len(y.args)
+            ):
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif x != y:
+            return False
+    return True
 
 
 def substitute(t: Term, subst: dict) -> Term:

@@ -165,14 +165,15 @@ def _match_cases(n):
     rng = random.Random(20261018)
     for i in range(n):
         ground = _random_ground(rng, rng.randint(0, 5))
-        if i % 10 == 0:
-            # deep, but within reach of the oracle, whose ``!=`` recurses
-            ground = _chain(ground, rng.randint(50, 150))
+        # every tenth term sits deeper than the recursion limit
+        depth = rng.randint(1_000, 3_000) if i % 10 == 0 else 0
         if i % 4 == 0:
             # pair(X, X) against two distinct objects, equal or not
             twin = _rebuild(ground, rng, 0.3 if i % 8 == 0 else 0.0)
-            yield _PAIR_XX, Compound("pair", (ground, twin))
+            pair = (_chain(ground, depth), _chain(twin, depth))
+            yield _PAIR_XX, Compound("pair", pair)
         else:
+            ground = _chain(ground, depth)
             yield _random_pattern(ground, rng), ground
 
 
