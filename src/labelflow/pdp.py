@@ -36,7 +36,6 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
-from statistics import mean
 
 from .kernel import is_ground, match
 from .policy import Decision, FlowRule, PolicyAst, ServiceDecl
@@ -295,7 +294,13 @@ def bench_decide(
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             rows.append(
-                BenchRow(n_rules, n_labels, mean(samples), p95, max(0, peak - before))
+                BenchRow(
+                    n_rules,
+                    n_labels,
+                    sum(samples) / len(samples),
+                    p95,
+                    max(0, peak - before),
+                )
             )
     return rows
 

@@ -297,12 +297,10 @@ def test_rule_plan_is_memoised_with_the_coverage():
     assert covering_declarations(policy, "nobody").rules == ()
 
 
-def test_import_leaves_tracemalloc_unloaded():
-    # Only bench_decide needs tracemalloc; loading it (and pickle) costs
-    # every process that imports labelflow about 0.3 MiB of RSS.
+def _loaded_by_import_labelflow(module: str) -> bool:
     src = os.path.dirname(os.path.dirname(pdp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, labelflow; print('tracemalloc' in sys.modules)"
+    code = f"import sys, labelflow; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -311,7 +309,19 @@ def test_import_leaves_tracemalloc_unloaded():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_tracemalloc_unloaded():
+    # Only bench_decide needs tracemalloc; loading it (and pickle) costs
+    # every process that imports labelflow about 0.3 MiB of RSS.
+    assert not _loaded_by_import_labelflow("tracemalloc")
+
+
+def test_import_leaves_statistics_unloaded():
+    # statistics loads decimal and fractions, about 0.7 MiB of RSS, and
+    # bench_decide needs only a mean.
+    assert not _loaded_by_import_labelflow("statistics")
 
 
 def test_bench_rows_and_csv():
