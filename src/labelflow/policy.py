@@ -179,7 +179,7 @@ class _PolicyParser:
                 t = tok.peek()
                 raise TermSyntaxError(
                     f"expected 'service' or 'flow_rule', found {t.text or t.kind!r}",
-                    *tok.position(t),
+                    *tok.position(tok.index),
                 )
         ast = PolicyAst(tuple(self.services), tuple(self.rules))
         validate_policy(ast)
@@ -191,6 +191,7 @@ class _PolicyParser:
         tok.expect("PUNCT", "{")
         sections: dict[str, object] = {}
         while True:
+            at = tok.index
             t = tok.next()
             word = t.text
             kind = t.kind
@@ -205,12 +206,13 @@ class _PolicyParser:
             else:
                 raise TermSyntaxError(
                     f"unexpected token in service block: {word or kind!r}",
-                    *tok.position(t),
+                    *tok.position(at),
                 )
         endpoint = sections.get("endpoint")
         if endpoint is None:
-            t = tok.peek()
-            raise TermSyntaxError("service block missing endpoint", *tok.position(t))
+            raise TermSyntaxError(
+                "service block missing endpoint", *tok.position(tok.index)
+            )
         decl = ServiceDecl(
             id=sections.get("id", ""),
             endpoint=endpoint,
@@ -232,17 +234,19 @@ class _PolicyParser:
     def _parse_term(self) -> Term:
         # Bare section keywords terminate lists, so a list element may not
         # be a keyword atom unless it takes arguments.
-        t = self.tok.peek()
+        tok = self.tok
+        t = tok.peek()
         if t.kind == "ATOM" and t.text in _SECTION_KEYWORDS:
             raise TermSyntaxError(
-                f"keyword {t.text!r} cannot start a term", *self.tok.position(t)
+                f"keyword {t.text!r} cannot start a term", *tok.position(tok.index)
             )
-        return parse_term_from(self.tok)
+        return parse_term_from(tok)
 
     def _effect(self) -> str:
+        at = self.tok.index
         t = self.tok.expect("ATOM")
         if t.text not in EFFECTS:
-            raise TermSyntaxError(f"unknown effect {t.text!r}", *self.tok.position(t))
+            raise TermSyntaxError(f"unknown effect {t.text!r}", *self.tok.position(at))
         return t.text
 
     def _parse_rule(self) -> FlowRule:

@@ -172,7 +172,7 @@ def parse_route(text: str) -> Route:
     tok.expect("ATOM", "route")
     name_tok = tok.peek()
     if name_tok.kind not in ("ATOM", "VAR"):  # route names may be capitalized
-        raise TermSyntaxError("expected route name", *tok.position(name_tok))
+        raise TermSyntaxError("expected route name", *tok.position(tok.index))
     name = tok.next().text
     tok.expect("PUNCT", "{")
     endpoints: dict[str, str] = {}
@@ -180,10 +180,11 @@ def parse_route(text: str) -> Route:
         tok.next()
         tok.expect("PUNCT", "{")
         while not tok.accept("PUNCT", "}"):
+            at = tok.index
             svc = tok.expect("ATOM")
             if svc.text in endpoints:
                 raise TermSyntaxError(
-                    f"duplicate service binding {svc.text}", *tok.position(svc)
+                    f"duplicate service binding {svc.text}", *tok.position(at)
                 )
             tok.expect("PUNCT", "=")
             endpoints[svc.text] = tok.expect("STR").value
@@ -191,11 +192,11 @@ def parse_route(text: str) -> Route:
     explicit: dict[int, tuple] = {}
     order: list[int] = []
     while not tok.accept("PUNCT", "}"):
-        num_tok = tok.expect("INT")
-        num = num_tok.value
+        at = tok.index
+        num = tok.expect("INT").value
         if num in statements:
             raise TermSyntaxError(
-                f"duplicate statement number {num}", *tok.position(num_tok)
+                f"duplicate statement number {num}", *tok.position(at)
             )
         tok.expect("PUNCT", ":")
         stmt, targets = _parse_statement(tok)
@@ -206,7 +207,7 @@ def parse_route(text: str) -> Route:
     end = tok.peek()
     if end.kind != "EOF":
         raise TermSyntaxError(
-            f"trailing input after route: {end.text!r}", *tok.position(end)
+            f"trailing input after route: {end.text!r}", *tok.position(tok.index)
         )
     if not statements:
         raise RouteError("route has no statements")
@@ -249,7 +250,7 @@ def _parse_statement(tok: Tokenizer):
         tok.expect("PUNCT", ":=")
         return _SET_STATEMENTS[word](var, parse_term_from(tok)), _parse_targets(tok)
     if tok.accept("ATOM", "when"):
-        start = tok.peek()
+        start = tok.index
         cond = parse_term_from(tok)
         if not isinstance(cond, (Atom, Compound)):
             raise TermSyntaxError(
@@ -263,7 +264,9 @@ def _parse_statement(tok: Tokenizer):
         tok.expect("ATOM", "goto")
         else_target = tok.expect("INT").value
         return Choice(cond, then_target, else_target), None
-    raise TermSyntaxError(f"unknown statement {t.text or t.kind!r}", *tok.position(t))
+    raise TermSyntaxError(
+        f"unknown statement {t.text or t.kind!r}", *tok.position(tok.index)
+    )
 
 
 # ---------------------------------------------------------------------------

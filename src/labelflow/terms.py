@@ -19,6 +19,12 @@ Lexical syntax, shared by the term, clause, policy and route parsers:
   text, ``//`` for policy and route files;
 * whitespace is any Unicode whitespace; positions are 1-based lines,
   counted at ``\\n`` only, and columns in characters.
+
+Scanning a text costs one ``findall`` of a compiled pattern, which yields
+the raw lexemes, plus one Python classification per *distinct* lexeme:
+every occurrence of a lexeme is the same immutable ``Token``. Tokens carry
+no position. Line and column are recovered by token index, with one rescan
+of the text per raised error.
 """
 
 from __future__ import annotations
@@ -129,22 +135,29 @@ class Token(NamedTuple):
 
 _new_token = tuple.__new__  # C-level constructor, skips NamedTuple's __new__
 
+# A string body: no bare quote or backslash, only the escapes above. A
+# string lexeme without its closing quote stops at the end of the text or
+# at a backslash that starts a bad escape.
+_STRING_BODY = r'[^"\\]*(?:\\[nt"\\r][^"\\]*)*'
+_CLOSED_STRING = re.compile(rf'"({_STRING_BODY})"')
+
 
 @cache
 def _token_pattern(comment: str) -> re.Pattern:
-    # Skip whitespace and comments, then match exactly one alternative. A
-    # string without its closing quote stops at the end of text or at a
-    # backslash that starts a bad escape; BAD takes any other character.
+    # Skip whitespace and comments, then capture exactly one lexeme: a
+    # string, an integer, a name, a punctuation mark, the empty lexeme at
+    # the end of the text (EOF) or any other single character.
     return re.compile(
         rf"(?:\s+|{re.escape(comment)}[^\n]*)*"
-        r'(?:(?P<STR>"(?P<body>[^"\\]*(?:\\[nt"\\r][^"\\]*)*)(?P<close>"?))'
-        r"|(?P<INT>-?\d+)"
-        r"|(?P<NAME>\w+)"
-        rf"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT))})"
-        r"|(?P<EOF>\Z)"
-        r"|(?P<BAD>.))",
+        rf'("{_STRING_BODY}"?|-?\d+|\w+'
+        rf"|{'|'.join(map(re.escape, _PUNCT))}|\Z|.)",
         re.DOTALL,
     )
+
+
+def _offset(text: str, comment: str, i: int) -> int:
+    """Offset of the ``i``-th lexeme of ``text``, by scanning it again."""
+    return next(islice(_token_pattern(comment).finditer(text), i, None)).start(1)
 
 
 def _line_column(text: str, pos: int) -> tuple[int, int]:
@@ -159,44 +172,68 @@ def _unescape(m: re.Match) -> str:
     return _ESCAPES[m[1]]
 
 
+class _Lexicon(dict):
+    """The token of each distinct lexeme of one text, classified on its
+    first lookup; every later occurrence gets the same token."""
+
+    __slots__ = ("text", "comment", "raws")
+
+    def __init__(self, text: str, comment: str, raws: list[str]):
+        self.text = text
+        self.comment = comment
+        self.raws = raws
+
+    def __missing__(self, raw: str) -> Token:
+        first = raw[:1]
+        if first.isalpha() or first == "_":
+            kind = "VAR" if first == "_" or first.isupper() else "ATOM"
+            token = _new_token(Token, (kind, raw, None))
+        elif raw in _PUNCT:
+            token = _new_token(Token, ("PUNCT", raw, None))
+        elif first.isdecimal() or (first == "-" and len(raw) > 1):
+            token = _new_token(Token, ("INT", raw, int(raw)))
+        elif first == '"':
+            closed = _CLOSED_STRING.fullmatch(raw)
+            if closed is None:
+                # The scan stops at this first occurrence of the lexeme.
+                pos = self._offset(raw)
+                if pos + len(raw) == len(self.text):
+                    raise _syntax_error("unterminated string", self.text, pos)
+                pos += len(raw) + 1  # the character after the backslash
+                raise _syntax_error("bad escape sequence", self.text, pos)
+            value = _ESCAPE.sub(_unescape, closed[1])
+            token = _new_token(Token, ("STR", value, value))
+        elif not raw:
+            token = _new_token(Token, ("EOF", "", None))
+        else:
+            # A name that starts with a non-letter such as ``²``, or a
+            # character that starts no token.
+            pos = self._offset(raw)
+            raise _syntax_error(f"unexpected character {first!r}", self.text, pos)
+        self[raw] = token
+        return token
+
+    def _offset(self, raw: str) -> int:
+        return _offset(self.text, self.comment, self.raws.index(raw))
+
+
 def _scan(text: str, comment: str) -> list[Token]:
     """The tokens of ``text``, ending with EOF; positions are not kept."""
-    tokens = []
-    append = tokens.append
-    for m in _token_pattern(comment).finditer(text):
-        kind = m.lastgroup
-        if kind == "NAME":
-            raw = m[kind]
-            first = raw[0]
-            if not (first.isalpha() or first == "_"):
-                raise _syntax_error(f"unexpected character {first!r}", text, m.start(kind))
-            kind = "VAR" if first == "_" or first.isupper() else "ATOM"
-            append(_new_token(Token, (kind, raw, None)))
-        elif kind == "PUNCT":
-            append(_new_token(Token, (kind, m[kind], None)))
-        elif kind == "STR":
-            if not m["close"]:
-                if m.end() == len(text):
-                    raise _syntax_error("unterminated string", text, m.start(kind))
-                raise _syntax_error("bad escape sequence", text, m.end() + 1)
-            value = _ESCAPE.sub(_unescape, m["body"])
-            append(_new_token(Token, (kind, value, value)))
-        elif kind == "INT":
-            raw = m[kind]
-            append(_new_token(Token, (kind, raw, int(raw))))
-        elif kind == "EOF":
-            append(_new_token(Token, (kind, "", None)))
-            break  # an empty match at the end would follow a non-empty one
-        else:
-            raise _syntax_error(f"unexpected character {m[kind]!r}", text, m.start(kind))
-    return tokens
+    raws = _token_pattern(comment).findall(text)
+    if len(raws) > 1 and not raws[-2]:
+        # EOF consumed trailing whitespace; an empty match at the end follows.
+        raws.pop()
+    return list(map(_Lexicon(text, comment, raws).__getitem__, raws))
 
 
 class Tokenizer:
     """Scanner over one compiled pattern; tokens carry no source position.
 
-    ``position`` recovers a token's 1-based line and column when an error
-    is raised, by scanning the text again up to that token.
+    The text is split into lexemes by one ``findall``, and each distinct
+    lexeme is classified once: every occurrence of it is the same ``Token``
+    object. So a token is found by its index in ``tokens``, not by identity.
+    ``position(i)`` recovers the 1-based line and column of token ``i`` when
+    an error is raised, by scanning the text again up to it.
 
     ``comment`` selects the line-comment introducer: ``%`` for clause files,
     ``//`` for policy and route files.
@@ -208,14 +245,9 @@ class Tokenizer:
         self.tokens = _scan(text, comment)
         self.index = 0
 
-    def position(self, token: Token) -> tuple[int, int]:
-        """(line, column) of ``token``, one of this tokenizer's tokens."""
-        i = next((i for i, t in enumerate(self.tokens) if t is token), None)
-        if i is None:
-            raise ValueError(f"not a token of this text: {token!r}")
-        # The scan succeeded, so the i-th match is the i-th token.
-        m = next(islice(_token_pattern(self.comment).finditer(self.text), i, None))
-        return _line_column(self.text, m.start(m.lastgroup))
+    def position(self, i: int) -> tuple[int, int]:
+        """(line, column) of ``tokens[i]``."""
+        return _line_column(self.text, _offset(self.text, self.comment, i))
 
     # -- token-stream interface -------------------------------------------
 
@@ -233,7 +265,8 @@ class Tokenizer:
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind.lower()
             raise TermSyntaxError(
-                f"expected {want!r}, found {tok.text or tok.kind!r}", *self.position(tok)
+                f"expected {want!r}, found {tok.text or tok.kind!r}",
+                *self.position(self.index),
             )
         return self.next()
 
@@ -255,6 +288,7 @@ class Tokenizer:
 
 def parse_term_from(tok: Tokenizer) -> Term:
     """Parse one term starting at the tokenizer's current position."""
+    at = tok.index
     t = tok.next()
     if t.kind == "INT":
         return Int(t.value)
@@ -272,7 +306,9 @@ def parse_term_from(tok: Tokenizer) -> Term:
             tok.expect("PUNCT", ")")
             return Compound(t.text, tuple(args))
         return Atom(t.text)
-    raise TermSyntaxError(f"expected a term, found {t.text or t.kind!r}", *tok.position(t))
+    raise TermSyntaxError(
+        f"expected a term, found {t.text or t.kind!r}", *tok.position(at)
+    )
 
 
 def parse_term(text: str, comment: str = "%") -> Term:
@@ -282,7 +318,7 @@ def parse_term(text: str, comment: str = "%") -> Term:
     end = tok.peek()
     if end.kind != "EOF":
         raise TermSyntaxError(
-            f"trailing input after term: {end.text!r}", *tok.position(end)
+            f"trailing input after term: {end.text!r}", *tok.position(tok.index)
         )
     return term
 

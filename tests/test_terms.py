@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from labelflow import terms as terms_module
 from labelflow.engine import parse_program
 from labelflow.terms import (
     Atom,
@@ -194,7 +195,25 @@ def test_tokens_carry_no_position():
 
 def _tokens(text, comment):
     tok = Tokenizer(text, comment)
-    return [(t.kind, t.text, *tok.position(t), t.value) for t in tok.tokens]
+    return [
+        (t.kind, t.text, *tok.position(i), t.value) for i, t in enumerate(tok.tokens)
+    ]
+
+
+def test_each_distinct_lexeme_is_classified_once(monkeypatch):
+    classified = []
+    classify = terms_module._Lexicon.__missing__
+
+    def counting(table, raw):
+        classified.append(raw)
+        return classify(table, raw)
+
+    monkeypatch.setattr(terms_module._Lexicon, "__missing__", counting)
+    tok = Tokenizer('f(a, b) :- g(a, X), "s", -1.\n' * 50)
+    distinct = ["f", "(", "a", ",", "b", ")", ":-", "g", "X", '"s"', "-1", ".", ""]
+    assert sorted(classified) == sorted(distinct)
+    assert len(tok.tokens) == 50 * 18 + 1
+    assert len({id(t) for t in tok.tokens}) == len(distinct)
 
 
 @pytest.mark.parametrize(
