@@ -196,7 +196,7 @@ class _Lexicon(dict):
             closed = _CLOSED_STRING.fullmatch(raw)
             if closed is None:
                 # The scan stops at this first occurrence of the lexeme.
-                pos = self._offset(raw)
+                pos = self._first_offset(raw)
                 if pos + len(raw) == len(self.text):
                     raise _syntax_error("unterminated string", self.text, pos)
                 pos += len(raw) + 1  # the character after the backslash
@@ -208,12 +208,12 @@ class _Lexicon(dict):
         else:
             # A name that starts with a non-letter such as ``²``, or a
             # character that starts no token.
-            pos = self._offset(raw)
+            pos = self._first_offset(raw)
             raise _syntax_error(f"unexpected character {first!r}", self.text, pos)
         self[raw] = token
         return token
 
-    def _offset(self, raw: str) -> int:
+    def _first_offset(self, raw: str) -> int:
         return _offset(self.text, self.comment, self.raws.index(raw))
 
 

@@ -282,7 +282,8 @@ MALFORMED_PIECES = ["#", "Ⅷ", '"open', '"\\q"']
 def repetitive_texts(draw):
     comment = draw(st.sampled_from(["%", "//"]))
     alphabet = REPEATING_PIECES + [comment + " c\n"]
-    pieces = draw(st.lists(st.sampled_from(alphabet), max_size=60))
+    n = draw(st.integers(0, 60))
+    pieces = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
     if pieces and draw(st.booleans()):
         at = draw(st.integers(0, len(pieces) - 1))
         pieces[at] = draw(st.sampled_from(MALFORMED_PIECES))
