@@ -293,14 +293,9 @@ def bench_decide(
             decide(policy, req)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
+            mean_us = sum(samples) / len(samples)
             rows.append(
-                BenchRow(
-                    n_rules,
-                    n_labels,
-                    sum(samples) / len(samples),
-                    p95,
-                    max(0, peak - before),
-                )
+                BenchRow(n_rules, n_labels, mean_us, p95, max(0, peak - before))
             )
     return rows
 
