@@ -294,7 +294,8 @@ def validate_policy(ast: PolicyAst) -> None:
         seen_services.add(s.id)
         try:
             ast.endpoint_regex(s.endpoint)
-        except re.error as exc:
+        # re rejects a too-large repeat count and too-deep nesting without re.error
+        except (re.error, OverflowError, RecursionError) as exc:
             raise ValidationError(
                 f"service {s.id!r} has an invalid endpoint regex: {exc}"
             ) from exc

@@ -13,14 +13,20 @@ yields one counterexample with a concrete trace (the first discovered
 path).
 
 A state is a statement, its arrival label set and the join that ends the
-enclosing split branch. Each state is visited once; its summary keeps one
+enclosing split branch. Each state is visited once. Only a split reads
+outcomes, so only a state inside a split branch keeps a summary: one
 outcome per distinct exit label set, with the first-discovered witness
 (suffix trace and choices), after Reps, Horwitz and Sagiv's IFDS summaries
-(POPL 1995). A split combines its branches' summaries, so its product runs
-over distinct exit sets, not paths. The walk costs states x distinct exit
-sets per state (a split also pays for its branch product), plus the length
-of the traces it reports: a chain of k choices has 2^k paths but 2k + 2
-states (``tests/test_verifier.py::test_choice_chain_is_linear_in_states``).
+(POPL 1995); computing them only where a split demands them is the
+demand-driven form of the same analysis (Horwitz, Reps and Sagiv, FSE
+1995). A split folds its branches' summaries left to right by distinct
+partial union, not by their product. Each distinct (service, arrival label
+set) is decided once per verification. The walk therefore costs one visit
+per state, plus, inside split branches, the distinct exit sets per state,
+plus, per split, the sum over its branches of distinct partial unions x
+that branch's distinct exit sets, plus the length of the traces it
+reports: a chain of k choices has 2^k paths but 2k + 2 states
+(``tests/test_verifier.py::test_choice_chain_is_linear_in_states``).
 Witness traces share their cells and are flattened only for a reported
 counterexample, and the walk keeps its own stack, so a route's length is
 not bounded by Python's recursion limit.
@@ -34,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import NamedTuple
 
 from .pdp import DecisionRequest, apply_label_transform, decide
 from .policy_compiler import (
@@ -83,17 +88,17 @@ class Verdict:
     explored_states: int = 0
 
 
-class _Seq(NamedTuple):
-    """A witness trace or choice list: ``first``, then ``then``.
+class _Seq(tuple):
+    """A witness trace or choice list ``(first, then)``, built as ``_Seq((a, b))``.
 
     Either part is None (empty), a single item (an arrival triple or a
     ``(choice, taken)`` pair) or another ``_Seq``. Witnesses share their
     parts instead of copying them; ``_flatten`` lists the items in order
-    only when a counterexample is built.
+    only when a counterexample is built. A plain tuple subclass is built
+    in C, without a Python-level ``__new__``.
     """
 
-    first: object
-    then: object
+    __slots__ = ()
 
 
 def _flatten(seq) -> list:
@@ -102,8 +107,9 @@ def _flatten(seq) -> list:
     while stack:
         part = stack.pop()
         if type(part) is _Seq:
-            stack.append(part.then)
-            stack.append(part.first)
+            first, then = part
+            stack.append(then)
+            stack.append(first)
         elif part is not None:
             items.append(part)
     return items
@@ -116,17 +122,33 @@ class _Verifier:
         self.default_effect = default_effect
         self.all_paths = all_paths
         self.names = node_names(route)
-        self.memo: dict = {}  # (stmt, labels, stop_at) -> summary
+        self.memo: dict = {}  # (stmt, labels, stop_at) -> summary, () outside splits
+        self.steps: dict = {}  # (atom, arrival labels) -> (decision, exit labels)
         self.violations: dict = {}  # (rule, stmt) -> list of Counterexample
         self.states = 0
 
     def transforms(self, atom: str):
         return resolve_transforms(self.policy, atom, self.route.endpoints.get(atom))
 
-    def check(self, n, stmt, labels, trace, choices) -> None:
-        atom = stmt.service
-        req = DecisionRequest(atom, labels, self.route.endpoints.get(atom))
-        result = decide(self.policy, req, self.default_effect)
+    def step(self, atom: str, labels: frozenset):
+        """The decision for, and the exit labels of, ``labels`` arriving at ``atom``.
+
+        Both depend only on the pair, so each distinct pair is decided once
+        per verification.
+        """
+        key = (atom, labels)
+        step = self.steps.get(key)
+        if step is None:
+            req = DecisionRequest(atom, labels, self.route.endpoints.get(atom))
+            result = decide(self.policy, req, self.default_effect)
+            removes, creates = self.transforms(atom)
+            step = self.steps[key] = (
+                result,
+                apply_label_transform(labels, removes, creates),
+            )
+        return step
+
+    def check(self, n, atom, labels, result, trace, choices) -> None:
         if result.effect not in ("drop", "error"):
             return
         rule_name = result.effect_rule or "default_deny"
@@ -148,40 +170,78 @@ class _Verifier:
         )
         self.violations.setdefault(key, []).append(ce)
 
-    def explore(self) -> list:
-        """The entry state's outcomes, walked with an explicit stack.
+    def explore(self) -> None:
+        """Visit every reachable state, walked with an explicit stack.
 
         Each ``_visit`` generator yields the states it needs, in the order
         a recursive walk would visit them, and receives their outcomes;
         Python's call stack stays flat however long the route is.
         """
-        stack = [self._visit(self.route.entry, frozenset(), None, None, None)]
+        stack = [self._visit((self.route.entry, frozenset(), None), None, None)]
+        memo = None if self.all_paths else self.memo
         outcomes = None
-        while True:
+        while stack:
             try:
                 call = stack[-1].send(outcomes)
             except StopIteration as done:
                 stack.pop()
-                if not stack:
-                    return done.value
                 outcomes = done.value
                 continue
-            outcomes = None if self.all_paths else self.memo.get(call[:3])
+            outcomes = None if memo is None else memo.get(call[0])
             if outcomes is None:
                 stack.append(self._visit(*call))
 
-    def _visit(self, n, labels, stop_at, prefix, prefix_choices):
+    def _combinations(self, branch_outcomes):
+        """One ``(union, first branch's trace, choices)`` per distinct union.
+
+        ``all_paths`` takes every combination of branch outcomes, in
+        ``product`` order. Otherwise the branches are folded left to right,
+        keeping per distinct partial union the first combination that
+        ``product`` would reach it with: a smaller prefix reaching the same
+        partial union would extend to a smaller full combination. The
+        distinct unions therefore come out in the order ``product`` first
+        meets them, with the same witnesses, at a cost of distinct partial
+        unions x a branch's distinct exit sets per branch.
+        """
+        if self.all_paths:
+            for combo in product(*branch_outcomes):
+                picked = None
+                for _, _, sc in combo:
+                    picked = _Seq((picked, sc))
+                union = frozenset().union(*(el for el, _, _ in combo))
+                yield union, combo[0][1], picked
+            return
+        first, *rest = branch_outcomes
+        partial: dict = {}
+        for el, st, sc in first:
+            partial.setdefault(el, (st, _Seq((None, sc))))
+        for outcomes in rest:
+            extended: dict = {}
+            for union, (st, picked) in partial.items():
+                for el, _, sc in outcomes:
+                    grown = union | el
+                    if grown not in extended:
+                        extended[grown] = (st, _Seq((picked, sc)))
+            partial = extended
+        for union, (st, picked) in partial.items():
+            yield union, st, picked
+
+    def _visit(self, key, prefix, prefix_choices):
         """Outcomes (exit labels, suffix trace, suffix choices) from state n.
 
-        Yields ``(stmt, labels, stop_at, prefix, prefix_choices)`` for each
+        Yields ``((stmt, labels, stop_at), prefix, prefix_choices)`` for each
         successor state and receives that state's outcomes. ``prefix`` and
         ``prefix_choices`` only feed counterexamples; outcomes are
-        prefix-independent. Unless ``all_paths`` is set, the outcomes are
-        summarised to the first-discovered witness per distinct exit label
-        set and memoised on ``(stmt, labels, stop_at)``.
+        prefix-independent. Only a split reads its branches' outcomes, so a
+        state outside every split branch (``stop_at`` None) builds none and
+        returns ``()``. Inside a branch, unless ``all_paths`` is set, the
+        outcomes are summarised to the first-discovered witness per distinct
+        exit label set. Unless ``all_paths`` is set, the result is memoised
+        on ``(stmt, labels, stop_at)``, which also marks the state visited.
         """
-        key = (n, labels, stop_at)
+        n, labels, stop_at = key
         self.states += 1
+        inside = stop_at is not None
         stmt = self.route.statements[n]
         out_labels = labels
         if isinstance(stmt, From):
@@ -189,12 +249,11 @@ class _Verifier:
             out_labels = frozenset(creates)
             labels = out_labels  # arrival shows the created set
         arrival = (n, self.names[n], labels)
-        trace = _Seq(prefix, arrival)
+        trace = _Seq((prefix, arrival))
         outcomes = []
         if isinstance(stmt, (To, Bean)):
-            self.check(n, stmt, labels, trace, prefix_choices)
-            removes, creates = self.transforms(stmt.service)
-            out_labels = apply_label_transform(labels, removes, creates)
+            result, out_labels = self.step(stmt.service, labels)
+            self.check(n, stmt.service, labels, result, trace, prefix_choices)
         if isinstance(stmt, Choice):
             for taken, target in (
                 (True, stmt.then_target),
@@ -205,10 +264,10 @@ class _Verifier:
                     outcomes.append((labels, arrival, picked))
                     continue
                 downstream = yield (
-                    target, labels, stop_at, trace, _Seq(prefix_choices, picked)
+                    (target, labels, stop_at), trace, _Seq((prefix_choices, picked))
                 )
                 for el, st, sc in downstream:
-                    outcomes.append((el, _Seq(arrival, st), _Seq(picked, sc)))
+                    outcomes.append((el, _Seq((arrival, st)), _Seq((picked, sc))))
         elif isinstance(stmt, Split):
             join = self.route.joins[n]
             branch_outcomes = []
@@ -217,37 +276,38 @@ class _Verifier:
                     branch_outcomes.append([(labels, None, None)])
                 else:
                     branch_outcomes.append(
-                        (yield (b, labels, join, trace, prefix_choices))
+                        (yield ((b, labels, join), trace, prefix_choices))
                     )
-            for combo in product(*branch_outcomes):
-                union = frozenset().union(*(el for el, _, _ in combo))
-                rep_trace = combo[0][1]  # the first branch is the reported flow
-                picked = None
-                for _, _, sc in combo:
-                    picked = _Seq(picked, sc)
-                head = _Seq(arrival, rep_trace)
-                reached = _Seq(trace, rep_trace)
+            for union, rep_trace, picked in self._combinations(branch_outcomes):
+                # the first branch is the reported flow
                 downstream = yield (
-                    join, union, stop_at, reached, _Seq(prefix_choices, picked)
+                    (join, union, stop_at),
+                    _Seq((trace, rep_trace)),
+                    _Seq((prefix_choices, picked)),
                 )
-                for el, st, sc in downstream:
-                    outcomes.append((el, _Seq(head, st), _Seq(picked, sc)))
+                if downstream:
+                    head = _Seq((arrival, rep_trace))
+                    for el, st, sc in downstream:
+                        outcomes.append((el, _Seq((head, st)), _Seq((picked, sc))))
         else:
             succs = self.route.successors_map.get(n, ())
-            if not succs:
+            if not succs and inside:
                 outcomes.append((out_labels, arrival, None))
             for s in succs:
                 if s == stop_at:
                     outcomes.append((out_labels, arrival, None))
                     continue
-                downstream = yield (s, out_labels, stop_at, trace, prefix_choices)
+                downstream = yield ((s, out_labels, stop_at), trace, prefix_choices)
                 for el, st, sc in downstream:
-                    outcomes.append((el, _Seq(arrival, st), sc))
-        if not self.all_paths:
+                    outcomes.append((el, _Seq((arrival, st)), sc))
+        if not inside:
+            outcomes = ()
+        elif not self.all_paths:
             summary: dict = {}
             for outcome in outcomes:
                 summary.setdefault(outcome[0], outcome)
             outcomes = list(summary.values())
+        if not self.all_paths:
             self.memo[key] = outcomes
         return outcomes
 

@@ -86,6 +86,28 @@ def test_compile_non_ground_created_label_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "endpoint",
+    ["x{4294967295}", "(" * 600 + "a" + ")" * 600],
+    ids=["repeat_overflow", "nested_groups"],
+)
+@pytest.mark.parametrize("command", ["compile", "check", "run"])
+def test_endpoint_regex_rejected_without_re_error_is_input_error(
+    tmp_path, capsys, endpoint, command
+):
+    # re raises OverflowError and RecursionError for these, not re.error.
+    bad = tmp_path / "bad.lucon"
+    bad.write_text(f'service {{ id s endpoint "{endpoint}" }}\n')
+    argv = [command, str(bad)] if command == "compile" else [command, ROUTE, str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {bad}: service 's' has an invalid endpoint regex: "
+    )
+    assert "Traceback" not in captured.err
+
+
 def _nested(depth, leaf):
     return "f(" * depth + leaf + ")" * depth
 

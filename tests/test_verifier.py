@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
 from labelflow.routes import parse_route
 from labelflow.runtime import execute
+from labelflow import verifier
 from labelflow.terms import Atom, Compound, Int
 from labelflow.verifier import (
     _Verifier,
@@ -228,14 +230,17 @@ def test_memoization_bounds_state_count():
     assert verdict.explored_states <= 3 * len(route.statements)
 
 
-def _choice_chain(k: int, detour: bool):
+def _choice_chain(k: int, detour: bool, in_split: bool = False):
     """from(a), k choices in a row, then to(out).
 
     Without ``detour`` both targets of a choice are the next statement (a
-    ladder); with it the then-branch passes a set_msg_prop first.
+    ladder); with it the then-branch passes a set_msg_prop first. With
+    ``in_split`` the choices and to(out) form the first branch of a split
+    whose second branch goes straight to its aggregate, which is followed
+    by another to(out).
     """
     lines = ["route r {", '  services { a = "svc://src" }', "  1: from(a)"]
-    n = 2
+    n = 3 if in_split else 2
     for _ in range(k):
         nxt = n + 2 if detour else n + 1
         then = n + 1 if detour else nxt
@@ -245,6 +250,11 @@ def _choice_chain(k: int, detour: bool):
         if detour:
             lines.append(f"  {n + 1}: set_msg_prop x := 1")
         n = nxt
+    if in_split:
+        lines.insert(3, f"  2: split parts -> 3, {n + 1}")
+        lines.append(f"  {n}: to(out) -> {n + 1}")
+        lines.append(f"  {n + 1}: aggregate c")
+        n += 2
     lines.append(f"  {n}: to(out)")
     lines.append("}")
     return parse_route("\n".join(lines))
@@ -258,35 +268,158 @@ flow_rule { id noS when out receives s decide drop }
 
 
 def _summaries(route):
+    """The verifier after its walk, and its summaries inside split branches.
+
+    A state outside every split branch is memoised as visited with ``()``,
+    because no split reads its outcomes.
+    """
     policy = compile_policy(parse_policy(CHAIN_POLICY))
     v = _Verifier(route, policy, "allow", all_paths=False)
-    return v, v.explore()
+    v.explore()
+    inside = {key: outcomes for key, outcomes in v.memo.items() if key[2] is not None}
+    assert all(
+        outcomes == () for key, outcomes in v.memo.items() if key[2] is None
+    )
+    return v, inside
 
 
 def test_summary_keeps_one_outcome_per_exit_label_set():
-    # The 12-choice ladder has 4,096 paths that all leave with the same
-    # labels, so the entry state's summary holds a single witness.
-    v, outcomes = _summaries(_choice_chain(12, detour=False))
-    assert len(outcomes) == 1
-    assert v.memo[(1, frozenset(), None)] is outcomes
-    assert all(len(summary) == 1 for summary in v.memo.values())
+    # The 12-choice ladder in a split branch has 4,096 paths that all reach
+    # the aggregate with the same labels, so the branch head's summary holds
+    # a single witness.
+    v, summaries = _summaries(_choice_chain(12, detour=False, in_split=True))
+    s = frozenset({Atom("s")})
+    branch_head = summaries[(3, s, 16)]
+    assert [exit_labels for exit_labels, _, _ in branch_head] == [s]
+    assert len(summaries) == 13
+    assert all(len(summary) == 1 for summary in summaries.values())
 
 
 def test_choice_chain_is_linear_in_states():
     k = 2000
+    v, summaries = _summaries(_choice_chain(k, detour=True, in_split=True))
+    # from, split, the branch's 2k + 1 states, aggregate and to(out).
+    assert v.states == 2 * k + 5
+    assert len(summaries) == 2 * k + 1
+    assert all(len(summary) == 1 for summary in summaries.values())
     route = _choice_chain(k, detour=True)
-    v, outcomes = _summaries(route)
-    assert v.states == 2 * k + 2
-    assert all(len(summary) == 1 for summary in v.memo.values())
-    assert [exit_labels for exit_labels, _, _ in outcomes] == [
-        frozenset({Atom("s")})
-    ]
     verdict = verify(route, v.policy)
     assert verdict.explored_states == 2 * k + 2
     # The witness is the first-discovered path: every then-branch.
     (ce,) = verdict.counterexamples
     assert [n for n, _, _ in ce.trace] == list(range(1, 2 * k + 3))
     assert ce.choices == {n: True for n in range(2, 2 * k + 2, 2)}
+
+
+def test_each_service_and_label_set_is_decided_once(monkeypatch):
+    # svc receives {s} at statement 2 and on both arms of the choice; each
+    # arrival is still checked and reported, from one decision.
+    policy = compile_policy(
+        parse_policy(
+            """
+            service { id src endpoint "svc://src" creates_label s }
+            service { id svc endpoint "svc://svc" }
+            flow_rule { id noS when svc receives s decide drop }
+            """
+        )
+    )
+    route = parse_route(
+        """
+        route r {
+          services { a = "svc://src" b = "svc://svc" }
+          1: from(a)
+          2: to(b)
+          3: when env_prop(m, 1) then goto 4 otherwise goto 5
+          4: to(b) -> 6
+          5: to(b) -> 6
+          6: to(out)
+        }
+        """
+    )
+    calls = []
+    decide = verifier.decide
+
+    def counting(policy, req, default_effect):
+        calls.append((req.service, req.labels))
+        return decide(policy, req, default_effect)
+
+    monkeypatch.setattr(verifier, "decide", counting)
+    verdict = verify(route, policy)
+    s = frozenset({Atom("s")})
+    assert calls == [("b", s), ("out", s)]
+    assert [
+        ([n for n, _, _ in ce.trace], ce.choices) for ce in verdict.counterexamples
+    ] == [([1, 2], {}), ([1, 2, 3, 4], {3: True}), ([1, 2, 3, 5], {3: False})]
+    assert {ce.rule for ce in verdict.counterexamples} == {"noS"}
+    assert verdict.explored_states == 6
+
+
+def _wide_split(b: int):
+    """A split of ``b`` branches, each a choice between to(mk) and to(nop).
+
+    mk creates ``m`` and nop creates nothing, so the branches give 2^b
+    combinations but only two distinct unions: 6 + 3b states.
+    """
+    join = 3 + 3 * b
+    heads = [3 + 3 * i for i in range(b)]
+    lines = [
+        "route r {",
+        '  services { a = "svc://src" }',
+        "  1: from(a)",
+        f"  2: split parts -> {', '.join(map(str, heads))}",
+    ]
+    for h in heads:
+        lines.append(
+            f"  {h}: when env_prop(c{h}, 1) then goto {h + 1} otherwise goto {h + 2}"
+        )
+        lines.append(f"  {h + 1}: to(mk) -> {join}")
+        lines.append(f"  {h + 2}: to(nop) -> {join}")
+    lines += [f"  {join}: aggregate c", f"  {join + 1}: to(out)", "}"]
+    return parse_route("\n".join(lines))
+
+
+SPLIT_POLICY = compile_policy(
+    parse_policy(
+        """
+        service { id src endpoint "svc://src" }
+        service { id mk endpoint "mk" creates_label m }
+        service { id out endpoint "out" }
+        flow_rule { id noM when out receives m decide drop }
+        """
+    )
+)
+
+
+def test_wide_split_reports_what_all_paths_finds_first():
+    route = _wide_split(6)
+    found = verify(route, SPLIT_POLICY)
+    assert found.explored_states == 6 + 3 * 6
+    exhaustive = verify(route, SPLIT_POLICY, all_paths=True)
+    assert [
+        (ce.rule, ce.trace, ce.choices) for ce in found.counterexamples
+    ] == [
+        (ce.rule, ce.trace, ce.choices)
+        for ce in _first_per_violation(exhaustive.counterexamples)
+    ]
+
+
+def test_split_cost_follows_distinct_unions_not_branch_product():
+    # 2^16 combinations against 2^8, but two distinct unions in both: the
+    # fold's cost grows with the branches, so b = 16 costs about twice b = 8.
+    def best_of_7(b):
+        route = _wide_split(b)
+        best = float("inf")
+        for _ in range(7):
+            start = time.perf_counter()
+            verdict = verify(route, SPLIT_POLICY)
+            best = min(best, time.perf_counter() - start)
+        assert verdict.explored_states == 6 + 3 * b
+        assert not verdict.valid
+        return best
+
+    small = best_of_7(8)
+    large = best_of_7(16)
+    assert large <= 8 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
