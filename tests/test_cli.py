@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import labelflow
 from labelflow.cli import build_registries, main
 
 from .conftest import FIXTURES, read_fixture
@@ -413,6 +418,52 @@ def test_run_depth_limit_below_one_is_usage_error(capsys, value):
     captured = capsys.readouterr()
     assert "--depth-limit: expected an integer >= 1" in captured.err
     assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Help and usage errors, and the console entry path.
+# ---------------------------------------------------------------------------
+
+USAGE_CASES = json.loads(read_fixture("cli_usage.json"))
+
+
+@pytest.mark.parametrize(
+    "case", USAGE_CASES, ids=lambda case: " ".join(case["argv"]) or "no-arguments"
+)
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, case):
+    """Help and usage-error output, recorded at 80 columns, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(case["argv"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out, captured.err) == (
+        case["code"],
+        case["stdout"],
+        case["stderr"],
+    )
+
+
+def _module_cli(*args):
+    src = Path(labelflow.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "labelflow.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_module_entry_reads_sys_argv():
+    result = _module_cli("check", ROUTE, POLICY)
+    assert result.returncode == 1
+    assert result.stdout == read_fixture("expected_counterexample.txt")
+
+
+def test_module_entry_without_arguments_is_usage_error():
+    result = _module_cli()
+    assert result.returncode == 2
+    assert "the following arguments are required: command" in result.stderr
 
 
 # ---------------------------------------------------------------------------
