@@ -7,6 +7,10 @@ Subcommands:
 * ``run <route...> <policy>`` — execute routes with stub service handlers
 * ``bench``                   — decision-point scaling benchmark (CSV)
 
+A call builds the argument parser of the subcommand it names and no other;
+the whole tree (``build_parser``) is built only for no, ``-h`` or an
+unknown subcommand and to word an unrecognized-arguments error.
+
 Exit codes: 0 success/valid/completed, 1 policy violation or a dropped or
 errored run, 2 usage or input errors.
 """
@@ -268,18 +272,13 @@ def _positive_ints(text: str) -> list:
     return [_positive_int(x) for x in text.split(",")]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="labelflow", description="Data flow control for message routes"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compile", help="compile a policy to clauses")
+def _add_compile_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("policy")
     p.add_argument("--emit-clauses", metavar="PATH", help="write clause dump here")
     p.set_defaults(fn=cmd_compile)
 
-    p = sub.add_parser("check", help="statically verify a route against a policy")
+
+def _add_check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("route")
     p.add_argument("policy")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -287,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--default-deny", action="store_true")
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("run", help="execute routes with stub services")
+
+def _add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("routes", nargs="+", metavar="route")
     p.add_argument("policy")
     p.add_argument("--services", metavar="MANIFEST", help="stub-service JSON manifest")
@@ -298,17 +298,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-limit", type=_positive_int, default=10000)
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("bench", help="decision-point scaling benchmark")
+
+def _add_bench_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rules", type=_positive_ints, default="100,500,1000,5000")
     p.add_argument("--labels", type=_positive_ints, default="10")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(fn=cmd_bench)
+
+
+# subcommand -> (its line in ``labelflow -h``, adds its arguments and ``fn``)
+_SUBCOMMANDS = {
+    "compile": ("compile a policy to clauses", _add_compile_arguments),
+    "check": ("statically verify a route against a policy", _add_check_arguments),
+    "run": ("execute routes with stub services", _add_run_arguments),
+    "bench": ("decision-point scaling benchmark", _add_bench_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: the top-level parser and every subcommand's."""
+    parser = argparse.ArgumentParser(
+        prog="labelflow", description="Data flow control for message routes"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse ``argv`` with only the parser of the subcommand it names.
+
+    That parser is the one ``build_parser`` would dispatch to, so help and
+    argument errors read the same. Leftover arguments, no subcommand or an
+    unknown one go to the whole tree, which words those errors itself.
+    """
+    entry = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if entry is not None:
+        parser = argparse.ArgumentParser(prog=f"labelflow {argv[0]}")
+        entry[1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except (CliError, RuntimeError_, OSError) as exc:

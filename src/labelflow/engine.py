@@ -15,7 +15,6 @@ Textual clause format: ``head.`` for facts, ``head :- b1, b2.`` for rules,
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -24,10 +23,12 @@ from .terms import (
     Atom,
     Compound,
     Int,
+    RegexError,
     Str,
     Term,
     Tokenizer,
     Var,
+    compile_regex,
     format_term,
     functor_arity,
     parse_term_from,
@@ -309,8 +310,8 @@ def _regex(args: tuple) -> Iterator[tuple]:
     if not isinstance(pat, Str) or not isinstance(subject, Str):
         raise BuiltinError("regex/3 needs ground string pattern and subject")
     try:
-        matched = re.fullmatch(pat.value, subject.value) is not None
-    except re.error as exc:
+        matched = compile_regex(pat.value).fullmatch(subject.value) is not None
+    except RegexError as exc:
         raise BuiltinError(f"bad regular expression {pat.value!r}: {exc}") from exc
     yield (pat, subject, Atom("true" if matched else "false"))
 

@@ -166,15 +166,45 @@ def rule_matches(rule: FlowRule, labels: _LabelIndex) -> bool:
 
 
 def _bind_message(action: Term, ref: Term | None) -> Term:
+    """``action`` with every atom ``message`` replaced by ``ref``."""
     if ref is None:
         return action
     if isinstance(action, Atom):
         return ref if action.name == "message" else action
-    if isinstance(action, Compound):
-        return Compound(
-            action.functor, tuple(_bind_message(a, ref) for a in action.args)
-        )
-    return action
+    if not isinstance(action, Compound):
+        return action
+    # Fast path for the usual flat action, such as log("...", message).
+    args = []
+    for a in action.args:
+        if isinstance(a, Atom):
+            args.append(ref if a.name == "message" else a)
+        elif isinstance(a, Compound):
+            return _bind_nested_message(action, ref)
+        else:
+            args.append(a)
+    return Compound(action.functor, tuple(args))
+
+
+def _bind_nested_message(action: Compound, ref: Term) -> Compound:
+    # Post-order over an explicit stack of (compound, its bound arguments so
+    # far), so nesting depth is not bounded by Python's recursion limit.
+    stack = [(action, [])]
+    while True:
+        term, bound = stack[-1]
+        if len(bound) == len(term.args):
+            stack.pop()
+            done = Compound(term.functor, tuple(bound))
+            if not stack:
+                return done
+            stack[-1][1].append(done)
+            continue
+        a = term.args[len(bound)]
+        if isinstance(a, Compound):
+            stack.append((a, []))
+        elif isinstance(a, Atom) and a.name == "message":
+            bound.append(ref)
+        else:
+            bound.append(a)
 
 
 def decide(

@@ -34,10 +34,12 @@ from dataclasses import dataclass, field, replace
 
 from .kernel import is_ground
 from .terms import (
+    RegexError,
     Str,
     Term,
     TermSyntaxError,
     Tokenizer,
+    compile_regex,
     format_term,
     parse_term_from,
 )
@@ -123,7 +125,7 @@ class PolicyAst:
         """
         pattern = self.endpoint_regexes.get(endpoint)
         if pattern is None:
-            pattern = self.endpoint_regexes[endpoint] = re.compile(endpoint)
+            pattern = self.endpoint_regexes[endpoint] = compile_regex(endpoint)
         return pattern
 
 
@@ -294,8 +296,7 @@ def validate_policy(ast: PolicyAst) -> None:
         seen_services.add(s.id)
         try:
             ast.endpoint_regex(s.endpoint)
-        # re rejects a too-large repeat count and too-deep nesting without re.error
-        except (re.error, OverflowError, RecursionError) as exc:
+        except RegexError as exc:
             raise ValidationError(
                 f"service {s.id!r} has an invalid endpoint regex: {exc}"
             ) from exc

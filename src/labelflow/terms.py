@@ -46,6 +46,19 @@ class TermSyntaxError(Exception):
         self.column = column
 
 
+class RegexError(ValueError):
+    """A user-supplied regular expression that ``re`` cannot compile."""
+
+
+def compile_regex(pattern: str) -> re.Pattern:
+    """``re.compile(pattern)``, with every way ``re`` rejects it as RegexError."""
+    try:
+        return re.compile(pattern)
+    # re rejects a too-large repeat count and too-deep nesting without re.error
+    except (re.error, OverflowError, RecursionError) as exc:
+        raise RegexError(str(exc)) from exc
+
+
 _find_whitespace = re.compile(r"\s").search
 
 

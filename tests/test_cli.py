@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -384,6 +385,37 @@ def test_run_eval_error_is_input_error(tmp_path, capsys, statement):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "pattern", ["x{4294967295}", "(" * 1200 + ")" * 1200], ids=["overflow", "nested"]
+)
+def test_run_regex_rejected_without_re_error_is_input_error(tmp_path, capsys, pattern):
+    # re raises OverflowError and RecursionError for these, not re.error.
+    statement = f'2: when regex("{pattern}", "abc", true) then goto 3 otherwise goto 3'
+    text = PUBLIC_ROUTE.replace("2: to(pub)", f"{statement}\n  3: to(pub)")
+    route, policy, _ = _write_public_case(tmp_path, text, {})
+    assert main(["run", route, policy]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "failed: bad regular expression" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_run_deep_obligation_action_reports_its_outcome(tmp_path, capsys):
+    action = _nested(900, "message")
+    policy = tmp_path / "deep.lucon"
+    policy.write_text(PUBLIC_POLICY.replace(
+        "decide drop", f"decide allow\n  require {action} otherwise error"
+    ))
+    manifest = {"services": {"sensor": {"kind": "source"}, "pub": {"kind": "sink"}}}
+    for behavior, code, status in (("succeed", 0, "completed"), ("fail", 1, "errored")):
+        manifest["obligations"] = {"f/1": behavior}
+        route, _, services = _write_public_case(tmp_path, PUBLIC_ROUTE, manifest)
+        assert main(["run", route, str(policy), "--services", services]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["status"] == status
+
+
 def test_non_callable_condition_is_input_error(tmp_path, capsys):
     statement = "2: when 2 then goto 3 otherwise goto 3"
     text = PUBLIC_ROUTE.replace("2: to(pub)", f"{statement}\n  3: to(pub)")
@@ -441,6 +473,29 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, case):
         case["stdout"],
         case["stderr"],
     )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["compile", POLICY], 0),
+        (["check", ROUTE, POLICY], 1),
+        (["run", ROUTE, POLICY], 1),
+        (["bench", "--rules", "5", "--labels", "1", "--trials", "1"], 0),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_a_successful_call_builds_one_parser(monkeypatch, capsys, argv, code):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == code
+    assert built == [f"labelflow {argv[0]}"]
 
 
 def _module_cli(*args):

@@ -150,6 +150,28 @@ def test_obligations_concatenate_and_bind_message(compiled):
     assert ob.rule == "dontPublishRaw"
 
 
+def test_obligation_action_binds_message_at_every_depth():
+    depth = 900
+    text = POLICY.replace(
+        'log("leak", message)',
+        "both(" + "f(" * depth + "message" + ")" * depth
+        + ', g(message, 1, h(message, k(a)), "s"))',
+    )
+    req = DecisionRequest(
+        "https://mq.example/out", frozenset({Atom("raw")}), message_ref=Str("m7")
+    )
+    (ob,) = decide(compile_policy(parse_policy(text)), req).obligations
+    deep, mixed = ob.action.args
+    for _ in range(depth):
+        assert deep.functor == "f"
+        (deep,) = deep.args
+    assert deep == Str("m7")
+    m7 = Str("m7")
+    assert mixed == Compound(
+        "g", (m7, Int(1), Compound("h", (m7, Compound("k", (Atom("a"),)))), Str("s"))
+    )
+
+
 def test_empty_target_rejected():
     with pytest.raises(ValueError):
         DecisionRequest("", frozenset())
