@@ -499,13 +499,15 @@ def test_a_successful_call_builds_one_parser(monkeypatch, capsys, argv, code):
 
 
 def _module_cli(*args):
-    src = Path(labelflow.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])
-    )}
+    """``python -m labelflow.cli *args``, importing this checkout's package."""
+    src = str(Path(labelflow.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "labelflow.cli", *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
     )
 
 
