@@ -173,19 +173,6 @@ def _bind_message(action: Term, ref: Term | None) -> Term:
         return ref if action.name == "message" else action
     if not isinstance(action, Compound):
         return action
-    # Fast path for the usual flat action, such as log("...", message).
-    args = []
-    for a in action.args:
-        if isinstance(a, Atom):
-            args.append(ref if a.name == "message" else a)
-        elif isinstance(a, Compound):
-            return _bind_nested_message(action, ref)
-        else:
-            args.append(a)
-    return Compound(action.functor, tuple(args))
-
-
-def _bind_nested_message(action: Compound, ref: Term) -> Compound:
     # Post-order over an explicit stack of (compound, its bound arguments so
     # far), so nesting depth is not bounded by Python's recursion limit.
     stack = [(action, [])]
