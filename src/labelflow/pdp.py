@@ -22,13 +22,12 @@ the rules that target its service, and linear in all rules only when all of
 them do (the worst case ``bench_decide`` times).
 
 A rule's triggers are split once, on its first scan, into a frozenset of
-ground triggers and a tuple of one-way patterns keyed by functor/arity (the
-alpha tests of Forgy's Rete, 1982). A decision costs one subset test per
-planned rule, O(sum of the ground triggers of the planned rules) in all.
-Only when it reaches a pattern does it also pay one pass over the labels,
-at most once, to bucket them by functor/arity, and one ``kernel.match``
-per label in the pattern's bucket. A policy whose planned triggers are
-ground therefore decides in time independent of the number of labels.
+ground triggers and a tuple of one-way patterns. A decision costs one
+subset test per planned rule, O(sum of the ground triggers of the planned
+rules) in all, plus, for a planned rule with patterns, one ``kernel.match``
+per (pattern, label) pair until each pattern has matched. A policy whose
+planned triggers are ground therefore decides in time independent of the
+number of labels.
 """
 
 from __future__ import annotations
@@ -67,36 +66,6 @@ def apply_label_transform(labels: frozenset, removes, creates) -> frozenset:
     return frozenset(kept) | frozenset(creates)
 
 
-def _bucket_labels(labels: frozenset) -> dict:
-    """Compound labels by functor/arity; key ``None`` holds every label."""
-    buckets: dict = {None: labels}
-    for l in labels:
-        if type(l) is Compound:
-            buckets.setdefault((l.functor, len(l.args)), []).append(l)
-    return buckets
-
-
-class _LabelIndex:
-    """One decision's view of the request's label set, which it does not copy.
-
-    Ground triggers are tested against ``exact``. The functor buckets that
-    patterns read are built on the first ``bucket`` call, so a decision that
-    reaches no pattern never builds them.
-    """
-
-    __slots__ = ("exact", "_buckets")
-
-    def __init__(self, labels: frozenset):
-        self.exact = labels
-        self._buckets = None
-
-    def bucket(self, key):
-        """The labels a pattern with this functor/arity key can match."""
-        if self._buckets is None:
-            self._buckets = _bucket_labels(self.exact)
-        return self._buckets.get(key, ())
-
-
 @dataclass(frozen=True)
 class DecisionRequest:
     """``service`` is a service atom or a bare endpoint URL, ``url`` the route's
@@ -132,32 +101,25 @@ class DecisionResult:
 def _compile_triggers(rule: FlowRule) -> tuple:
     """Split ``rule``'s triggers into a ground frozenset and one-way patterns.
 
-    A pattern is keyed by its functor/arity, or by ``None`` when it is a bare
-    variable, which matches any label. Stored on the rule, so each rule is
-    compiled once, on its first scan; two threads racing on that scan at worst
-    store two equal splits.
+    Stored on the rule, so each rule is compiled once, on its first scan;
+    two threads racing on that scan at worst store two equal splits.
     """
-    ground = []
-    patterns = []
+    ground, patterns = [], []
     for t in rule.trigger_labels:
-        if is_ground(t):
-            ground.append(t)
-        else:
-            key = (t.functor, len(t.args)) if type(t) is Compound else None
-            patterns.append((key, t))
+        (ground if is_ground(t) else patterns).append(t)
     tests = (frozenset(ground), tuple(patterns))
     object.__setattr__(rule, "trigger_tests", tests)
     return tests
 
 
-def rule_matches(rule: FlowRule, labels: _LabelIndex) -> bool:
+def rule_matches(rule: FlowRule, labels: frozenset) -> bool:
     """Does every trigger of ``rule`` match a label in ``labels``? (Only
     planned rules are asked about, and those all cover the request.)"""
     ground, patterns = rule.trigger_tests or _compile_triggers(rule)
-    if not ground <= labels.exact:
+    if not ground <= labels:
         return False
-    for key, pattern in patterns:
-        for label in labels.bucket(key):
+    for pattern in patterns:
+        for label in labels:
             if match(pattern, label):
                 break
         else:
@@ -202,9 +164,8 @@ def decide(
     effects: list[str] = []
     obligations: list = []
     covering = covering_declarations(policy, req.service, req.url)
-    labels = _LabelIndex(req.labels)
     for rule in covering.rules:
-        if rule_matches(rule, labels):
+        if rule_matches(rule, req.labels):
             matched.append(rule.name)
             effects.append(rule.decision.effect)
             for ob in rule.decision.obligations:

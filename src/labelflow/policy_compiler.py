@@ -104,23 +104,25 @@ class Coverage(tuple):
 
     ``rules`` is the service's rule plan: the rules whose target is one of
     these ids, in rule declaration order. No other rule covers the service,
-    so ``decide`` scans only the plan.
+    so ``decide`` scans only the plan. ``transforms`` is the service's
+    ``(removes, creates)``: the union of these declarations' label sets.
     """
 
     rules: tuple
+    transforms: tuple
 
 
 def covering_declarations(
     cp: CompiledPolicy, atom: str, url: str | None = None
 ) -> Coverage:
-    """Ids of the declarations covering a service, with its rule plan.
+    """Ids of the declarations covering a service, with its plan and transforms.
 
     A declaration covers the service when it matches the service's atom or,
-    when the route gives one, its endpoint URL. The ids and the plan (see
-    ``Coverage``) are memoised together per (atom, url) on the compiled
-    policy, so the runtime and the verifier share one answer and each key
-    pays one pass over the services and one over the rules. Two threads
-    racing on a new key at worst build two equal entries.
+    when the route gives one, its endpoint URL. The ids, the plan and the
+    transforms (see ``Coverage``) are memoised together per (atom, url) on
+    the compiled policy, so the runtime and the verifier share one answer
+    and each key pays one pass over the services and one over the rules.
+    Two threads racing on a new key at worst build two equal entries.
     """
     key = (atom, url)
     cov = cp.covering.get(key)
@@ -133,6 +135,11 @@ def covering_declarations(
         )
         targets = set(cov)
         cov.rules = tuple(r for r in cp.rule_index.values() if r.target in targets)
+        decls = [cp.service_index[sid] for sid in cov]
+        cov.transforms = (
+            frozenset(l for d in decls for l in d.removes_labels),
+            frozenset(l for d in decls for l in d.creates_labels),
+        )
         cp.covering[key] = cov
     return cov
 
@@ -140,18 +147,14 @@ def covering_declarations(
 def resolve_transforms(
     cp: CompiledPolicy, atom: str, url: str | None = None
 ) -> tuple[frozenset, frozenset]:
-    """Label transformation sets for a service, by endpoint match or id.
+    """Label transformation sets ``(removes, creates)`` for a service.
 
     ``atom`` may itself be a URL. Several covering declarations contribute
     the union of their sets; an uncovered service gets empty transforms.
+    The pair is memoised on the service's ``Coverage``, so a repeat call
+    returns the same object.
     """
-    removes: set[Term] = set()
-    creates: set[Term] = set()
-    for sid in covering_declarations(cp, atom, url):
-        decl = cp.service_index[sid]
-        removes.update(decl.removes_labels)
-        creates.update(decl.creates_labels)
-    return frozenset(removes), frozenset(creates)
+    return covering_declarations(cp, atom, url).transforms
 
 
 def emit_clauses(cp: CompiledPolicy) -> str:

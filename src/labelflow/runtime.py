@@ -316,22 +316,8 @@ class _Execution:
     # -- statement execution ------------------------------------------------
 
     def run(self, payload: bytes, props: dict) -> Message:
-        entry = self.route.entry
-        stmt = self.route.statements[entry]
-        handler = self.services.handler(stmt.service)
-        try:
-            payload, props = handler(payload, dict(props))
-        except Exception as exc:
-            raise HandlerError(entry, exc)
-        _, creates = resolve_transforms(
-            self.policy, stmt.service, self.route.endpoints.get(stmt.service)
-        )
-        msg = Message(self.new_message_id(), payload, props, frozenset(creates))
-        self.record(entry, msg, frozenset(), msg.labels)
-        succ = self.route.successors_map.get(entry, ())
-        if not succ:
-            return msg
-        return self.run_from(succ[0], msg)
+        msg = Message(self.new_message_id(), payload, props, frozenset())
+        return self.run_from(self.route.entry, msg)
 
     def run_from(self, stmt_no: int, msg: Message) -> Message:
         """Execute from ``stmt_no`` until the route ends.
@@ -396,7 +382,12 @@ class _Execution:
         if isinstance(stmt, Aggregate):
             # Reached only as a split's join, which run_from handles itself.
             raise RuntimeError_(f"aggregate {stmt_no} reached outside a split")
-        raise RuntimeError_(f"from statement {stmt_no} reached mid-route")
+        # The entry, the only from statement: a fresh message from the source.
+        self._call_handler(stmt_no, stmt.service, msg)
+        url = self.route.endpoints.get(stmt.service)
+        _, msg.labels = resolve_transforms(self.policy, stmt.service, url)
+        self.record(stmt_no, msg, frozenset(), msg.labels)
+        return nxt
 
     def _choice(self, stmt_no: int, stmt: Choice, msg: Message) -> bool:
         if stmt_no in self.choice_decisions:
@@ -421,14 +412,18 @@ class _Execution:
         if effect in _STOP_STATUS:
             self.record(stmt_no, msg, before, before, effect, rule)
             raise _PolicyStop(_STOP_STATUS[effect], stmt_no, rule)
+        self._call_handler(stmt_no, atom, msg)
+        removes, creates = resolve_transforms(self.policy, atom, url)
+        msg.labels = apply_label_transform(before, removes, creates)
+        self.record(stmt_no, msg, before, msg.labels, "allow", rule)
+
+    def _call_handler(self, stmt_no: int, atom: str, msg: Message) -> None:
+        """Run ``atom``'s handler on ``msg``; a failure is a HandlerError."""
         handler = self.services.handler(atom)
         try:
             msg.payload, msg.props = handler(msg.payload, msg.props)
         except Exception as exc:
             raise HandlerError(stmt_no, exc)
-        removes, creates = resolve_transforms(self.policy, atom, url)
-        msg.labels = apply_label_transform(before, removes, creates)
-        self.record(stmt_no, msg, before, msg.labels, "allow", rule)
 
     def _merge(self, join: int, msg: Message, arrived: list) -> int | None:
         """Merge the branch copies into ``msg``; return the join's successor."""

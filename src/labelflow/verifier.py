@@ -127,9 +127,6 @@ class _Verifier:
         self.violations: dict = {}  # (rule, stmt) -> list of Counterexample
         self.states = 0
 
-    def transforms(self, atom: str):
-        return resolve_transforms(self.policy, atom, self.route.endpoints.get(atom))
-
     def step(self, atom: str, labels: frozenset):
         """The decision for, and the exit labels of, ``labels`` arriving at ``atom``.
 
@@ -139,9 +136,10 @@ class _Verifier:
         key = (atom, labels)
         step = self.steps.get(key)
         if step is None:
-            req = DecisionRequest(atom, labels, self.route.endpoints.get(atom))
+            url = self.route.endpoints.get(atom)
+            req = DecisionRequest(atom, labels, url)
             result = decide(self.policy, req, self.default_effect)
-            removes, creates = self.transforms(atom)
+            removes, creates = resolve_transforms(self.policy, atom, url)
             step = self.steps[key] = (
                 result,
                 apply_label_transform(labels, removes, creates),
@@ -245,8 +243,8 @@ class _Verifier:
         stmt = self.route.statements[n]
         out_labels = labels
         if isinstance(stmt, From):
-            _, creates = self.transforms(stmt.service)
-            out_labels = frozenset(creates)
+            url = self.route.endpoints.get(stmt.service)
+            _, out_labels = resolve_transforms(self.policy, stmt.service, url)
             labels = out_labels  # arrival shows the created set
         arrival = (n, self.names[n], labels)
         trace = _Seq((prefix, arrival))

@@ -251,8 +251,7 @@ def test_worst_case_policy_all_rules_match():
     req = bench_request(3)
     covering = covering_declarations(policy, req.service, req.url)
     assert covering.rules == tuple(policy.rule_index.values())
-    labels = pdp._LabelIndex(req.labels)
-    assert all(rule_matches(rule, labels) for rule in covering.rules)
+    assert all(rule_matches(rule, req.labels) for rule in covering.rules)
     assert len(policy.rule_index) == 7
 
 
@@ -461,27 +460,6 @@ def test_decide_and_removal_never_unify(monkeypatch):
         {Atom("new")},
     )
     assert out == frozenset(labels[3:] + (Atom("new"),)) - {Int(5)}
-
-
-def test_label_buckets_are_built_only_for_patterns_and_once(monkeypatch):
-    builds = []
-
-    def counting(labels):
-        builds.append(labels)
-        return bucket_labels(labels)
-
-    bucket_labels = pdp._bucket_labels
-    monkeypatch.setattr(pdp, "_bucket_labels", counting)
-    ground_only = worst_case_policy(20)
-    decide(ground_only, bench_request(50))
-    assert builds == []
-    policy = compile_policy(parse_policy(SHAPES))
-    labels = frozenset({Compound("w", (Int(1),)), _pair(Atom("a"), Atom("b"))})
-    result = decide(policy, DecisionRequest("s", labels))
-    assert result.matched_rules == ("wx", "wy", "any")  # six patterns reached
-    assert builds == [labels]
-    decide(policy, DecisionRequest("s", labels))
-    assert len(builds) == 2  # once per decision; nothing is kept between them
 
 
 def test_request_keeps_its_frozenset():

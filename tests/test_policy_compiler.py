@@ -8,6 +8,7 @@ from labelflow.engine import parse_program, parse_query, provable, solve
 from labelflow.policy import ValidationError, parse_policy
 from labelflow.policy_compiler import (
     compile_policy,
+    covering_declarations,
     emit_clauses,
     resolve_transforms,
     service_matches,
@@ -130,6 +131,12 @@ def test_resolve_transforms_unions_all_matches():
     cp = compile_policy(parse_policy(text))
     _, creates = resolve_transforms(cp, "svc://x")
     assert creates == frozenset({Atom("one"), Atom("two")})
+
+
+def test_resolve_transforms_returns_the_pair_its_coverage_holds(compiled):
+    pair = resolve_transforms(compiled, "merge", "bean://merge")
+    assert resolve_transforms(compiled, "merge", "bean://merge") is pair
+    assert covering_declarations(compiled, "merge", "bean://merge").transforms is pair
 
 
 def test_fixture_compiles(tmp_path):

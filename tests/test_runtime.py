@@ -327,15 +327,16 @@ def test_default_deny_drops_unmatched_service():
     assert out.rule is None
 
 
-def test_handler_failure_is_an_error_without_rule():
+@pytest.mark.parametrize("failing, statement", [("a", 1), ("b", 2)])
+def test_handler_failure_is_an_error_without_rule(failing, statement):
     def boom(payload, props):
         raise RuntimeError("no disk")
 
     route_text = "route r { 1: from(a) 2: to(b) }"
     route = parse_route(route_text)
-    out = run_route(route_text, services=registry(route, b=boom))
+    out = run_route(route_text, services=registry(route, **{failing: boom}))
     assert out.status == "errored"
-    assert out.at_statement == 2
+    assert out.at_statement == statement
     assert out.rule is None
 
 
