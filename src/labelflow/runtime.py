@@ -191,22 +191,45 @@ def eval_expr(expr: Term, props: dict, env: dict) -> Term:
 
     Literals evaluate to themselves; ``msg(k)`` and ``env(k)`` read the
     message-scoped and global variable maps; other compounds evaluate their
-    arguments structurally.
+    arguments structurally, left to right. Compounds are rebuilt over an
+    explicit stack, so nesting depth is not bounded by Python's recursion
+    limit.
     """
+    stack = []  # (compound being rebuilt, its evaluated arguments so far)
+    while True:
+        if isinstance(expr, Compound) and not _is_read(expr):
+            stack.append((expr, []))
+            expr = expr.args[0]
+            continue
+        value = _eval_leaf(expr, props, env)
+        while stack:
+            term, done = stack[-1]
+            done.append(value)
+            if len(done) < len(term.args):
+                break
+            stack.pop()
+            value = Compound(term.functor, tuple(done))
+        else:
+            return value
+        expr = term.args[len(done)]
+
+
+def _is_read(expr: Compound) -> bool:
+    return expr.functor in ("msg", "env") and len(expr.args) == 1
+
+
+def _eval_leaf(expr: Term, props: dict, env: dict) -> Term:
+    """The value of a literal or of a ``msg(k)``/``env(k)`` read."""
     if isinstance(expr, (Int, Str, Atom)):
         return expr
     if isinstance(expr, Compound):
-        if expr.functor in ("msg", "env") and len(expr.args) == 1:
-            key_term = expr.args[0]
-            if not isinstance(key_term, Atom):
-                raise EvalError(f"{expr.functor}(..) needs an atom key: {expr!r}")
-            table = props if expr.functor == "msg" else env
-            if key_term.name not in table:
-                raise EvalError(f"unbound variable {expr.functor}({key_term.name})")
-            return table[key_term.name]
-        return Compound(
-            expr.functor, tuple(eval_expr(a, props, env) for a in expr.args)
-        )
+        key_term = expr.args[0]
+        if not isinstance(key_term, Atom):
+            raise EvalError(f"{expr.functor}(..) needs an atom key: {expr!r}")
+        table = props if expr.functor == "msg" else env
+        if key_term.name not in table:
+            raise EvalError(f"unbound variable {expr.functor}({key_term.name})")
+        return table[key_term.name]
     raise EvalError(f"cannot evaluate {expr!r}")
 
 
@@ -261,15 +284,20 @@ def eval_condition(
         return provable(kb, Literal(goal), limits, _context_builtins(props, env))
     except EngineError as exc:
         raise EvalError(f"condition {format_term(cond)} failed: {exc}") from exc
+    except RecursionError:  # the engine still resolves terms recursively
+        raise EvalError("condition nested too deeply") from None
 
 
 def _evaluable(cond: Term) -> bool:
     # Substitute msg()/env() reads inside conditions when present; plain
     # goals like msg_prop(k, v) are proved by the lookup builtins instead.
-    if isinstance(cond, Compound):
-        if cond.functor in ("msg", "env") and len(cond.args) == 1:
-            return True
-        return any(_evaluable(a) for a in cond.args)
+    stack = [cond]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Compound):
+            if _is_read(t):
+                return True
+            stack.extend(t.args)
     return False
 
 

@@ -336,17 +336,48 @@ def parse_term(text: str, comment: str = "%") -> Term:
     return term
 
 
+class _Text(str):
+    """Punctuation on ``format_term``'s stack, told apart from any term."""
+
+
+_CLOSE = _Text(")")
+_SEPARATOR = _Text(", ")
+
+
 def format_term(t: Term) -> str:
-    if isinstance(t, Atom):
-        return t.name
-    if isinstance(t, Var):
+    """The concrete syntax of ``t``.
+
+    A compound is written over an explicit stack, so nesting depth is not
+    bounded by Python's recursion limit.
+    """
+    if not isinstance(t, Compound):
+        return _format_leaf(t)
+    parts = []
+    stack = [t]  # terms still to write, and the punctuation between them
+    while stack:
+        x = stack.pop()
+        if type(x) is _Text:
+            parts.append(x)
+        elif isinstance(x, Compound):
+            parts.append(x.functor + "(")
+            stack.append(_CLOSE)
+            args = x.args
+            for i in range(len(args) - 1, 0, -1):
+                stack.append(args[i])
+                stack.append(_SEPARATOR)
+            stack.append(args[0])
+        else:
+            parts.append(_format_leaf(x))
+    return "".join(parts)
+
+
+def _format_leaf(t: Term) -> str:
+    if isinstance(t, (Atom, Var)):
         return t.name
     if isinstance(t, Int):
         return str(t.value)
     if isinstance(t, Str):
         return '"' + "".join(_UNESCAPES.get(c, c) for c in t.value) + '"'
-    if isinstance(t, Compound):
-        return f"{t.functor}({', '.join(format_term(a) for a in t.args)})"
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -10,8 +10,12 @@ import pytest
 
 import labelflow
 from labelflow.cli import build_parser, build_registries, main
+from labelflow.engine import parse_program
+from labelflow.policy import parse_policy
+from labelflow.policy_compiler import compile_policy
 
 from .conftest import FIXTURES, read_fixture
+from .helpers import _same_term
 
 POLICY = str(FIXTURES / "dont_publish_raw.lucon")
 ROUTE = str(FIXTURES / "sensor.route")
@@ -415,6 +419,45 @@ def test_run_deep_obligation_action_reports_its_outcome(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert json.loads(captured.out)["status"] == status
+
+
+@pytest.mark.parametrize("depth", [400, 900])
+def test_compile_deep_obligation_action_round_trips(tmp_path, capsys, depth):
+    policy = tmp_path / "deep.lucon"
+    policy.write_text(PUBLIC_POLICY.replace(
+        "decide drop", f"decide allow\n  require {_nested(depth, 'message')} otherwise error"
+    ))
+    assert main(["compile", str(policy)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    parsed = parse_program(captured.out)
+    expected = compile_policy(parse_policy(policy.read_text())).kb.clauses
+    assert len(parsed) == len(expected)
+    for got, want in zip(parsed, expected):
+        assert got.body == want.body == ()
+        assert _same_term(got.head, want.head)
+
+
+@pytest.mark.parametrize("depth", [600, 900])
+def test_run_deep_set_msg_prop_prints_the_value(tmp_path, capsys, depth):
+    value = _nested(depth, "1")
+    text = PUBLIC_ROUTE.replace("2: to(pub)", f"2: set_msg_prop x := {value}")
+    route, policy, _ = _write_public_case(tmp_path, text, {})
+    assert main(["run", route, policy]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (message,) = json.loads(captured.out)["final_messages"]
+    assert message["props"] == {"x": value}
+
+
+def test_run_too_deeply_nested_condition_is_input_error(tmp_path, capsys):
+    statement = f"2: when p({_nested(600, 'a')}) then goto 3 otherwise goto 3"
+    text = PUBLIC_ROUTE.replace("2: to(pub)", f"{statement}\n  3: to(pub)")
+    route, policy, _ = _write_public_case(tmp_path, text, {})
+    assert main(["run", route, policy]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: condition nested too deeply\n"
 
 
 def test_non_callable_condition_is_input_error(tmp_path, capsys):
