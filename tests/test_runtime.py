@@ -327,7 +327,9 @@ def test_default_deny_drops_unmatched_service():
     assert out.rule is None
 
 
-@pytest.mark.parametrize("failing, statement", [("a", 1), ("b", 2)])
+@pytest.mark.parametrize(
+    "failing, statement", [("a", 1), ("b", 2)], ids=["from", "to"]
+)
 def test_handler_failure_is_an_error_without_rule(failing, statement):
     def boom(payload, props):
         raise RuntimeError("no disk")
