@@ -8,6 +8,7 @@ policies, producing counterexample flows for violations.
 
 from .engine import (
     Clause,
+    CyclicTerm,
     DepthExceeded,
     EngineError,
     Floundered,

@@ -9,6 +9,10 @@ Negation-as-failure is restricted to ground goals (non-ground negated goals
 raise Floundered rather than silently guessing). There is no cut and no
 assert/retract.
 
+Terms are walked by the kernel's ``subterms`` and ``rebuild``. There is no
+occurs check: ``provable`` resolves no answer, so a cyclic binding still
+proves, while ``solve`` raises CyclicTerm when it must resolve one.
+
 Textual clause format: ``head.`` for facts, ``head :- b1, b2.`` for rules,
 ``\\+ goal`` for negated body literals, ``%`` line comments.
 """
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernel
+from .kernel import CyclicTerm, EngineError  # noqa: F401 (re-exported)
 from .terms import (
     Atom,
     Compound,
@@ -33,10 +38,6 @@ from .terms import (
     functor_arity,
     parse_term_from,
 )
-
-
-class EngineError(Exception):
-    pass
 
 
 class DepthExceeded(EngineError):
@@ -221,11 +222,7 @@ class _Solver:
         if lit.negated:
             if not kernel.is_ground(goal):
                 raise Floundered(f"negated goal is not ground: {format_term(goal)}")
-            provable = False
-            for _ in self.solve((Literal(goal),), {}, [], depth + 1):
-                provable = True
-                break
-            if not provable:
+            if next(self.solve((Literal(goal),), {}, [], depth + 1), None) is None:
                 yield from self.solve(rest, bindings, trail, depth)
             return
         pred = functor_arity(goal)
@@ -253,15 +250,6 @@ class _Solver:
             kernel.undo_to(bindings, trail, mark)
 
 
-def _query_vars(t: Term, out: list) -> None:
-    if isinstance(t, Var):
-        if t.name not in out:
-            out.append(t.name)
-    elif isinstance(t, Compound):
-        for a in t.args:
-            _query_vars(a, out)
-
-
 def _as_literals(query) -> tuple:
     if isinstance(query, (Atom, Compound)):
         return (Literal(query),)
@@ -281,23 +269,21 @@ def solve(
     base's own, none may share a predicate with a clause (NameCollision).
     """
     goals = _as_literals(query)
-    limits = limits or DEFAULT_LIMITS
-    names: list[str] = []
-    for lit in goals:
-        _query_vars(lit.term, names)
-    solver = _Solver(kb, limits, builtins or {})
+    names = dict.fromkeys(
+        x.name for lit in goals for x in kernel.subterms(lit.term) if type(x) is Var
+    )
+    solver = _Solver(kb, limits or DEFAULT_LIMITS, builtins or {})
     bindings: dict = {}
-    trail: list = []
-    for _ in solver.solve(goals, bindings, trail, 1):
+    for _ in solver.solve(goals, bindings, [], 1):
         yield {n: kernel.resolve(Var(n), bindings) for n in names}
 
 
 def provable(
     kb: KnowledgeBase, query, limits: SolveLimits | None = None, builtins=None
 ) -> bool:
-    for _ in solve(kb, query, limits, builtins):
-        return True
-    return False
+    """Does ``query`` have a derivation? No answer is resolved."""
+    solver = _Solver(kb, limits or DEFAULT_LIMITS, builtins or {})
+    return next(solver.solve(_as_literals(query), {}, [], 1), None) is not None
 
 
 # ---------------------------------------------------------------------------

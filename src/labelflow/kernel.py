@@ -1,18 +1,74 @@
-"""Unification kernel.
+"""Unification kernel and the two term traversals.
 
 Hot inner loop of resolution: variable dereferencing, destructive
 unification with a trail for backtracking, and deep substitution. The
 decision point and the label transforms use ``match`` instead, one-way
 matching of a pattern against a ground label.
 
+Every walk over one term goes through ``subterms`` (a pre-order scan) or
+``rebuild`` (a post-order copy with a visitor), over explicit stacks, so a
+term's nesting depth is not bounded by Python's recursion limit.
+
 Bindings are a plain dict mapping variable names to terms; the trail records
 bound names in order so a failed branch can be undone cheaply. The occurs
-check is disabled, matching conventional Prolog engines.
+check is disabled, matching conventional Prolog engines, so a binding may
+contain its own variable; ``resolve`` reports such a cycle as CyclicTerm.
 """
 
 from __future__ import annotations
 
+from operator import is_
+
 from .terms import Atom, Compound, Int, Str, Var
+
+
+class EngineError(Exception):
+    """Base of the errors that the engine and its kernel raise."""
+
+
+class CyclicTerm(EngineError):
+    """A variable's binding contains the variable itself: an infinite term."""
+
+
+def subterms(t):
+    """Yield ``t`` and each of its subterms, in left-to-right pre-order."""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        yield x
+        if type(x) is Compound:
+            stack.extend(reversed(x.args))
+
+
+def rebuild(t, visit):
+    """``t`` rebuilt post-order, left to right. Each subterm ``x`` is offered
+    to ``visit`` before its arguments: a value other than None replaces ``x``
+    and is not walked further; otherwise a compound is rebuilt from its
+    rebuilt arguments and any other term stays as it is. A compound whose
+    arguments all come back as the same objects is kept, not copied."""
+    value = visit(t)
+    if value is not None:
+        return value
+    if type(t) is not Compound:
+        return t
+    stack = [(t, iter(t.args), [])]  # (compound, its arguments left, rebuilt)
+    while True:
+        term, todo, done = stack[-1]
+        for a in todo:
+            value = visit(a)
+            if value is None:
+                if type(a) is Compound:
+                    stack.append((a, iter(a.args), []))
+                    break
+                value = a
+            done.append(value)
+        else:
+            stack.pop()
+            if not all(map(is_, done, term.args)):
+                term = Compound(term.functor, tuple(done))
+            if not stack:
+                return term
+            stack[-1][2].append(term)
 
 
 def walk(t, bindings):
@@ -121,31 +177,37 @@ def match(pattern, term):
 
 
 def resolve(t, bindings):
-    """Apply ``bindings`` deeply, returning a term with no bound variables."""
-    t = walk(t, bindings)
-    if type(t) is Compound:
-        args = tuple(resolve(a, bindings) for a in t.args)
-        return Compound(t.functor, args)
-    return t
+    """Apply ``bindings`` deeply, returning a term with no bound variables.
+
+    Recurses only into the compound value of a bound variable, so Python's
+    stack grows with the nesting of bindings, not of terms. A variable met
+    again inside its own value raises CyclicTerm."""
+    if not bindings:
+        return t
+    expanding = set()  # the bound variables whose values are being rebuilt
+
+    def visit(x):
+        if type(x) is not Var:
+            return None
+        value = walk(x, bindings)
+        if type(value) is not Compound:
+            return value
+        if x.name in expanding:
+            raise CyclicTerm(f"variable {x.name} occurs in its own binding")
+        expanding.add(x.name)
+        value = rebuild(value, visit)
+        expanding.discard(x.name)
+        return value
+
+    return rebuild(t, visit)
 
 
 def is_ground(t):
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        tx = type(x)
-        if tx is Var:
-            return False
-        if tx is Compound:
-            stack.extend(x.args)
-    return True
+    if type(t) is not Compound:  # most labels are atoms: no scan for those
+        return type(t) is not Var
+    return Var not in map(type, subterms(t))
 
 
 def rename(t, suffix):
     """Freshen every variable in ``t`` by appending ``suffix`` to its name."""
-    tx = type(t)
-    if tx is Var:
-        return Var(t.name + suffix)
-    if tx is Compound:
-        return Compound(t.functor, tuple(rename(a, suffix) for a in t.args))
-    return t
+    return rebuild(t, lambda x: Var(x.name + suffix) if type(x) is Var else None)

@@ -36,7 +36,7 @@ import gc
 import time
 from dataclasses import dataclass
 
-from .kernel import is_ground, match
+from .kernel import is_ground, match, rebuild
 from .policy import Decision, FlowRule, PolicyAst, ServiceDecl
 from .policy_compiler import CompiledPolicy, compile_policy, covering_declarations
 # flowbench/tracing.py patches labelflow.pdp.service_matches.
@@ -131,29 +131,9 @@ def _bind_message(action: Term, ref: Term | None) -> Term:
     """``action`` with every atom ``message`` replaced by ``ref``."""
     if ref is None:
         return action
-    if isinstance(action, Atom):
-        return ref if action.name == "message" else action
-    if not isinstance(action, Compound):
-        return action
-    # Post-order over an explicit stack of (compound, its bound arguments so
-    # far), so nesting depth is not bounded by Python's recursion limit.
-    stack = [(action, [])]
-    while True:
-        term, bound = stack[-1]
-        if len(bound) == len(term.args):
-            stack.pop()
-            done = Compound(term.functor, tuple(bound))
-            if not stack:
-                return done
-            stack[-1][1].append(done)
-            continue
-        a = term.args[len(bound)]
-        if isinstance(a, Compound):
-            stack.append((a, []))
-        elif isinstance(a, Atom) and a.name == "message":
-            bound.append(ref)
-        else:
-            bound.append(a)
+    return rebuild(
+        action, lambda x: ref if type(x) is Atom and x.name == "message" else None
+    )
 
 
 def decide(

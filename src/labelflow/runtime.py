@@ -15,7 +15,9 @@ The decision point is consulted exactly once per to/bean statement and
 never for anything else. Split branches run sequentially in successor
 order; global-variable writes in an earlier branch are visible to later
 ones. A drop removes the in-flight message and thereby ends the execution;
-an error terminates it exceptionally.
+an error terminates it exceptionally. Obligations run up to the first that
+fails, whose ``otherwise`` applies only if at least as restrictive as the
+decision. ``kernel.rebuild`` and ``kernel.subterms`` walk all route terms.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .engine import (
     default_builtins,
     provable,
 )
-from .pdp import DecisionRequest, apply_label_transform, decide
+from .pdp import DecisionRequest, apply_label_transform, decide, most_restrictive
 from .policy_compiler import CompiledPolicy, resolve_transforms
 from .routes import (
     Aggregate,
@@ -191,46 +193,29 @@ def eval_expr(expr: Term, props: dict, env: dict) -> Term:
 
     Literals evaluate to themselves; ``msg(k)`` and ``env(k)`` read the
     message-scoped and global variable maps; other compounds evaluate their
-    arguments structurally, left to right. Compounds are rebuilt over an
-    explicit stack, so nesting depth is not bounded by Python's recursion
-    limit.
+    arguments structurally, left to right, through ``kernel.rebuild``.
     """
-    stack = []  # (compound being rebuilt, its evaluated arguments so far)
-    while True:
-        if isinstance(expr, Compound) and not _is_read(expr):
-            stack.append((expr, []))
-            expr = expr.args[0]
-            continue
-        value = _eval_leaf(expr, props, env)
-        while stack:
-            term, done = stack[-1]
-            done.append(value)
-            if len(done) < len(term.args):
-                break
-            stack.pop()
-            value = Compound(term.functor, tuple(done))
-        else:
-            return value
-        expr = term.args[len(done)]
+    return kernel.rebuild(expr, lambda x: _eval_node(x, props, env))
 
 
-def _is_read(expr: Compound) -> bool:
-    return expr.functor in ("msg", "env") and len(expr.args) == 1
+def _is_read(t: Term) -> bool:
+    return type(t) is Compound and t.functor in ("msg", "env") and len(t.args) == 1
 
 
-def _eval_leaf(expr: Term, props: dict, env: dict) -> Term:
-    """The value of a literal or of a ``msg(k)``/``env(k)`` read."""
-    if isinstance(expr, (Int, Str, Atom)):
-        return expr
-    if isinstance(expr, Compound):
-        key_term = expr.args[0]
-        if not isinstance(key_term, Atom):
-            raise EvalError(f"{expr.functor}(..) needs an atom key: {expr!r}")
-        table = props if expr.functor == "msg" else env
-        if key_term.name not in table:
-            raise EvalError(f"unbound variable {expr.functor}({key_term.name})")
-        return table[key_term.name]
-    raise EvalError(f"cannot evaluate {expr!r}")
+def _eval_node(expr: Term, props: dict, env: dict) -> Term | None:
+    """The value of a ``msg(k)``/``env(k)`` read; None for any other term, so
+    that a literal stays as it is and a compound's arguments are evaluated."""
+    if type(expr) is Var:
+        raise EvalError(f"cannot evaluate {expr!r}")
+    if not _is_read(expr):
+        return None
+    key_term = expr.args[0]
+    if not isinstance(key_term, Atom):
+        raise EvalError(f"{expr.functor}(..) needs an atom key: {expr!r}")
+    table = props if expr.functor == "msg" else env
+    if key_term.name not in table:
+        raise EvalError(f"unbound variable {expr.functor}({key_term.name})")
+    return table[key_term.name]
 
 
 def _context_builtins(props: dict, env: dict) -> dict:
@@ -284,21 +269,12 @@ def eval_condition(
         return provable(kb, Literal(goal), limits, _context_builtins(props, env))
     except EngineError as exc:
         raise EvalError(f"condition {format_term(cond)} failed: {exc}") from exc
-    except RecursionError:  # the engine still resolves terms recursively
-        raise EvalError("condition nested too deeply") from None
 
 
 def _evaluable(cond: Term) -> bool:
     # Substitute msg()/env() reads inside conditions when present; plain
     # goals like msg_prop(k, v) are proved by the lookup builtins instead.
-    stack = [cond]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Compound):
-            if _is_read(t):
-                return True
-            stack.extend(t.args)
-    return False
+    return any(map(_is_read, kernel.subterms(cond)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +410,9 @@ class _Execution:
         rule = result.effect_rule
         for ob in result.obligations:
             if not self.obligations.invoke(ob.action, msg):
-                effect = ob.otherwise
-                rule = ob.rule
+                if most_restrictive((ob.otherwise, effect)) == ob.otherwise:
+                    effect = ob.otherwise
+                    rule = ob.rule
                 break
         if effect in _STOP_STATUS:
             self.record(stmt_no, msg, before, before, effect, rule)

@@ -10,7 +10,7 @@ verdict is therefore a conservative over-approximation.
 A violation is a reachable to/bean statement whose arrival label set folds
 to a drop or error decision. Each distinct (rule, statement) violation
 yields one counterexample with a concrete trace (the first discovered
-path).
+path) and the arrival labels that the rule's triggers match.
 
 A state is a statement, its arrival label set and the join that ends the
 enclosing split branch. Each state is visited once. Only a split reads
@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from .kernel import match
 from .pdp import DecisionRequest, apply_label_transform, decide
 from .policy_compiler import (
     CompiledPolicy,
@@ -153,9 +154,10 @@ class _Verifier:
         key = (rule_name, n)
         if not self.all_paths and key in self.violations:
             return
-        if rule_name in self.policy.rule_index:
+        rule = self.policy.rule_index.get(rule_name)
+        if rule is not None:
             offending = frozenset(
-                self.policy.rule_index[rule_name].trigger_labels
+                l for l in labels if any(match(t, l) for t in rule.trigger_labels)
             )
         else:
             offending = labels

@@ -450,14 +450,86 @@ def test_run_deep_set_msg_prop_prints_the_value(tmp_path, capsys, depth):
     assert message["props"] == {"x": value}
 
 
-def test_run_too_deeply_nested_condition_is_input_error(tmp_path, capsys):
-    statement = f"2: when p({_nested(600, 'a')}) then goto 3 otherwise goto 3"
-    text = PUBLIC_ROUTE.replace("2: to(pub)", f"{statement}\n  3: to(pub)")
+@pytest.mark.parametrize("depth", [600, 900])
+def test_run_deep_condition_proves(tmp_path, capsys, depth):
+    # Only a proof skips the public sink, which drops the raw message.
+    statements = (
+        f"2: set_msg_prop x := {_nested(depth, 'a')}\n"
+        f"  3: when msg_prop(x, {_nested(depth, 'V')}) then goto 5 otherwise goto 4\n"
+        "  4: to(pub)\n"
+        "  5: set_msg_prop proved := 1"
+    )
+    text = PUBLIC_ROUTE.replace("2: to(pub)", statements)
     route, policy, _ = _write_public_case(tmp_path, text, {})
-    assert main(["run", route, policy]) == 2
+    assert main(["run", route, policy]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: condition nested too deeply\n"
+    assert "Traceback" not in captured.err
+    (message,) = json.loads(captured.out)["final_messages"]
+    assert message["props"]["proved"] == "1"
+
+
+@pytest.mark.parametrize("depth", [600, 900])
+def test_run_condition_reading_a_deep_value_completes(tmp_path, capsys, depth):
+    # msg_prop renames the value it answers with; that walk must not recurse.
+    statements = (
+        f"2: set_msg_prop x := {_nested(depth, '1')}\n"
+        "  3: when msg_prop(x, V) then goto 4 otherwise goto 4\n"
+        "  4: to(pub)"
+    )
+    text = PUBLIC_ROUTE.replace("2: to(pub)", statements)
+    route, policy, _ = _write_public_case(tmp_path, text, {})
+    Path(policy).write_text(PUBLIC_POLICY.replace("decide drop", "decide allow"))
+    assert main(["run", route, policy]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["status"] == "completed"
+
+
+def test_run_condition_with_a_cyclic_binding_proves(tmp_path, capsys):
+    # pair(Y, f(Y)) unifies with the trigger pair(X, X) only by binding Y
+    # to a term that contains Y; without an occurs check that is a proof.
+    statements = (
+        "2: when receives_label(r1, pair(Y, f(Y))) then goto 4 otherwise goto 3\n"
+        "  3: to(pub)\n"
+        "  4: set_msg_prop proved := 1"
+    )
+    text = PUBLIC_ROUTE.replace("2: to(pub)", statements)
+    route, policy, _ = _write_public_case(tmp_path, text, {})
+    Path(policy).write_text(
+        PUBLIC_POLICY
+        + "flow_rule { id r1 when sensor receives pair(X, X) decide allow }\n"
+    )
+    assert main(["run", route, policy]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (message,) = json.loads(captured.out)["final_messages"]
+    assert message["props"]["proved"] == "1"
+
+
+AUDITED_DROP_POLICY = """
+service { id sensor endpoint "sensor://.+" creates_label raw }
+service { id pub endpoint "https://public.example/.+" }
+flow_rule { id dropRaw when pub receives raw decide drop }
+flow_rule {
+  id auditRaw
+  when pub receives raw
+  decide allow
+    require audit(message) otherwise allow
+}
+"""
+
+
+def test_failing_obligation_does_not_loosen_another_rules_drop(tmp_path, capsys):
+    route, policy, _ = _write_public_case(tmp_path, PUBLIC_ROUTE, {})
+    Path(policy).write_text(AUDITED_DROP_POLICY)
+    assert main(["check", route, policy, "--format", "json"]) == 1
+    (ce,) = json.loads(capsys.readouterr().out)["counterexamples"]
+    # audit/1 is not registered, so the obligation fails; its otherwise
+    # (allow) ranks below the folded drop and does not replace it.
+    assert main(["run", route, policy]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["status"] == "dropped"
+    assert summary["rule"] == ce["rule"] == "dropRaw"
 
 
 def test_non_callable_condition_is_input_error(tmp_path, capsys):

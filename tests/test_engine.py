@@ -5,7 +5,9 @@ import pytest
 from labelflow.engine import (
     BuiltinError,
     Clause,
+    CyclicTerm,
     DepthExceeded,
+    EngineError,
     Floundered,
     KnowledgeBase,
     Literal,
@@ -83,6 +85,16 @@ def test_negation_flounders_on_open_goal():
     kb = kb_of("label(raw).")
     with pytest.raises(Floundered):
         list(solve(kb, parse_query("\\+ label(X)")))
+
+
+def test_cyclic_answer_is_a_typed_engine_error():
+    kb = kb_of("p(X, X).")
+    query = parse_query("p(Y, f(Y))")
+    # Y is bound to f(Y): there is a derivation, but no finite answer.
+    assert provable(kb, query)
+    with pytest.raises(CyclicTerm) as info:
+        all_solutions(kb, "p(Y, f(Y))")
+    assert isinstance(info.value, EngineError)
 
 
 def test_depth_limit():

@@ -1,13 +1,14 @@
 import random
 import sys
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from labelflow import kernel
-from labelflow.terms import Atom, Compound, Int, Str, Var
+from labelflow.terms import Atom, Compound, Int, Str, Var, format_term, parse_term
 
-from .helpers import match_pattern
+from .helpers import _same_term, match_pattern, substitute, term_is_ground
 from .test_terms import terms
 
 
@@ -73,13 +74,61 @@ def test_rename_suffixes_variables():
     assert renamed == Compound("f", (Var("X#1"), Atom("a")))
 
 
+def test_subterms_are_left_to_right_preorder():
+    t = parse_term('f(g(a, X), h(1), "s")')
+    assert [format_term(x) for x in kernel.subterms(t)] == [
+        'f(g(a, X), h(1), "s")', "g(a, X)", "a", "X", "h(1)", "1", '"s"',
+    ]
+
+
+def test_rebuild_offers_parents_first_and_keeps_replacements_whole():
+    t = parse_term("f(g(X), h(X), X)")
+    offered = []
+
+    def visit(x):
+        offered.append(format_term(x))
+        if type(x) is Var:
+            return Atom("a")
+        return parse_term("k(X)") if format_term(x) == "h(X)" else None
+
+    assert kernel.rebuild(t, visit) == parse_term("f(g(a), k(X), a)")
+    assert offered == ["f(g(X), h(X), X)", "g(X)", "X", "h(X)", "X"]
+    assert kernel.rebuild(Var("X"), visit) == Atom("a")
+    assert kernel.rebuild(Int(1), lambda x: None) == Int(1)
+    # a compound whose arguments all come back unchanged is kept, not copied
+    assert kernel.rebuild(t, lambda x: None) is t
+    ground = parse_term("f(a, g(1))")
+    assert kernel.rename(ground, "#1") is ground
+
+
+def test_resolve_raises_on_a_cyclic_binding():
+    bindings = {}
+    assert kernel.unify_inplace(
+        parse_term("p(Y, f(Y))"), parse_term("p(X, X)"), bindings, []
+    )
+    with pytest.raises(kernel.CyclicTerm):
+        kernel.resolve(Var("Y"), bindings)
+    # a cycle the term does not reach is no error
+    assert kernel.resolve(parse_term("g(Z)"), bindings) == parse_term("g(Z)")
+
+
 def test_deep_terms_do_not_overflow():
     # The kernel is iterative, so nesting beyond any recursion limit is fine.
+    depth = 50000
     a = b = Var("X")
-    for _ in range(50000):
+    for _ in range(depth):
         a = Compound("f", (a,))
         b = Compound("f", (b,))
     assert kernel.unify(a, b) is not None
+    ground = _chain(Atom("a"), depth)
+    assert sum(1 for _ in kernel.subterms(a)) == depth + 1
+    assert not kernel.is_ground(a)
+    assert kernel.is_ground(ground)
+    to_a = kernel.rebuild(a, lambda x: Atom("a") if type(x) is Var else None)
+    assert _same_term(to_a, ground)
+    assert _same_term(kernel.rename(a, "#1"), _chain(Var("X#1"), depth))
+    assert _same_term(kernel.resolve(Var("Y"), {"Y": ground}), ground)
+    assert _same_term(kernel.resolve(a, {"X": Atom("a")}), ground)
 
 
 # -- properties -------------------------------------------------------------
@@ -114,6 +163,49 @@ def test_pattern_unifies_with_its_instance(ground, seed):
     bindings = kernel.unify(pattern, ground)
     assert bindings is not None
     assert kernel.resolve(pattern, bindings) == ground
+
+
+@given(terms)
+def test_is_ground_agrees_with_the_recursive_reference(t):
+    assert kernel.is_ground(t) == term_is_ground(t)
+
+
+# Terms over three variable names, so that bindings apply, chain through
+# compounds and now and then form a cycle.
+_bindable = st.recursive(
+    st.sampled_from([Var("X"), Var("Y"), Var("Z"), Atom("a"), Int(1)]),
+    lambda children: st.builds(
+        Compound,
+        st.sampled_from(["f", "g"]),
+        st.lists(children, min_size=1, max_size=2).map(tuple),
+    ),
+    max_leaves=6,
+)
+# Unification never binds a variable to a variable that leads back to it.
+_bindings = st.dictionaries(
+    st.sampled_from("XYZ"), _bindable.filter(lambda t: type(t) is not Var), max_size=3
+)
+
+
+def _substitute_to_fixpoint(t, bindings):
+    """``t`` with ``substitute`` applied until nothing changes, or None when
+    the bindings it reaches are cyclic and so it never stops changing."""
+    for _ in range(len(bindings) + 1):
+        nxt = substitute(t, bindings)
+        if _same_term(nxt, t):
+            return t
+        t = nxt
+    return None
+
+
+@given(_bindable, _bindings)
+def test_resolve_agrees_with_repeated_substitution(t, bindings):
+    expected = _substitute_to_fixpoint(t, bindings)
+    if expected is None:
+        with pytest.raises(kernel.CyclicTerm):
+            kernel.resolve(t, bindings)
+    else:
+        assert _same_term(kernel.resolve(t, bindings), expected)
 
 
 # -- one-way matching -------------------------------------------------------

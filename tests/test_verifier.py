@@ -172,6 +172,31 @@ def test_default_deny_counterexample_uses_arrival_labels():
     assert ce.offending_labels == frozenset({Atom("x")})
 
 
+def test_counterexample_names_the_labels_a_pattern_trigger_matches():
+    policy = compile_policy(
+        parse_policy(
+            """
+            service { id sensor endpoint "sensor://.+" creates_label raw, w(3) }
+            service { id pub endpoint "https://public.example/.+" }
+            flow_rule { id noW when pub receives w(X) decide drop }
+            """
+        )
+    )
+    route = parse_route(
+        """
+        route r {
+          services { s = "sensor://probe" }
+          1: from(s)
+          2: to(pub)
+        }
+        """
+    )
+    (ce,) = verify(route, policy).counterexamples
+    assert ce.rule == "noW"
+    assert ce.offending_labels == frozenset({Compound("w", (Int(3),))})
+    assert "may receive label(s) [w(3)]." in render_counterexample(ce, route.name)
+
+
 def test_undeclared_services_warn(sensor_route):
     policy = compile_policy(
         parse_policy('service { id sensor endpoint "sensor://.+" }')
