@@ -96,13 +96,18 @@ def unify_inplace(a, b, bindings, trail):
     """Destructively unify ``a`` and ``b``; on failure the caller must undo.
 
     Iterative over an explicit work stack so deep terms cannot blow the
-    Python recursion limit.
+    Python recursion limit. With no occurs check two bindings can be cyclic
+    (``Y = f(Y)``, ``Z = f(Z)``), and comparing them would never end, so a
+    pair of compounds that one call meets again through a binding counts as
+    unified (rational-tree unification, after Colmerauer 1982 and Jaffar
+    1984). Only such pairs are recorded, in a set made on the first one.
     """
     stack = [(a, b)]
+    seen = None  # (id, id) of the compound pairs reached through a binding
     while stack:
-        x, y = stack.pop()
-        x = walk(x, bindings)
-        y = walk(y, bindings)
+        x0, y0 = stack.pop()
+        x = walk(x0, bindings)
+        y = walk(y0, bindings)
         if x is y:
             continue
         tx = type(x)
@@ -126,6 +131,14 @@ def unify_inplace(a, b, bindings, trail):
         else:  # Compound
             if x.functor != y.functor or len(x.args) != len(y.args):
                 return False
+            if x is not x0 or y is not y0:
+                pair = (id(x), id(y))
+                if seen is None:
+                    seen = {pair}
+                elif pair in seen:
+                    continue
+                else:
+                    seen.add(pair)
             stack.extend(zip(x.args, y.args))
     return True
 
@@ -180,22 +193,29 @@ def resolve(t, bindings):
     """Apply ``bindings`` deeply, returning a term with no bound variables.
 
     Recurses only into the compound value of a bound variable, so Python's
-    stack grows with the nesting of bindings, not of terms. A variable met
-    again inside its own value raises CyclicTerm."""
+    stack grows with the nesting of bindings, not of terms. Each bound
+    variable's value is rebuilt once per call and then shared by all its
+    occurrences, so bindings shaped as a DAG resolve in time linear in
+    their size. A variable met again inside its own value raises
+    CyclicTerm."""
     if not bindings:
         return t
     expanding = set()  # the bound variables whose values are being rebuilt
+    resolved = {}  # bound variable -> its rebuilt compound value
 
     def visit(x):
         if type(x) is not Var:
             return None
+        value = resolved.get(x.name)
+        if value is not None:
+            return value
         value = walk(x, bindings)
         if type(value) is not Compound:
             return value
         if x.name in expanding:
             raise CyclicTerm(f"variable {x.name} occurs in its own binding")
         expanding.add(x.name)
-        value = rebuild(value, visit)
+        value = resolved[x.name] = rebuild(value, visit)
         expanding.discard(x.name)
         return value
 

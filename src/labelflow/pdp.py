@@ -27,7 +27,13 @@ subset test per planned rule, O(sum of the ground triggers of the planned
 rules) in all, plus, for a planned rule with patterns, one ``kernel.match``
 per (pattern, label) pair until each pattern has matched. A policy whose
 planned triggers are ground therefore decides in time independent of the
-number of labels.
+number of labels. A request that no planned rule matches gets the one
+shared ``DecisionResult`` of its default effect, so it allocates no result.
+
+``apply_label_transform`` splits a service's removes the same way: ground
+removes come off with one set difference, and only the non-ground ones go
+through ``kernel.match``, once per (pattern, label) pair. A transform whose
+removes are empty or ground therefore calls ``kernel.match`` not at all.
 """
 
 from __future__ import annotations
@@ -55,15 +61,34 @@ def most_restrictive(effects) -> str:
     return best
 
 
+def _split_ground(terms) -> tuple[frozenset, tuple]:
+    """``terms`` as a frozenset of the ground ones and a tuple of the rest."""
+    ground, patterns = [], []
+    for t in terms:
+        (ground if is_ground(t) else patterns).append(t)
+    return frozenset(ground), tuple(patterns)
+
+
 def apply_label_transform(labels: frozenset, removes, creates) -> frozenset:
     """The per-service taint step: remove matching labels, then add new ones.
 
-    Removal is by one-way match of each pattern against the ground labels,
+    A ground remove strips the label equal to it, and all of them come off
+    with one set difference (``kernel.match`` of a ground pattern is
+    equality). A non-ground remove strips every label it matches one way,
     so a pattern like ``classification(X)`` strips every classification
-    label. Shared by the runtime and the verifier.
+    label; only these go through ``kernel.match``, once per (pattern, label)
+    pair. Empty or ground removes therefore call ``kernel.match`` not at
+    all. Shared by the runtime and the verifier.
     """
-    kept = [l for l in labels if not any(match(r, l) for r in removes)]
-    return frozenset(kept) | frozenset(creates)
+    kept = frozenset(labels)
+    if removes:
+        ground, patterns = _split_ground(removes)
+        kept -= ground
+        if patterns:
+            kept = frozenset(
+                l for l in kept if not any(match(r, l) for r in patterns)
+            )
+    return kept.union(creates)
 
 
 @dataclass(frozen=True)
@@ -98,16 +123,18 @@ class DecisionResult:
     effect_rule: str | None = None  # first matched rule with the folded effect
 
 
+# The result of a decision that no rule matches, one per default effect;
+# a DecisionResult is immutable, so every such decision can share it.
+_DEFAULT_RESULTS = {effect: DecisionResult(effect) for effect in _SEVERITY}
+
+
 def _compile_triggers(rule: FlowRule) -> tuple:
     """Split ``rule``'s triggers into a ground frozenset and one-way patterns.
 
     Stored on the rule, so each rule is compiled once, on its first scan;
     two threads racing on that scan at worst store two equal splits.
     """
-    ground, patterns = [], []
-    for t in rule.trigger_labels:
-        (ground if is_ground(t) else patterns).append(t)
-    tests = (frozenset(ground), tuple(patterns))
+    tests = _split_ground(rule.trigger_labels)
     object.__setattr__(rule, "trigger_tests", tests)
     return tests
 
@@ -140,27 +167,25 @@ def decide(
     policy: CompiledPolicy, req: DecisionRequest, default_effect: str = "allow"
 ) -> DecisionResult:
     """Total decision function; identical inputs give identical results."""
-    matched: list[str] = []
-    effects: list[str] = []
-    obligations: list = []
-    covering = covering_declarations(policy, req.service, req.url)
-    for rule in covering.rules:
-        if rule_matches(rule, req.labels):
-            matched.append(rule.name)
-            effects.append(rule.decision.effect)
-            for ob in rule.decision.obligations:
-                obligations.append(
-                    BoundObligation(
-                        _bind_message(ob.action, req.message_ref),
-                        ob.otherwise,
-                        rule.name,
-                    )
-                )
-    if not matched:
-        return DecisionResult(default_effect)
+    labels = req.labels
+    rules = [
+        rule
+        for rule in covering_declarations(policy, req.service, req.url).rules
+        if rule_matches(rule, labels)
+    ]
+    if not rules:
+        return _DEFAULT_RESULTS.get(default_effect) or DecisionResult(default_effect)
+    effects = [rule.decision.effect for rule in rules]
     effect = most_restrictive(effects)
-    effect_rule = matched[effects.index(effect)]
-    return DecisionResult(effect, tuple(obligations), tuple(matched), effect_rule)
+    obligations = tuple(
+        BoundObligation(
+            _bind_message(ob.action, req.message_ref), ob.otherwise, rule.name
+        )
+        for rule in rules
+        for ob in rule.decision.obligations
+    )
+    matched = tuple(rule.name for rule in rules)
+    return DecisionResult(effect, obligations, matched, matched[effects.index(effect)])
 
 
 # ---------------------------------------------------------------------------

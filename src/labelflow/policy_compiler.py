@@ -127,11 +127,17 @@ def covering_declarations(
     key = (atom, url)
     cov = cp.covering.get(key)
     if cov is None:
+        # ``service_matches`` of the atom, then of the URL, inlined: each
+        # pattern is tried at most once on each.
         cov = Coverage(
             sid
-            for sid in cp.service_index
-            if service_matches(cp, sid, atom)
-            or (url is not None and service_matches(cp, sid, url))
+            for sid, pattern in cp.endpoint_patterns.items()
+            if sid == atom
+            or pattern.fullmatch(atom) is not None
+            or (
+                url is not None
+                and (sid == url or pattern.fullmatch(url) is not None)
+            )
         )
         targets = set(cov)
         cov.rules = tuple(r for r in cp.rule_index.values() if r.target in targets)

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 tokens are scanned one character at a time instead of by regular
-expression, pattern matching is re-implemented from scratch, logical
-consequences are computed bottom-up instead of by resolution, choice
-conditions read the message's variables as one fact per variable instead of
-through lookup builtins, and dynamic violation is decided by exhaustively
-forcing every choice valuation.
+expression, pattern matching is re-implemented from scratch, label removal
+asks every (label, remove) pair instead of splitting off the ground
+removes, logical consequences are computed bottom-up instead of by
+resolution, choice conditions read the message's variables as one fact per
+variable instead of through lookup builtins, and dynamic violation is
+decided by exhaustively forcing every choice valuation.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from itertools import count, product
 
 from labelflow.engine import Clause, KnowledgeBase, Literal, provable
+from labelflow.kernel import match
 from labelflow.policy import (
     Decision,
     FlowRule,
@@ -142,6 +144,14 @@ def match_pattern(pattern: Term, ground: Term, subst: dict | None = None):
         elif p != g:
             return None
     return subst
+
+
+def reference_label_transform(labels, removes, creates) -> frozenset:
+    """The label transform by its definition: a label is removed when some
+    remove matches it one way, asked with ``kernel.match`` for every (label,
+    remove) pair, ground or not; then the created labels are added."""
+    kept = [l for l in labels if not any(match(r, l) for r in removes)]
+    return frozenset(kept) | frozenset(creates)
 
 
 def _same_term(a: Term, b: Term) -> bool:

@@ -506,6 +506,26 @@ def test_run_condition_with_a_cyclic_binding_proves(tmp_path, capsys):
     assert message["props"]["proved"] == "1"
 
 
+def test_run_condition_unifying_two_cyclic_bindings_terminates(tmp_path):
+    # Unifying the trigger binds Y = f(Y) and Z = f(Z), then compares them.
+    statements = (
+        "2: when receives_label(r1, t(Y, Z, Y, f(Y), Z, f(Z)))"
+        " then goto 4 otherwise goto 3\n"
+        "  3: to(pub)\n"
+        "  4: set_msg_prop proved := 1"
+    )
+    text = PUBLIC_ROUTE.replace("2: to(pub)", statements)
+    route, policy, _ = _write_public_case(tmp_path, text, {})
+    Path(policy).write_text(
+        PUBLIC_POLICY
+        + "flow_rule { id r1 when sensor receives t(V, V, X, X, W, W) decide allow }\n"
+    )
+    result = _module_cli("run", route, policy, timeout=20)
+    assert result.returncode == 0, result.stderr
+    (message,) = json.loads(result.stdout)["final_messages"]
+    assert message["props"]["proved"] == "1"
+
+
 AUDITED_DROP_POLICY = """
 service { id sensor endpoint "sensor://.+" creates_label raw }
 service { id pub endpoint "https://public.example/.+" }
@@ -620,7 +640,7 @@ def test_a_successful_call_builds_one_parser(monkeypatch, capsys, argv, code):
     assert built == [f"labelflow {argv[0]}"]
 
 
-def _module_cli(*args):
+def _module_cli(*args, timeout=60):
     """``python -m labelflow.cli *args``, importing this checkout's package."""
     src = str(Path(labelflow.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -629,7 +649,7 @@ def _module_cli(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
+        timeout=timeout,
     )
 
 

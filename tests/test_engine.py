@@ -97,6 +97,14 @@ def test_cyclic_answer_is_a_typed_engine_error():
     assert isinstance(info.value, EngineError)
 
 
+def test_cyclic_bindings_meeting_each_other_prove():
+    # Y = f(Y) and Z = f(Z) unify as the same infinite term, and the search
+    # ends either way.
+    kb = kb_of("t(V, V, X, X, W, W).")
+    assert provable(kb, parse_query("t(Y, Z, Y, f(Y), Z, f(Z))"))
+    assert not provable(kb, parse_query("t(Y, Z, Y, f(Y), Z, g(Z))"))
+
+
 def test_depth_limit():
     kb = kb_of("loop(X) :- loop(X).")
     with pytest.raises(DepthExceeded):

@@ -9,6 +9,7 @@ import pytest
 from labelflow.pdp import (
     BENCH_CSV_HEADER,
     DecisionRequest,
+    DecisionResult,
     apply_label_transform,
     bench_csv,
     bench_decide,
@@ -24,7 +25,13 @@ from labelflow import kernel, pdp
 from labelflow.policy_compiler import compile_policy, covering_declarations
 from labelflow.terms import Atom, Compound, Int, Str, Var
 
-from .helpers import LABEL_POOL, SERVICE_POOL, match_pattern, random_policy
+from .helpers import (
+    LABEL_POOL,
+    SERVICE_POOL,
+    match_pattern,
+    random_policy,
+    reference_label_transform,
+)
 
 POLICY = """
 service { id sensor endpoint "sensor://.+" creates_label raw }
@@ -90,6 +97,16 @@ def test_no_match_defaults_to_allow(compiled):
 def test_default_deny(compiled):
     req = DecisionRequest("ftp://internal/", frozenset({Atom("raw")}))
     assert decide(compiled, req, default_effect="drop").effect == "drop"
+
+
+@pytest.mark.parametrize("effect", ["allow", "drop", "error"])
+def test_no_match_gives_the_plain_default_result(compiled, effect):
+    uncovered = DecisionRequest("ftp://internal/", frozenset({Atom("raw")}))
+    unmatched = DecisionRequest("https://mq.example/out", frozenset({Atom("la")}))
+    first = decide(compiled, uncovered, effect)
+    assert first == DecisionResult(effect)
+    # One immutable result per default effect serves every such decision.
+    assert decide(compiled, unmatched, effect) is first
 
 
 def test_url_match_with_trigger_label(compiled):
@@ -525,3 +542,72 @@ def test_pattern_triggers_agree_with_reference(seed):
             l for l in labels if all(match_pattern(r, l) is None for r in removes)
         }
         assert apply_label_transform(labels, removes, ()) == kept
+
+
+# -- label removal: ground removes by set difference, patterns by match ------
+
+_NONGROUND_LABELS = (
+    Var("L"),
+    Compound("w", (Var("L"),)),
+    _pair(Var("L"), Atom("a")),
+    _pair(Atom("a"), Var("L")),
+)
+_GROUND_REMOVES = _GROUND_LABELS[:8] + (
+    Atom("gone"),
+    Compound("w", (Int(9),)),
+    _pair(Atom("b"), Atom("a")),
+)
+_PATTERN_REMOVES = (
+    Var("X"),
+    Compound("w", (Var("X"),)),
+    _pair(Var("X"), Var("X")),
+    _pair(Var("X"), Var("Y")),
+    _pair(Var("X"), Atom("a")),
+    Compound("cls", (Var("X"),)),
+    Compound("p", (Var("X"),)),
+)
+_CONTAINERS = (set, tuple, frozenset)
+
+
+def _some(rng, pool, most):
+    return rng.sample(pool, rng.randint(0, most))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_label_transform_agrees_with_the_per_pair_definition(seed):
+    rng = random.Random(seed)
+    for _ in range(24):  # 600 cases over the 25 seeds
+        labels = frozenset(
+            _some(rng, _GROUND_LABELS, 5) + _some(rng, _NONGROUND_LABELS, 1)
+        )
+        removes = _some(rng, _GROUND_REMOVES, 3)
+        if rng.random() < 0.5:
+            removes += _some(rng, _PATTERN_REMOVES, 2)
+        removes = rng.choice(_CONTAINERS)(rng.sample(removes, len(removes)))
+        creates = rng.choice(_CONTAINERS)(_some(rng, _GROUND_LABELS, 2))
+        got = apply_label_transform(labels, removes, creates)
+        assert type(got) is frozenset
+        assert got == reference_label_transform(labels, removes, creates)
+
+
+def test_only_non_ground_removes_call_match(monkeypatch):
+    calls: list = []
+
+    def counting(pattern, term):
+        calls.append(pattern)
+        return kernel.match(pattern, term)
+
+    monkeypatch.setattr(pdp, "match", counting)
+    labels = frozenset(_GROUND_LABELS + _NONGROUND_LABELS)
+    for removes in (set(), (), frozenset()):
+        out = apply_label_transform(labels, removes, {Atom("new")})
+        assert out == labels | {Atom("new")}
+    for removes in (_GROUND_REMOVES, set(_GROUND_REMOVES)):
+        out = apply_label_transform(labels, removes, ())
+        assert out == labels - set(_GROUND_REMOVES)
+    assert calls == []
+    # A pattern is matched once against each label the ground removes kept.
+    pattern = Compound("nothing", (Var("X"),))
+    out = apply_label_transform(labels, (Atom("la"), Int(5), pattern), ())
+    assert out == labels - {Atom("la"), Int(5)}
+    assert calls == [pattern] * len(out)

@@ -13,9 +13,11 @@ from labelflow.policy_compiler import (
     resolve_transforms,
     service_matches,
 )
+from labelflow.routes import parse_route
 from labelflow.terms import Atom, Compound, Int, Str, Var
 
 from .conftest import read_fixture
+from .helpers import SERVICE_POOL, random_policy
 
 POLICY = """
 service {
@@ -162,6 +164,69 @@ def test_service_matches_against_re_oracle(compiled):
             if s.id == url or re.fullmatch(s.endpoint, url) is not None
         ]
         assert covering(compiled, url) == expected
+
+
+def _coverage_by_definition(cp, atom, url):
+    return tuple(
+        sid
+        for sid in cp.service_index
+        if service_matches(cp, sid, atom)
+        or (url is not None and service_matches(cp, sid, url))
+    )
+
+
+def _assert_coverage_by_definition(cp, requests):
+    for atom, url in requests:
+        got = covering_declarations(cp, atom, url)
+        assert tuple(got) == _coverage_by_definition(cp, atom, url), (atom, url)
+
+
+SHARED_URL_POLICY = """
+service { id merge endpoint "bean://merge" }
+service { id anyBean endpoint "bean://.+" }
+service { id sensor endpoint "sensor://.+" }
+flow_rule { id r1 when service { endpoint "bean://m.*" } receives raw decide drop }
+flow_rule { id r2 when service { endpoint "merge" } receives raw decide drop }
+"""
+
+
+def test_coverage_agrees_with_service_matches():
+    cp = compile_policy(parse_policy(SHARED_URL_POLICY))
+    atoms = list(cp.service_index) + ["bean://merge", "pub", "sensor://t"]
+    urls = [None, "bean://merge", "bean://x", "merge", "sensor://t", "https://p/"]
+    _assert_coverage_by_definition(cp, [(a, u) for a in atoms for u in urls])
+    # several declarations, inline ones too, match one URL
+    assert len(covering_declarations(cp, "pub", "bean://merge")) == 3
+    # an id equal to the atom covers it; an inline endpoint covers that id
+    inline = cp.ast.rules[1].target
+    assert list(covering_declarations(cp, "merge")) == ["merge", inline]
+
+
+@pytest.mark.parametrize(
+    "policy, route",
+    [
+        ("dont_publish_raw.lucon", "sensor.route"),
+        ("measurement_chain.lucon", "measurement_chain.route"),
+        ("dont_publish_raw.lucon", "measurement_chain.route"),
+    ],
+)
+def test_fixture_coverage_agrees_with_service_matches(policy, route):
+    cp = compile_policy(parse_policy(read_fixture(policy)))
+    endpoints = parse_route(read_fixture(route)).endpoints
+    atoms = list(endpoints) + ["log", "merge", "sensor", "mqueue"]
+    _assert_coverage_by_definition(
+        cp, [(a, u) for a in atoms for u in (None, endpoints.get(a))]
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_coverage_agrees_with_service_matches(seed):
+    rng = random.Random(seed)
+    cp = random_policy(rng)
+    targets = list(SERVICE_POOL) + [f"svc://s{i}" for i in range(1, 6)]
+    _assert_coverage_by_definition(
+        cp, [(a, u) for a in targets for u in [None] + targets]
+    )
 
 
 def test_each_endpoint_is_compiled_once(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -110,6 +111,49 @@ def test_resolve_raises_on_a_cyclic_binding():
         kernel.resolve(Var("Y"), bindings)
     # a cycle the term does not reach is no error
     assert kernel.resolve(parse_term("g(Z)"), bindings) == parse_term("g(Z)")
+
+
+def test_two_cyclic_bindings_unify():
+    # Y = f(Y) and Z = f(Z) denote the same infinite term, so with no occurs
+    # check they unify; comparing them node by node would never end.
+    bindings = kernel.unify(
+        parse_term("t(V, V, X, X, W, W)"), parse_term("t(Y, Z, Y, f(Y), Z, f(Z))")
+    )
+    assert bindings is not None
+    with pytest.raises(kernel.CyclicTerm):
+        kernel.resolve(Var("Y"), bindings)
+    assert kernel.unify(
+        parse_term("t(V, V, X, X, W, W)"), parse_term("t(Y, Z, Y, f(Y), Z, g(Z))")
+    ) is None
+    # two cycles of different lengths through the same variable
+    assert kernel.unify(
+        parse_term("p(Y, Z, Y, Z)"), parse_term("p(f(Y), f(f(Z)), A, A)")
+    ) is not None
+    assert kernel.unify(
+        parse_term("p(Y, Z, Y, Z)"), parse_term("p(f(Y, a), f(Z, b), A, A)")
+    ) is None
+
+
+def _dag_bindings(n):
+    """``X0 = a`` and ``Xi = f(X(i-1), X(i-1))``: 2**n leaves as a tree."""
+    bindings = {"X0": Atom("a")}
+    for i in range(1, n + 1):
+        bindings[f"X{i}"] = Compound("f", (Var(f"X{i - 1}"), Var(f"X{i - 1}")))
+    return bindings
+
+
+def test_resolve_rebuilds_each_binding_once():
+    small = _dag_bindings(4)
+    expected = _substitute_to_fixpoint(Var("X4"), small)
+    assert _same_term(kernel.resolve(Var("X4"), small), expected)
+    bindings = _dag_bindings(40)
+    start = time.perf_counter()
+    t = kernel.resolve(Var("X40"), bindings)
+    assert time.perf_counter() - start < 0.5
+    assert t.args[0] is t.args[1]
+    for _ in range(39):
+        t = t.args[0]
+    assert t == Compound("f", (Atom("a"), Atom("a")))
 
 
 def test_deep_terms_do_not_overflow():
