@@ -148,7 +148,7 @@ def build_registries(manifest: dict):
 
 def _default_registry_for(route):
     services = ServiceRegistry()
-    for atom in route.service_atoms():
+    for atom in route.services:
         services.register(atom, echo_handler)
     return services
 

@@ -162,8 +162,9 @@ def match(pattern, term):
     meet an equal subterm (``pair(X, X)`` matches ``pair(a, a)``, not
     ``pair(a, b)``). Because ``term`` is ground this agrees with ``unify``,
     without a trail or renaming apart. Iterative over an explicit work stack:
-    a repeated variable compares its two ground subterms by matching one
-    against the other, so no comparison recurses either.
+    a repeated variable compares its two subterms with ``_same_term``, so no
+    comparison recurses either. Should ``term`` hold variables after all,
+    they bind nothing and are equal only by name.
     """
     bindings = {}
     stack = [(pattern, term)]
@@ -174,8 +175,8 @@ def match(pattern, term):
             bound = bindings.get(p.name)
             if bound is None:
                 bindings[p.name] = t
-            elif bound is not t:
-                stack.append((bound, t))
+            elif bound is not t and not _same_term(bound, t):
+                return False
         elif tp is Compound:
             if (
                 type(t) is not Compound
@@ -185,6 +186,27 @@ def match(pattern, term):
                 return False
             stack.extend(zip(p.args, t.args))
         elif p != t:
+            return False
+    return True
+
+
+def _same_term(a, b):
+    """Structural equality over an explicit stack, where the term classes'
+    ``==`` recurses once per nesting level; variables are equal by name."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is Compound:
+            if (
+                type(y) is not Compound
+                or x.functor != y.functor
+                or len(x.args) != len(y.args)
+            ):
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif x != y:
             return False
     return True
 

@@ -25,6 +25,7 @@ Route files use the ``.route`` extension, UTF-8, and ``//`` line comments::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 from .terms import (
@@ -110,6 +111,13 @@ Statement = Union[From, To, Bean, Choice, Split, Aggregate, SetMsgProp, SetEnvPr
 
 @dataclass
 class Route:
+    """A parsed, validated route.
+
+    A Route is read-only once built: ``names`` and ``services`` are derived
+    from its statements on first use and then kept for the Route's life, so
+    every execution and verification of one Route shares them.
+    """
+
     name: str
     statements: dict  # statement number -> Statement, declaration order
     entry: int
@@ -122,6 +130,16 @@ class Route:
         stmts = self.statements.values()
         services = (s.service for s in stmts if isinstance(s, (From, To, Bean)))
         return list(dict.fromkeys(services))
+
+    @cached_property
+    def names(self) -> dict:
+        """``node_names(self)``, computed once per Route."""
+        return node_names(self)
+
+    @cached_property
+    def services(self) -> tuple:
+        """``service_atoms()`` as a tuple, computed once per Route."""
+        return tuple(self.service_atoms())
 
 
 def node_names(route: Route) -> dict:

@@ -48,7 +48,6 @@ from .routes import (
     SetMsgProp,
     Split,
     To,
-    node_names,
 )
 from .terms import Atom, Compound, Int, Str, Term, Var, format_term, functor_arity
 
@@ -90,7 +89,7 @@ class ServiceRegistry:
             raise UnresolvedService(f"no handler registered for service {name!r}")
 
     def check_route(self, route: Route) -> None:
-        missing = [s for s in route.service_atoms() if s not in self._handlers]
+        missing = [s for s in route.services if s not in self._handlers]
         if missing:
             raise UnresolvedService(f"no handler for service(s): {missing}")
 
@@ -302,7 +301,7 @@ class _Execution:
         self.choice_decisions = choice_decisions or {}
         self.default_effect = default_effect
         self.limits = limits
-        self.names = node_names(route)
+        self.names = route.names
         self.audit: list[AuditEvent] = []
         self._msg_counter = 0
 

@@ -55,7 +55,6 @@ from .routes import (
     Route,
     Split,
     To,
-    node_names,
 )
 from .terms import format_labels
 
@@ -122,7 +121,7 @@ class _Verifier:
         self.policy = policy
         self.default_effect = default_effect
         self.all_paths = all_paths
-        self.names = node_names(route)
+        self.names = route.names
         self.memo: dict = {}  # (stmt, labels, stop_at) -> summary, () outside splits
         self.steps: dict = {}  # (atom, arrival labels) -> (decision, exit labels)
         self.violations: dict = {}  # (rule, stmt) -> list of Counterexample
@@ -321,7 +320,7 @@ def verify(
 ) -> Verdict:
     """Explore every label flow through the route; collect counterexamples."""
     warnings = []
-    for atom in route.service_atoms():
+    for atom in route.services:
         if not covering_declarations(policy, atom, route.endpoints.get(atom)):
             warnings.append(
                 f"service {atom!r} is not declared in the policy; "
@@ -338,19 +337,34 @@ def verify(
     )
 
 
+class _LabelTexts(dict):
+    """``format_labels`` of each distinct label set, formatted on its first
+    lookup; one table serves every counterexample of a verdict."""
+
+    def __missing__(self, labels: frozenset) -> str:
+        text = self[labels] = format_labels(labels)
+        return text
+
+
 def render_counterexample(ce: Counterexample, route_name: str) -> str:
     """The human-readable proof of violation, one trace per counterexample."""
+    return _render_counterexample(ce, route_name, _LabelTexts())
+
+
+def _render_counterexample(
+    ce: Counterexample, route_name: str, texts: _LabelTexts
+) -> str:
     lines = [
         f"Route {route_name} is invalid because",
         f"service {ce.violating_service} may receive label(s) "
-        f"{format_labels(ce.offending_labels)}.",
+        f"{texts[ce.offending_labels]}.",
         f"This is forbidden by rule {ce.rule}",
         "",
         "Example flows violating policy follow:",
     ]
     for i, (_, node, labels) in enumerate(ce.trace):
         verb = "creates" if i == 0 else "receives"
-        lines.append(f"|-- {node} {verb} message labeled {format_labels(labels)}")
+        lines.append(f"|-- {node} {verb} message labeled {texts[labels]}")
     lines.append("|-- fail!")
     return "\n".join(lines) + "\n"
 
@@ -358,6 +372,8 @@ def render_counterexample(ce: Counterexample, route_name: str) -> str:
 def render_verdict(verdict: Verdict, route_name: str) -> str:
     if verdict.valid:
         return f"Route {route_name} is valid.\n"
+    texts = _LabelTexts()
     return "\n".join(
-        render_counterexample(ce, route_name) for ce in verdict.counterexamples
+        _render_counterexample(ce, route_name, texts)
+        for ce in verdict.counterexamples
     )

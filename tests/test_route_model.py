@@ -97,6 +97,24 @@ def test_node_names_disambiguate():
     assert node_names(route) == {1: "a", 2: "b", 3: "b2"}
 
 
+@pytest.mark.parametrize("fixture", ["sensor.route", "measurement_chain.route"])
+def test_derived_names_and_services_on_fixtures(fixture):
+    route = parse_route(read_fixture(fixture))
+    assert route.names == node_names(route)
+    assert route.services == tuple(route.service_atoms())
+    # derived once: later reads give the same objects
+    assert route.names is route.names
+    assert route.services is route.services
+
+
+def test_derived_names_and_services_on_random_routes():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        route = random_route(rng, max_statements=14)
+        assert route.names == node_names(route)
+        assert route.services == tuple(route.service_atoms())
+
+
 def test_default_successor_is_next_declared():
     route = parse_route("route r { 1: from(a) 2: to(b) 3: to(c) }")
     assert route.successors_map == {1: (2,), 2: (3,), 3: ()}

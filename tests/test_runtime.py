@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from labelflow import pdp, policy_compiler, runtime
+from labelflow import pdp, policy_compiler, routes, runtime
 from labelflow.engine import (
     EngineError,
     KnowledgeBase,
@@ -15,7 +15,7 @@ from labelflow.engine import (
 from labelflow.pdp import worst_case_policy
 from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
-from labelflow.routes import parse_route
+from labelflow.routes import node_names, parse_route
 from labelflow.runtime import (
     IMPLICIT_LEAK_ROUTE,
     EvalError,
@@ -348,6 +348,36 @@ def test_unresolved_service_rejected_up_front():
     services.register("a", echo_handler)
     with pytest.raises(UnresolvedService):
         execute(route, EMPTY_POLICY, services)
+
+
+def test_missing_handler_fails_every_execute_of_one_route():
+    # The route's service list is derived once, but the registry is checked
+    # on every execute, so registering the handler later is seen.
+    route = parse_route("route r { 1: from(a) 2: to(b) }")
+    services = ServiceRegistry()
+    services.register("a", echo_handler)
+    for _ in range(2):
+        with pytest.raises(UnresolvedService):
+            execute(route, EMPTY_POLICY, services)
+    services.register("b", echo_handler)
+    assert execute(route, EMPTY_POLICY, services).status == "completed"
+
+
+def test_execute_derives_node_names_once_per_route(monkeypatch):
+    calls = []
+
+    def counting(route):
+        calls.append(route)
+        return node_names(route)
+
+    monkeypatch.setattr(routes, "node_names", counting)
+    route = parse_route(read_fixture("sensor.route"))
+    services = registry(route)
+    nodes = ["sensor", "split", "log", "merge", "aggr", "mqueue"]
+    for _ in range(3):
+        outcome = execute(route, EMPTY_POLICY, services)
+        assert [ev.node for ev in outcome.audit] == nodes
+    assert calls == [route]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 import time
 
@@ -337,3 +339,37 @@ def test_match_does_not_recurse():
     assert not kernel.match(deep, other)
     assert kernel.match(_PAIR_XX, Compound("pair", (deep, same)))
     assert not kernel.match(_PAIR_XX, Compound("pair", (deep, other)))
+
+
+_MATCH_NON_GROUND = """
+from labelflow.kernel import match
+from labelflow.terms import Compound, Var
+pair = lambda a, b: Compound("pair", (a, b))
+print(match(pair(Var("X"), Var("X")), pair(Var("X"), Var("X"))))
+print(match(pair(Var("X"), Var("X")), pair(Var("Y"), Var("Z"))))
+"""
+
+
+def test_match_compares_term_side_variables_by_name():
+    # A term-side variable named like a repeated pattern variable must not
+    # bind; run in a subprocess so that a hang fails instead of stalling.
+    src = os.path.dirname(os.path.dirname(kernel.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _MATCH_NON_GROUND],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=20,
+    )
+    assert out.stdout.split() == ["True", "False"]
+
+
+def test_match_binds_no_term_side_variable():
+    x_twice = Compound("pair", (Var("X"), Var("X")))
+    assert kernel.match(x_twice, Compound("pair", (Var("A"), Var("A"))))
+    assert not kernel.match(x_twice, Compound("pair", (Var("A"), Atom("a"))))
+    assert not kernel.match(x_twice, Compound("pair", (Atom("a"), Var("A"))))
+    deep = _chain(Var("Y"), 20 * sys.getrecursionlimit())
+    same = _chain(Var("Y"), 20 * sys.getrecursionlimit())
+    assert kernel.match(x_twice, Compound("pair", (deep, same)))
