@@ -4,7 +4,9 @@ A route is a non-while-looping program over services. Statements are
 numbered; control flow is the next declared statement unless an explicit
 ``-> n, m`` successor list or a choice's goto targets say otherwise. Split
 fans out into several parallel branches which must all converge on the same
-aggregate statement (the join); nested splits are allowed.
+aggregate statement (the join); nested splits are allowed. Every statement is
+reached with the same open splits on every path, so no choice or ``->``
+enters or leaves a branch except through its split and join.
 
 Route files use the ``.route`` extension, UTF-8, and ``//`` line comments::
 
@@ -309,101 +311,88 @@ def validate_route(route: Route) -> None:
                 raise SplitJoinError(f"split {n} needs at least two branches")
         elif not isinstance(stmt, Choice) and len(targets) > 1:
             raise RouteError(f"statement {n} has multiple successors but is not a split")
-    _check_acyclic(route)
-    _check_reachable(route)
+    order = _topological_order(route)
+    if len(order) < len(stmts):
+        unreachable = sorted(set(stmts) - set(order))
+        raise RouteError(f"unreachable statement(s): {unreachable}")
     route.joins.clear()
-    route.joins.update(_compute_joins(route))
+    route.joins.update(_match_joins(route, order))
 
 
-def _check_acyclic(route: Route) -> None:
-    """Depth-first search in declaration order; raises on the first back edge."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in route.statements}
-    for root in route.statements:
-        if color[root] != WHITE:
+def _topological_order(route: Route) -> list:
+    """The statements the entry reaches, in reverse postorder.
+
+    One depth-first search from the entry, then from each declared statement
+    not yet seen, so that a cycle among unreachable statements is still
+    reported as a cycle; raises CycleError on the first back edge.
+    """
+    succ = route.successors_map
+    on_stack: dict[int, bool] = {}  # statement -> still on the search stack
+    postorder: list[int] = []
+    order = None
+    for root in (route.entry, *route.statements):
+        if root in on_stack:
             continue
-        color[root] = GRAY
-        stack = [(root, iter(route.successors_map.get(root, ())))]
+        on_stack[root] = True
+        stack = [(root, iter(succ.get(root, ())))]
         while stack:
             n, succs = stack[-1]
             for t in succs:
-                if color[t] == GRAY:
-                    raise CycleError(n, t)
-                if color[t] == WHITE:
-                    color[t] = GRAY
-                    stack.append((t, iter(route.successors_map.get(t, ()))))
+                if t not in on_stack:
+                    on_stack[t] = True
+                    stack.append((t, iter(succ.get(t, ()))))
                     break
+                if on_stack[t]:
+                    raise CycleError(n, t)
             else:
-                color[n] = BLACK
+                on_stack[n] = False
+                postorder.append(n)
                 stack.pop()
+        if order is None:
+            order = postorder[::-1]
+    return order
 
 
-def _check_reachable(route: Route) -> None:
-    seen = set()
-    stack = [route.entry]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(route.successors_map.get(n, ()))
-    unreachable = sorted(set(route.statements) - seen)
-    if unreachable:
-        raise RouteError(f"unreachable statement(s): {unreachable}")
+def _match_joins(route: Route, order: list) -> dict:
+    """Map each split to its join; raise SplitJoinError unless nested properly.
 
-
-def _compute_joins(route: Route) -> dict:
-    """Map each split to its unique join aggregate; validate the discipline."""
+    Walks ``order`` forward carrying each statement's open splits, innermost
+    last: a split opens itself and an aggregate closes the innermost open
+    split, whose join it is. Every path must reach a statement with the same
+    open splits, and the route may end only with none open.
+    """
     stmts = route.statements
-
-    def first_joins(n: int, depth: int, memo: dict) -> frozenset:
-        # Outcomes of walking forward from n: the aggregate that closes
-        # depth level 0, or None if the route ends first. Computed in
-        # post-order with an explicit stack; the route is already acyclic.
-        stack = [(n, depth)]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            at, level = key
-            stmt = stmts[at]
-            if isinstance(stmt, Aggregate):
-                if level == 0:
-                    memo[key] = frozenset([at])
-                    stack.pop()
-                    continue
-                level -= 1
-            elif isinstance(stmt, Split):
-                level += 1
-            succs = route.successors_map.get(at, ())
-            pending = [(t, level) for t in succs if (t, level) not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            if not succs:
-                memo[key] = frozenset([None])
-            else:
-                memo[key] = frozenset().union(*(memo[(t, level)] for t in succs))
-            stack.pop()
-        return memo[(n, depth)]
-
     joins: dict[int, int] = {}
-    memo: dict = {}
-    for n, stmt in stmts.items():
+    open_at = {route.entry: ()}
+    for n in order:
+        opened = open_at[n]
+        stmt = stmts[n]
         if isinstance(stmt, Split):
-            outcomes = set()
-            for b in route.successors_map[n]:
-                outcomes |= first_joins(b, 0, memo)
-            if None in outcomes or len(outcomes) != 1:
+            opened += (n,)
+        elif isinstance(stmt, Aggregate):
+            if not opened:
+                raise SplitJoinError(f"aggregate {n} is reached outside any split")
+            split = opened[-1]
+            if joins.setdefault(split, n) != n:
                 raise SplitJoinError(
-                    f"branches of split {n} do not all converge on one aggregate"
+                    f"branches of split {split} do not all converge on one aggregate"
                 )
-            joins[n] = next(iter(outcomes))
-    aggregates = {n for n, s in stmts.items() if isinstance(s, Aggregate)}
-    orphans = aggregates - set(joins.values())
-    if orphans:
-        raise SplitJoinError(f"aggregate(s) without a matching split: {sorted(orphans)}")
+            opened = opened[:-1]
+        targets = route.successors_map.get(n, ())
+        if opened and not targets:
+            raise SplitJoinError(
+                f"branches of split {opened[-1]} do not all converge on one aggregate"
+            )
+        for t in targets:
+            seen = open_at.setdefault(t, opened)
+            if seen != opened:
+                split = next(
+                    s for s in (*seen, *opened) if (s in seen) != (s in opened)
+                )
+                raise SplitJoinError(
+                    f"statement {t} is reached inside split {split} on one path "
+                    "and outside it on another"
+                )
     return joins
 
 

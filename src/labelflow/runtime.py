@@ -17,7 +17,7 @@ order; global-variable writes in an earlier branch are visible to later
 ones. A drop removes the in-flight message and thereby ends the execution;
 an error terminates it exceptionally. Obligations run up to the first that
 fails, whose ``otherwise`` applies only if at least as restrictive as the
-decision. ``kernel.rebuild`` and ``kernel.subterms`` walk all route terms.
+decision. ``kernel.rebuild`` walks all route terms.
 """
 
 from __future__ import annotations
@@ -192,21 +192,24 @@ def eval_expr(expr: Term, props: dict, env: dict) -> Term:
 
     Literals evaluate to themselves; ``msg(k)`` and ``env(k)`` read the
     message-scoped and global variable maps; other compounds evaluate their
-    arguments structurally, left to right, through ``kernel.rebuild``.
+    arguments structurally, left to right, through ``kernel.rebuild``. A
+    variable cannot be evaluated.
     """
     return kernel.rebuild(expr, lambda x: _eval_node(x, props, env))
 
 
-def _is_read(t: Term) -> bool:
-    return type(t) is Compound and t.functor in ("msg", "env") and len(t.args) == 1
-
-
 def _eval_node(expr: Term, props: dict, env: dict) -> Term | None:
-    """The value of a ``msg(k)``/``env(k)`` read; None for any other term, so
-    that a literal stays as it is and a compound's arguments are evaluated."""
     if type(expr) is Var:
         raise EvalError(f"cannot evaluate {expr!r}")
-    if not _is_read(expr):
+    return _read(expr, props, env)
+
+
+def _read(expr: Term, props: dict, env: dict) -> Term | None:
+    """The value of a ``msg(k)``/``env(k)`` read; None for any other term, so
+    that ``kernel.rebuild`` keeps it or rebuilds it from its arguments."""
+    if type(expr) is not Compound or expr.functor not in ("msg", "env"):
+        return None
+    if len(expr.args) != 1:
         return None
     key_term = expr.args[0]
     if not isinstance(key_term, Atom):
@@ -259,21 +262,17 @@ def eval_condition(
 ) -> bool:
     """A condition holds iff the goal is provable in the current contexts.
 
-    It is proved on ``kb`` as it is, with ``msg_prop``/``env_prop`` looked up
-    in ``props``/``env``; no base is built, so an atom key costs one dict
+    Each ``msg(k)``/``env(k)`` read in ``cond`` is first replaced by its
+    value; every other term, variables included, stays as it is. The goal is
+    proved on ``kb`` as it is, with ``msg_prop``/``env_prop`` looked up in
+    ``props``/``env``; no base is built, so an atom key costs one dict
     lookup whatever the size of the policy or of the maps.
     """
-    goal = eval_expr(cond, props, env) if _evaluable(cond) else cond
+    goal = kernel.rebuild(cond, lambda x: _read(x, props, env))
     try:
         return provable(kb, Literal(goal), limits, _context_builtins(props, env))
     except EngineError as exc:
         raise EvalError(f"condition {format_term(cond)} failed: {exc}") from exc
-
-
-def _evaluable(cond: Term) -> bool:
-    # Substitute msg()/env() reads inside conditions when present; plain
-    # goals like msg_prop(k, v) are proved by the lookup builtins instead.
-    return any(map(_is_read, kernel.subterms(cond)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ expression, pattern matching is re-implemented from scratch, label removal
 asks every (label, remove) pair instead of splitting off the ground
 removes, logical consequences are computed bottom-up instead of by
 resolution, choice conditions read the message's variables as one fact per
-variable instead of through lookup builtins, and dynamic violation is
-decided by exhaustively forcing every choice valuation.
+variable instead of through lookup builtins, a split's join is found by
+walking forward from each of its branches and open splits by following
+every path instead of in one pass over a topological order, and dynamic
+violation is decided by exhaustively forcing every choice valuation.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from labelflow.routes import (
     From,
     Route,
     Split,
+    SplitJoinError,
     To,
     validate_route,
 )
@@ -407,6 +410,134 @@ def random_route(
     route = Route(name, ordered, entry, succ, endpoints)
     validate_route(route)
     return route
+
+
+# ---------------------------------------------------------------------------
+# Random route DAGs: any from/to/choice/split/aggregate shape, most of them
+# rejected, for comparing the route validator with the oracles below.
+# ---------------------------------------------------------------------------
+
+
+def random_dag(rng, max_statements: int = 12) -> Route:
+    """A route whose statements are all of the right kind and arity and
+    whose every edge goes to a higher statement number; nothing else is
+    checked. Targets lie at most three statements ahead, so that branches
+    often converge, and nine routes in ten keep only what the entry reaches."""
+    size = rng.randint(2, max_statements)
+    stmts: dict = {1: From("src")}
+    succ: dict = {1: (2,)}
+
+    def ahead(n, k):
+        return rng.sample(range(n + 1, min(n + 4, size) + 1), k)
+
+    cond = Compound("eq", (Int(0), Int(0)))
+    for n in range(2, size + 1):
+        room = size - n
+        r = rng.random()
+        if room >= 2 and r < 0.25:
+            stmts[n] = Split(Atom("parts"))
+            succ[n] = tuple(ahead(n, rng.randint(2, min(3, room))))
+        elif room >= 1 and r < 0.4:
+            then_target, else_target = (ahead(n, 1) * 2) if room == 1 else ahead(n, 2)
+            stmts[n] = Choice(cond, then_target, else_target)
+            succ[n] = (then_target, else_target)
+        else:
+            closes = r < 0.65 and any(type(s) is Split for s in stmts.values())
+            stmts[n] = Aggregate(Atom("concat")) if closes else To("t")
+            if room and rng.random() < 0.9:
+                succ[n] = (n + 1,) if rng.random() < 0.5 else tuple(ahead(n, 1))
+            else:
+                succ[n] = ()
+    if rng.random() < 0.9:  # keep only what the entry reaches
+        reached, stack = set(), [1]
+        while stack:
+            n = stack.pop()
+            if n not in reached:
+                reached.add(n)
+                stack.extend(succ[n])
+        stmts = {n: s for n, s in stmts.items() if n in reached}
+        succ = {n: succ[n] for n in stmts}
+    return Route("dag", stmts, 1, succ)
+
+
+def reference_joins(route: Route) -> dict:
+    """Map each split to its join by walking forward from each branch.
+
+    A split's branches must all reach one aggregate at nesting level 0, a
+    nested split raising the level and an aggregate lowering it, and every
+    aggregate must be some split's join; raises SplitJoinError otherwise.
+    The route must be acyclic. This counts levels only, so it does not
+    notice a branch entered or left between its split and join.
+    """
+    stmts = route.statements
+
+    def first_joins(n: int, memo: dict) -> frozenset:
+        # The aggregates that close level 0 on the paths from n, with None
+        # for a path that ends first; post-order over an explicit stack.
+        stack = [(n, 0)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            at, level = key
+            stmt = stmts[at]
+            if isinstance(stmt, Aggregate):
+                if level == 0:
+                    memo[key] = frozenset([at])
+                    stack.pop()
+                    continue
+                level -= 1
+            elif isinstance(stmt, Split):
+                level += 1
+            succs = route.successors_map.get(at, ())
+            pending = [(t, level) for t in succs if (t, level) not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            if not succs:
+                memo[key] = frozenset([None])
+            else:
+                memo[key] = frozenset().union(*(memo[(t, level)] for t in succs))
+            stack.pop()
+        return memo[(n, 0)]
+
+    joins: dict[int, int] = {}
+    memo: dict = {}
+    for n, stmt in stmts.items():
+        if isinstance(stmt, Split):
+            outcomes = set()
+            for b in route.successors_map[n]:
+                outcomes |= first_joins(b, memo)
+            if None in outcomes or len(outcomes) != 1:
+                raise SplitJoinError(f"branches of split {n} do not converge")
+            joins[n] = next(iter(outcomes))
+    orphans = {n for n, s in stmts.items() if isinstance(s, Aggregate)}
+    orphans -= set(joins.values())
+    if orphans:
+        raise SplitJoinError(f"aggregates without a split: {sorted(orphans)}")
+    return joins
+
+
+def open_split_tuples(route: Route) -> dict:
+    """Statement -> the set of open-split tuples (innermost last) it is
+    reached with, over every path from the entry; a split opens itself and
+    an aggregate closes the innermost open split, if any. The route must be
+    acyclic."""
+    tuples: dict = {}
+    stack = [(route.entry, ())]
+    while stack:
+        n, opened = stack.pop()
+        if opened in tuples.setdefault(n, set()):
+            continue
+        tuples[n].add(opened)
+        stmt = route.statements[n]
+        if isinstance(stmt, Split):
+            opened += (n,)
+        elif isinstance(stmt, Aggregate):
+            opened = opened[:-1]
+        stack.extend((t, opened) for t in route.successors_map.get(n, ()))
+    return tuples
 
 
 def registry_for(route: Route) -> ServiceRegistry:

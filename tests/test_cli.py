@@ -358,6 +358,61 @@ def test_check_and_run_agree_on_route_endpoint(tmp_path, capsys):
     assert summary["at_statement"] == ce["trace"][-1]["statement"] == 2
 
 
+PROBE_ROUTE = """
+route R {
+  1: from(src)
+  2: when msg_prop(k, v) then goto 3 otherwise goto 5
+  3: split parts -> 4, 5
+  4: to(a) -> 6
+  5: to(b) -> 6
+  6: aggregate concat
+  7: to(z)
+}
+"""
+
+
+def test_check_and_run_reject_a_choice_into_a_split_branch(tmp_path, capsys):
+    route = tmp_path / "probe.route"
+    policy = tmp_path / "src.lucon"
+    route.write_text(PROBE_ROUTE)
+    policy.write_text('service { id src endpoint "src://.+" }\n')
+    errors = []
+    for command in ("check", "run"):
+        assert main([command, str(route), str(policy)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == 2 * [
+        f"error: {route}: statement 5 is reached inside split 3 on one path "
+        "and outside it on another\n"
+    ]
+
+
+def test_run_condition_mixing_a_read_and_a_variable(tmp_path, capsys):
+    policy = tmp_path / "props.lucon"
+    route = tmp_path / "props.route"
+    audit = tmp_path / "audit.jsonl"
+    policy.write_text(
+        'service { id src endpoint "src://.+" }\n'
+        'service { id pub endpoint "https://.+" properties public }\n'
+    )
+    route.write_text(
+        """
+        route R {
+          1: from(src)
+          2: set_msg_prop dest := pub
+          3: when has_property(msg(dest), P) then goto 4 otherwise goto 5
+          4: to(pub) -> end
+          5: to(z)
+        }
+        """
+    )
+    assert main(["run", str(route), str(policy), "--audit", str(audit)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "completed"
+    lines = audit.read_text().splitlines()
+    assert [json.loads(line)["statement"] for line in lines] == [1, 2, 3, 4]
+
+
 def test_run_manifest_url_is_input_error(tmp_path, capsys):
     manifest = {
         "services": {

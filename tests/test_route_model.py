@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from labelflow.routes import (
 from labelflow.terms import Atom, Compound, Int, TermSyntaxError
 
 from .conftest import read_fixture
-from .helpers import random_route
+from .helpers import open_split_tuples, random_dag, random_route, reference_joins
 
 
 @pytest.fixture
@@ -301,6 +302,63 @@ def test_orphan_aggregate():
         parse_route("route r { 1: from(a) 2: aggregate c }")
 
 
+def test_choice_into_a_split_branch():
+    # 5 is split 3's second branch and the else target of choice 2, so
+    # aggregate 6 could be reached with no split to join.
+    with pytest.raises(SplitJoinError) as exc:
+        parse_route(
+            """
+            route R {
+              1: from(src)
+              2: when msg_prop(k, v) then goto 3 otherwise goto 5
+              3: split parts -> 4, 5
+              4: to(a) -> 6
+              5: to(b) -> 6
+              6: aggregate concat
+              7: to(z)
+            }
+            """
+        )
+    assert str(exc.value) == (
+        "statement 5 is reached inside split 3 on one path and outside it on another"
+    )
+
+
+def test_branch_jumps_past_its_join():
+    with pytest.raises(SplitJoinError) as exc:
+        parse_route(
+            """
+            route r {
+              1: from(a)
+              2: split parts -> 3, 4
+              3: to(b) -> 5
+              4: when eq(1, 1) then goto 5 otherwise goto 6
+              5: aggregate concat
+              6: to(c)
+            }
+            """
+        )
+    assert str(exc.value) == (
+        "statement 6 is reached inside split 2 on one path and outside it on another"
+    )
+
+
+def test_splits_do_not_share_a_join():
+    with pytest.raises(SplitJoinError, match="statement 5 is reached inside split"):
+        parse_route(
+            """
+            route r {
+              1: from(a)
+              2: when eq(1, 1) then goto 3 otherwise goto 4
+              3: split parts -> 5, 6
+              4: split parts -> 5, 6
+              5: to(b) -> 6
+              6: aggregate concat
+            }
+            """
+        )
+
+
 def test_plain_statement_single_successor():
     route = Route(
         "r",
@@ -374,3 +432,46 @@ def test_random_route_with_back_edge_is_cyclic(seed):
         validate_route(
             Route(route.name, route.statements, route.entry, broken, route.endpoints)
         )
+
+
+def _joins_or_error(check, route: Route):
+    """The joins ``check`` finds in ``route``, or the class of what it raises."""
+    try:
+        return check(route)
+    except RouteError as exc:
+        return type(exc)
+
+
+def _validated_joins(route: Route) -> dict:
+    validate_route(route)
+    return route.joins
+
+
+def _reference_validation(route: Route) -> dict:
+    tuples = open_split_tuples(route)
+    if len(tuples) < len(route.statements):
+        raise RouteError("unreachable statement")
+    joins = reference_joins(route)
+    if any(len(seen) > 1 for seen in tuples.values()):
+        raise SplitJoinError("a statement is reached with two sets of open splits")
+    return joins
+
+
+def test_validator_agrees_with_path_oracles_on_random_dags():
+    # Accepted exactly when the level-counting reference accepts and every
+    # statement is reached with one open-split tuple over all paths.
+    verdicts = Counter()
+    for seed in range(1000):
+        route = random_dag(random.Random(seed))
+        got = _joins_or_error(_validated_joins, route)
+        want = _joins_or_error(_reference_validation, route)
+        assert got == want, (seed, format_route(route))
+        splits = any(isinstance(s, Split) for s in route.statements.values())
+        levels = _joins_or_error(reference_joins, route)
+        verdicts[got if type(got) is type else dict, splits, type(levels)] += 1
+    # Every verdict occurs, and some routes pass the level count alone.
+    assert verdicts[dict, True, dict] >= 20
+    assert verdicts[dict, False, dict] >= 200
+    assert verdicts[SplitJoinError, True, dict] >= 5
+    assert verdicts[SplitJoinError, True, type] >= 200
+    assert verdicts[RouteError, True, dict] + verdicts[RouteError, True, type] >= 10

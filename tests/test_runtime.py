@@ -483,6 +483,17 @@ def test_eval_condition_against_fact_base():
     )
 
 
+def test_eval_condition_keeps_variables_beside_reads():
+    kb = KnowledgeBase(parse_program("tagged(s1, hot)."), default_builtins())
+    props = {"svc": Atom("s1")}
+    cond = Compound("tagged", (Compound("msg", (Atom("svc"),)), Var("T")))
+    assert eval_condition(cond, props, {}, kb)
+    props["svc"] = Atom("s2")
+    assert not eval_condition(cond, props, {}, kb)
+    with pytest.raises(EvalError, match="cannot evaluate"):
+        eval_expr(cond, props, {})
+
+
 # Rules that mix the context lookups with policy predicates, lt and negation.
 CONDITION_RULES = parse_program(
     """
