@@ -225,6 +225,12 @@ def test_non_callable_literal_is_engine_error(parse, text):
         parse(text)
 
 
+def test_query_trailing_input_is_engine_error():
+    with pytest.raises(EngineError) as exc:
+        parse_query("p(X) q")
+    assert str(exc.value) == "trailing input in query: 'q'"
+
+
 def test_extend_leaves_original_untouched():
     kb = kb_of("p(a).")
     bigger = kb.extend(parse_program("p(b)."))

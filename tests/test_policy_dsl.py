@@ -83,6 +83,61 @@ def test_generated_id_is_content_stable():
     assert generated_service_id(decl) != generated_service_id(other)
 
 
+# Hoisted ids are pinned: ``flowbench/gen.py`` mirrors the formula, and a
+# policy that names a hoisted id by hand depends on it staying the same.
+HOISTED = """
+service { id s endpoint "svc://s" }
+flow_rule { id plain when service { endpoint "http[s]?://.+" } receives raw decide drop }
+flow_rule {
+  id rich
+  when service {
+    endpoint "bean://m"
+    properties trusted, zone(eu, "a b")
+    capabilities read(X), write
+    creates_label merge(10), pair(a, f(1))
+    removes_label raw, classification(secret)
+  }
+  receives raw decide allow
+}
+"""
+
+
+def test_hoisted_ids_are_pinned():
+    from flowbench.gen import _inline_id
+
+    plain, rich = parse_policy(HOISTED).rules
+    assert plain.target == "service97000661" == _inline_id("http[s]?://.+")
+    assert rich.target == "service31024044"
+
+
+def test_validation_service_without_id():
+    ast = PolicyAst((ServiceDecl("", "x"),))
+    with pytest.raises(ValidationError) as exc:
+        validate_policy(ast)
+    assert str(exc.value) == "service declaration without id"
+
+
+def test_validation_unknown_effect():
+    ast = PolicyAst(
+        (ServiceDecl("s", "x"),),
+        (FlowRule("r", "s", (Atom("a"),), Decision("maybe")),),
+    )
+    with pytest.raises(ValidationError) as exc:
+        validate_policy(ast)
+    assert str(exc.value) == "rule 'r' has unknown effect 'maybe'"
+
+
+def test_validation_unknown_otherwise_effect():
+    obligation = Obligation(Compound("audit", (Atom("message"),)), "maybe")
+    ast = PolicyAst(
+        (ServiceDecl("s", "x"),),
+        (FlowRule("r", "s", (Atom("a"),), Decision("drop", (obligation,))),),
+    )
+    with pytest.raises(ValidationError) as exc:
+        validate_policy(ast)
+    assert str(exc.value) == "rule 'r' obligation has unknown otherwise effect"
+
+
 def test_anonymous_rules_are_numbered():
     text = """
     service { id s endpoint "svc://s" }

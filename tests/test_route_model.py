@@ -411,6 +411,25 @@ def test_format_marks_mid_route_terminals():
     assert parse_route(format_route(route)).successors_map == route.successors_map
 
 
+def test_format_set_statements():
+    route = parse_route(
+        """
+        route r {
+          1: from(a)
+          2: set_msg_prop level := lt(1, f(X, "s"))
+          3: set_env_prop zone := eu
+          4: to(b)
+        }
+        """
+    )
+    lines = format_route(route).splitlines()
+    assert lines[2:4] == [
+        '  2: set_msg_prop level := lt(1, f(X, "s")) -> 3',
+        "  3: set_env_prop zone := eu -> 4",
+    ]
+    assert parse_route(format_route(route)).statements == route.statements
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_random_routes_round_trip(seed):
     route = random_route(random.Random(seed))

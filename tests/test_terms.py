@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from labelflow import terms as terms_module
 from labelflow.engine import parse_program
+from labelflow.policy import parse_policy
+from labelflow.routes import parse_route
 from labelflow.terms import (
     Atom,
     Compound,
@@ -21,6 +23,7 @@ from labelflow.terms import (
     parse_term,
 )
 
+from .conftest import read_fixture
 from .helpers import reference_tokens
 
 
@@ -214,6 +217,40 @@ def test_each_distinct_lexeme_is_classified_once(monkeypatch):
     assert sorted(classified) == sorted(distinct)
     assert len(tok.tokens) == 50 * 18 + 1
     assert len({id(t) for t in tok.tokens}) == len(distinct)
+
+
+def _count_next_calls(monkeypatch) -> list:
+    """Count ``Tokenizer.next`` calls the way the benchmark's tracer does."""
+    calls = []
+    original = Tokenizer.next
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Tokenizer, "next", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fixture, parse, comment, consumed",
+    [
+        ("dont_publish_raw.lucon", parse_policy, "//", 33),
+        ("measurement_chain.lucon", parse_policy, "//", 32),
+        ("sensor.route", parse_route, "//", 53),
+        ("measurement_chain.route", parse_route, "//", 31),
+        ("dont_publish_raw.clauses", parse_program, "%", 76),
+        ("measurement_chain.clauses", parse_program, "%", 67),
+    ],
+)
+def test_parsing_calls_next_once_per_consumed_token(
+    monkeypatch, fixture, parse, comment, consumed
+):
+    text = read_fixture(fixture)
+    tokens = Tokenizer(text, comment).tokens
+    calls = _count_next_calls(monkeypatch)
+    parse(text)
+    assert len(calls) == consumed == len(tokens) - 1  # every token but EOF
 
 
 @pytest.mark.parametrize(
