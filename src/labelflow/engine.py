@@ -348,7 +348,7 @@ def parse_program(text: str) -> list[Clause]:
     while tok.peek().kind != "EOF":
         head = parse_term_from(tok)
         body = _parse_literals(tok) if tok.accept("PUNCT", ":-") else ()
-        tok.expect("PUNCT", ".")
+        tok.next("PUNCT", ".")
         clauses.append(Clause(head, body))
     return clauses
 

@@ -23,14 +23,15 @@ Example::
 
 Inline service declarations are hoisted to top-level services with a
 deterministic generated id, so parse(format(ast)) is the identity on valid
-ASTs.
+ASTs. The id is derived from the parsed sections, so hoisting builds one
+declaration per inline service.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .kernel import is_ground
 from .terms import (
@@ -46,22 +47,13 @@ from .terms import (
 
 EFFECTS = ("allow", "drop", "error")
 
-_SECTION_KEYWORDS = frozenset(
-    [
-        "id",
-        "endpoint",
-        "properties",
-        "capabilities",
-        "creates_label",
-        "removes_label",
-        "when",
-        "receives",
-        "decide",
-        "require",
-        "otherwise",
-        "service",
-        "flow_rule",
-    ]
+# Service-block sections that hold a term list, in ServiceDecl field order.
+_TERM_LISTS = ("properties", "capabilities", "creates_label", "removes_label")
+# Service-block section -> kind of its one value token, or None for a term
+# list. A STR token's text is its decoded value.
+_SERVICE_SECTIONS = {"id": "ATOM", "endpoint": "STR", **dict.fromkeys(_TERM_LISTS)}
+_SECTION_KEYWORDS = frozenset(_SERVICE_SECTIONS).union(
+    ["when", "receives", "decide", "require", "otherwise", "service", "flow_rule"]
 )
 
 
@@ -129,15 +121,17 @@ class PolicyAst:
         return pattern
 
 
-def generated_service_id(decl: ServiceDecl) -> str:
-    """Stable id for inline service declarations, derived from content."""
+def generated_service_id(
+    endpoint: str, properties=(), capabilities=(), creates_labels=(), removes_labels=()
+) -> str:
+    """Stable id for an inline service declaration, derived from its content."""
     basis = "|".join(
         [
-            decl.endpoint,
-            ",".join(format_term(t) for t in decl.properties),
-            ",".join(format_term(t) for t in decl.capabilities),
-            ",".join(format_term(t) for t in decl.creates_labels),
-            ",".join(format_term(t) for t in decl.removes_labels),
+            endpoint,
+            ",".join(map(format_term, properties)),
+            ",".join(map(format_term, capabilities)),
+            ",".join(map(format_term, creates_labels)),
+            ",".join(map(format_term, removes_labels)),
         ]
     )
     digest = hashlib.sha1(basis.encode()).hexdigest()
@@ -147,18 +141,6 @@ def generated_service_id(decl: ServiceDecl) -> str:
 # ---------------------------------------------------------------------------
 # Parsing.
 # ---------------------------------------------------------------------------
-
-
-# Service-block section -> kind of its one value token, or None for a term
-# list. A STR token's text is its decoded value.
-_SERVICE_SECTIONS = {
-    "id": "ATOM",
-    "endpoint": "STR",
-    "properties": None,
-    "capabilities": None,
-    "creates_label": None,
-    "removes_label": None,
-}
 
 
 class _PolicyParser:
@@ -189,8 +171,8 @@ class _PolicyParser:
 
     def _parse_service(self) -> ServiceDecl:
         tok = self.tok
-        tok.expect("ATOM", "service")
-        tok.expect("PUNCT", "{")
+        tok.next("ATOM", "service")
+        tok.next("PUNCT", "{")
         sections: dict[str, object] = {}
         while True:
             at = tok.index
@@ -202,7 +184,7 @@ class _PolicyParser:
                 if value_kind is None:
                     sections[word] = self._parse_term_list()
                 else:
-                    sections[word] = tok.expect(value_kind).text
+                    sections[word] = tok.next(value_kind).text
             elif kind == "PUNCT" and word == "}":
                 break
             else:
@@ -215,17 +197,11 @@ class _PolicyParser:
             raise TermSyntaxError(
                 "service block missing endpoint", *tok.position(tok.index)
             )
-        decl = ServiceDecl(
-            id=sections.get("id", ""),
-            endpoint=endpoint,
-            properties=sections.get("properties", ()),
-            capabilities=sections.get("capabilities", ()),
-            creates_labels=sections.get("creates_label", ()),
-            removes_labels=sections.get("removes_label", ()),
-        )
-        if "id" not in sections:
-            decl = replace(decl, id=generated_service_id(decl))
-        return decl
+        lists = [sections.get(section, ()) for section in _TERM_LISTS]
+        sid = sections.get("id")
+        if sid is None:
+            sid = generated_service_id(endpoint, *lists)
+        return ServiceDecl(sid, endpoint, *lists)
 
     def _parse_term_list(self) -> tuple:
         terms = [self._parse_term()]
@@ -246,35 +222,35 @@ class _PolicyParser:
 
     def _effect(self) -> str:
         at = self.tok.index
-        t = self.tok.expect("ATOM")
+        t = self.tok.next("ATOM")
         if t.text not in EFFECTS:
             raise TermSyntaxError(f"unknown effect {t.text!r}", *self.tok.position(at))
         return t.text
 
     def _parse_rule(self) -> FlowRule:
         tok = self.tok
-        tok.expect("ATOM", "flow_rule")
-        tok.expect("PUNCT", "{")
+        tok.next("ATOM", "flow_rule")
+        tok.next("PUNCT", "{")
         name = None
         if tok.accept("ATOM", "id"):
-            name = tok.expect("ATOM").text
-        tok.expect("ATOM", "when")
+            name = tok.next("ATOM").text
+        tok.next("ATOM", "when")
         if tok.at_keyword("service"):
             target_decl = self._parse_service()
             self.services.setdefault(target_decl)
             target = target_decl.id
         else:
-            target = tok.expect("ATOM").text
-        tok.expect("ATOM", "receives")
+            target = tok.next("ATOM").text
+        tok.next("ATOM", "receives")
         triggers = self._parse_term_list()
-        tok.expect("ATOM", "decide")
+        tok.next("ATOM", "decide")
         effect = self._effect()
         obligations = []
         while tok.accept("ATOM", "require"):
             action = self._parse_term()
             otherwise = self._effect() if tok.accept("ATOM", "otherwise") else "error"
             obligations.append(Obligation(action, otherwise))
-        tok.expect("PUNCT", "}")
+        tok.next("PUNCT", "}")
         if name is None:
             self._anon_rules += 1
             name = f"rule{self._anon_rules}"

@@ -181,44 +181,44 @@ def _parse_targets(tok: Tokenizer) -> tuple | None:
         return None
     if tok.accept("ATOM", "end"):
         return ()
-    targets = [tok.expect("INT").value]
+    targets = [tok.next("INT").value]
     while tok.accept("PUNCT", ","):
-        targets.append(tok.expect("INT").value)
+        targets.append(tok.next("INT").value)
     return tuple(targets)
 
 
 def parse_route(text: str) -> Route:
     tok = Tokenizer(text, comment="//")
-    tok.expect("ATOM", "route")
+    tok.next("ATOM", "route")
     name_tok = tok.peek()
     if name_tok.kind not in ("ATOM", "VAR"):  # route names may be capitalized
         raise TermSyntaxError("expected route name", *tok.position(tok.index))
     name = tok.next().text
-    tok.expect("PUNCT", "{")
+    tok.next("PUNCT", "{")
     endpoints: dict[str, str] = {}
     if tok.at_keyword("services"):
         tok.next()
-        tok.expect("PUNCT", "{")
+        tok.next("PUNCT", "{")
         while not tok.accept("PUNCT", "}"):
             at = tok.index
-            svc = tok.expect("ATOM")
+            svc = tok.next("ATOM")
             if svc.text in endpoints:
                 raise TermSyntaxError(
                     f"duplicate service binding {svc.text}", *tok.position(at)
                 )
-            tok.expect("PUNCT", "=")
-            endpoints[svc.text] = tok.expect("STR").value
+            tok.next("PUNCT", "=")
+            endpoints[svc.text] = tok.next("STR").value
     statements: dict[int, Statement] = {}
     explicit: dict[int, tuple] = {}
     order: list[int] = []
     while not tok.accept("PUNCT", "}"):
         at = tok.index
-        num = tok.expect("INT").value
+        num = tok.next("INT").value
         if num in statements:
             raise TermSyntaxError(
                 f"duplicate statement number {num}", *tok.position(at)
             )
-        tok.expect("PUNCT", ":")
+        tok.next("PUNCT", ":")
         stmt, targets = _parse_statement(tok)
         statements[num] = stmt
         if targets is not None:
@@ -257,17 +257,17 @@ def _parse_statement(tok: Tokenizer):
     word = t.text if t.kind == "ATOM" else None
     if word in _SERVICE_STATEMENTS:
         tok.next()
-        tok.expect("PUNCT", "(")
-        svc = tok.expect("ATOM").text
-        tok.expect("PUNCT", ")")
+        tok.next("PUNCT", "(")
+        svc = tok.next("ATOM").text
+        tok.next("PUNCT", ")")
         return _SERVICE_STATEMENTS[word](svc), _parse_targets(tok)
     if word in _EXPR_STATEMENTS:
         tok.next()
         return _EXPR_STATEMENTS[word](parse_term_from(tok)), _parse_targets(tok)
     if word in _SET_STATEMENTS:
         tok.next()
-        var = tok.expect("ATOM").text
-        tok.expect("PUNCT", ":=")
+        var = tok.next("ATOM").text
+        tok.next("PUNCT", ":=")
         return _SET_STATEMENTS[word](var, parse_term_from(tok)), _parse_targets(tok)
     if tok.accept("ATOM", "when"):
         start = tok.index
@@ -277,12 +277,12 @@ def _parse_statement(tok: Tokenizer):
                 f"choice condition must be an atom or compound: {format_term(cond)}",
                 *tok.position(start),
             )
-        tok.expect("ATOM", "then")
-        tok.expect("ATOM", "goto")
-        then_target = tok.expect("INT").value
-        tok.expect("ATOM", "otherwise")
-        tok.expect("ATOM", "goto")
-        else_target = tok.expect("INT").value
+        tok.next("ATOM", "then")
+        tok.next("ATOM", "goto")
+        then_target = tok.next("INT").value
+        tok.next("ATOM", "otherwise")
+        tok.next("ATOM", "goto")
+        else_target = tok.next("INT").value
         return Choice(cond, then_target, else_target), None
     raise TermSyntaxError(
         f"unknown statement {t.text or t.kind!r}", *tok.position(tok.index)

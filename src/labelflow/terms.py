@@ -22,9 +22,11 @@ Lexical syntax, shared by the term, clause, policy and route parsers:
 
 Scanning a text costs one ``findall`` of a compiled pattern, which yields
 the raw lexemes, plus one Python classification per *distinct* lexeme:
-every occurrence of a lexeme is the same immutable ``Token``. Tokens carry
-no position. Line and column are recovered by token index, with one rescan
-of the text per raised error.
+every occurrence of a lexeme is the same immutable ``Token``. Parsing then
+costs one ``Tokenizer.next`` call per consumed token, and builds one
+``Atom`` per distinct atom name of the text. Tokens carry no position.
+Line and column are recovered by token index, with one rescan of the text
+per raised error.
 """
 
 from __future__ import annotations
@@ -159,9 +161,11 @@ _CLOSED_STRING = re.compile(rf'"({_STRING_BODY})"')
 def _token_pattern(comment: str) -> re.Pattern:
     # Skip whitespace and comments, then capture exactly one lexeme: a
     # string, an integer, a name, a punctuation mark, the empty lexeme at
-    # the end of the text (EOF) or any other single character.
+    # the end of the text (EOF) or any other single character. The skip
+    # repeats no alternation: a whitespace run is one ``\s*`` step, and
+    # only a comment starts another iteration.
     return re.compile(
-        rf"(?:\s+|{re.escape(comment)}[^\n]*)*"
+        rf"\s*(?:{re.escape(comment)}[^\n]*\s*)*"
         rf'("{_STRING_BODY}"?|-?\d+|\w+'
         rf"|{'|'.join(map(re.escape, _PUNCT))}|\Z|.)",
         re.DOTALL,
@@ -248,6 +252,10 @@ class Tokenizer:
     ``position(i)`` recovers the 1-based line and column of token ``i`` when
     an error is raised, by scanning the text again up to it.
 
+    A parser consumes each token with exactly one ``next`` call, which also
+    checks its kind and text when asked to. ``atoms`` holds one ``Atom`` per
+    distinct atom name that ``parse_term_from`` has read from this text.
+
     ``comment`` selects the line-comment introducer: ``%`` for clause files,
     ``//`` for policy and route files.
     """
@@ -257,6 +265,7 @@ class Tokenizer:
         self.comment = comment
         self.tokens = _scan(text, comment)
         self.index = 0
+        self.atoms: dict[str, Atom] = {}  # immutable, so shared by occurrences
 
     def position(self, i: int) -> tuple[int, int]:
         """(line, column) of ``tokens[i]``."""
@@ -267,21 +276,18 @@ class Tokenizer:
     def peek(self) -> Token:
         return self.tokens[self.index]
 
-    def next(self) -> Token:
+    def next(self, kind: str | None = None, text: str | None = None) -> Token:
+        """Consume the current token, which must have ``kind`` and ``text`` if given."""
         tok = self.tokens[self.index]
-        if tok.kind != "EOF":
-            self.index += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.tokens[self.index]
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if kind is not None and (tok.kind != kind or text not in (None, tok.text)):
             want = text if text is not None else kind.lower()
             raise TermSyntaxError(
                 f"expected {want!r}, found {tok.text or tok.kind!r}",
                 *self.position(self.index),
             )
-        return self.next()
+        if tok.kind != "EOF":
+            self.index += 1
+        return tok
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         tok = self.tokens[self.index]
@@ -316,9 +322,12 @@ def parse_term_from(tok: Tokenizer) -> Term:
             args = [parse_term_from(tok)]
             while tok.accept("PUNCT", ","):
                 args.append(parse_term_from(tok))
-            tok.expect("PUNCT", ")")
+            tok.next("PUNCT", ")")
             return Compound(t.text, tuple(args))
-        return Atom(t.text)
+        atom = tok.atoms.get(t.text)
+        if atom is None:
+            atom = tok.atoms[t.text] = Atom(t.text)
+        return atom
     raise TermSyntaxError(
         f"expected a term, found {t.text or t.kind!r}", *tok.position(at)
     )

@@ -77,10 +77,8 @@ def test_identical_inline_services_collapse():
 
 
 def test_generated_id_is_content_stable():
-    decl = ServiceDecl(id="", endpoint="http://x")
-    assert generated_service_id(decl) == generated_service_id(decl)
-    other = ServiceDecl(id="", endpoint="http://y")
-    assert generated_service_id(decl) != generated_service_id(other)
+    assert generated_service_id("http://x") == generated_service_id("http://x")
+    assert generated_service_id("http://x") != generated_service_id("http://y")
 
 
 # Hoisted ids are pinned: ``flowbench/gen.py`` mirrors the formula, and a
@@ -105,9 +103,32 @@ flow_rule {
 def test_hoisted_ids_are_pinned():
     from flowbench.gen import _inline_id
 
-    plain, rich = parse_policy(HOISTED).rules
+    ast = parse_policy(HOISTED)
+    plain, rich = ast.rules
     assert plain.target == "service97000661" == _inline_id("http[s]?://.+")
     assert rich.target == "service31024044"
+    decl = ast.service(rich.target)
+    assert generated_service_id(
+        decl.endpoint,
+        decl.properties,
+        decl.capabilities,
+        decl.creates_labels,
+        decl.removes_labels,
+    ) == "service31024044"
+
+
+def test_each_service_block_builds_one_declaration(monkeypatch):
+    built = []
+    init = ServiceDecl.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ServiceDecl, "__init__", counting)
+    ast = parse_policy(HOISTED)
+    assert len(ast.services) == 3  # s and two hoisted inline targets
+    assert len(built) == 3
 
 
 def test_validation_service_without_id():

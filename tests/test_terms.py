@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from labelflow import terms as terms_module
 from labelflow.engine import parse_program
+from labelflow.kernel import subterms
 from labelflow.policy import parse_policy
 from labelflow.routes import parse_route
 from labelflow.terms import (
@@ -251,6 +252,58 @@ def test_parsing_calls_next_once_per_consumed_token(
     calls = _count_next_calls(monkeypatch)
     parse(text)
     assert len(calls) == consumed == len(tokens) - 1  # every token but EOF
+
+
+def _clause_terms(clauses):
+    for clause in clauses:
+        yield clause.head
+        for literal in clause.body:
+            yield literal.term
+
+
+def _policy_terms(ast):
+    for s in ast.services:
+        yield from s.properties + s.capabilities + s.creates_labels + s.removes_labels
+    for r in ast.rules:
+        yield from r.trigger_labels
+        for ob in r.decision.obligations:
+            yield ob.action
+
+
+@pytest.mark.parametrize(
+    "parse, terms_of, text",
+    [
+        (
+            parse_program,
+            _clause_terms,
+            "p(a, b, f(a)) :- q(a, b), \\+ r(b, c).\np(c, c, g) :- s.\n" * 20,
+        ),
+        (
+            parse_policy,
+            _policy_terms,
+            read_fixture("measurement_chain.lucon")
+            + 'flow_rule { when merge receives raw, merge(raw) decide drop '
+            'require log(raw, message) otherwise drop }\n' * 20,
+        ),
+    ],
+    ids=["clauses", "policy"],
+)
+def test_one_atom_per_distinct_atom_name(monkeypatch, parse, terms_of, text):
+    built = []
+    check = Atom.__post_init__
+
+    def counting(atom):
+        built.append(atom.name)
+        check(atom)
+
+    monkeypatch.setattr(Atom, "__post_init__", counting)
+    parsed = parse(text)
+    atoms = [
+        x for t in terms_of(parsed) for x in subterms(t) if isinstance(x, Atom)
+    ]
+    names = {a.name for a in atoms}
+    assert sorted(built) == sorted(names)
+    assert len({id(a) for a in atoms}) == len(names)
 
 
 @pytest.mark.parametrize(
