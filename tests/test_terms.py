@@ -220,19 +220,6 @@ def test_each_distinct_lexeme_is_classified_once(monkeypatch):
     assert len({id(t) for t in tok.tokens}) == len(distinct)
 
 
-def _count_next_calls(monkeypatch) -> list:
-    """Count ``Tokenizer.next`` calls the way the benchmark's tracer does."""
-    calls = []
-    original = Tokenizer.next
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(Tokenizer, "next", counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "fixture, parse, comment, consumed",
     [
@@ -249,7 +236,14 @@ def test_parsing_calls_next_once_per_consumed_token(
 ):
     text = read_fixture(fixture)
     tokens = Tokenizer(text, comment).tokens
-    calls = _count_next_calls(monkeypatch)
+    calls = []
+    original = Tokenizer.next
+
+    def counting(*args, **kwargs):  # counts as the benchmark's tracer does
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Tokenizer, "next", counting)
     parse(text)
     assert len(calls) == consumed == len(tokens) - 1  # every token but EOF
 
