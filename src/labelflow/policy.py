@@ -25,6 +25,12 @@ Inline service declarations are hoisted to top-level services with a
 deterministic generated id, so parse(format(ast)) is the identity on valid
 ASTs. The id is derived from the parsed sections, so hoisting builds one
 declaration per inline service.
+
+Validating an endpoint costs one ``regex_prefix`` match when the pattern
+lies in that recognizer's subset, and compiles nothing; only a pattern
+outside the subset is compiled to be validated. Such a pattern is compiled
+later, at most once per AST, when coverage first meets a target that its
+literal prefix admits.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .terms import (
     compile_regex,
     format_term,
     parse_term_from,
+    regex_prefix,
 )
 
 EFFECTS = ("allow", "drop", "error")
@@ -100,6 +107,8 @@ class FlowRule:
 class PolicyAst:
     services: tuple = ()
     rules: tuple = ()
+    # endpoint text -> literal prefix, filled by ``endpoint_prefix``
+    endpoint_prefixes: dict = field(default_factory=dict, compare=False, repr=False)
     # endpoint text -> compiled regex, filled by ``endpoint_regex``
     endpoint_regexes: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -109,8 +118,26 @@ class PolicyAst:
                 return s
         raise KeyError(sid)
 
+    def endpoint_prefix(self, endpoint: str) -> str:
+        """The literal prefix of every URL ``endpoint`` matches; validates it.
+
+        A pattern inside ``regex_prefix``'s subset costs one recognizer
+        match and is not compiled. Any other pattern is compiled, so an
+        invalid one raises ``RegexError``, and its prefix is empty.
+        """
+        prefix = self.endpoint_prefixes.get(endpoint)
+        if prefix is None:
+            prefix = regex_prefix(endpoint)
+            if prefix is None:
+                # Compiled here, not through ``endpoint_regex``, so that ``re``
+                # meets the recursion limit at the depth it always has.
+                self.endpoint_regexes[endpoint] = compile_regex(endpoint)
+                prefix = ""
+            self.endpoint_prefixes[endpoint] = prefix
+        return prefix
+
     def endpoint_regex(self, endpoint: str) -> re.Pattern:
-        """``endpoint`` compiled once per AST, for validation and compilation.
+        """``endpoint`` compiled at most once per AST, on first use.
 
         Memoised on the AST by endpoint text, not by service id, so an AST
         derived with ``dataclasses.replace`` never reads a stale pattern.
@@ -215,9 +242,11 @@ class _PolicyParser:
         tok = self.tok
         t = tok.peek()
         if t.kind == "ATOM" and t.text in _SECTION_KEYWORDS:
-            raise TermSyntaxError(
-                f"keyword {t.text!r} cannot start a term", *tok.position(tok.index)
-            )
+            after = tok.tokens[tok.index + 1]  # an ATOM is never the last token
+            if after.kind != "PUNCT" or after.text != "(":
+                raise TermSyntaxError(
+                    f"keyword {t.text!r} cannot start a term", *tok.position(tok.index)
+                )
         return parse_term_from(tok)
 
     def _effect(self) -> str:
@@ -271,7 +300,7 @@ def validate_policy(ast: PolicyAst) -> None:
             raise ValidationError(f"duplicate service id {s.id!r}")
         seen_services.add(s.id)
         try:
-            ast.endpoint_regex(s.endpoint)
+            ast.endpoint_prefix(s.endpoint)
         except RegexError as exc:
             raise ValidationError(
                 f"service {s.id!r} has an invalid endpoint regex: {exc}"

@@ -2,7 +2,10 @@
 
 ``compile_policy`` builds the tables that the decision point, the label
 transforms and the verifier read: rules and services by name and each
-service's compiled endpoint regex. The Horn-clause knowledge base is read
+service's endpoint, as its literal prefix and its text. Compiling the policy
+compiles no regex. Coverage tests a target against an endpoint's prefix
+first, and compiles the endpoint, once per AST, only on the first target
+that the prefix admits. The Horn-clause knowledge base is read
 only by route choice conditions and by ``labelflow compile``, so it is built
 from ``policy_clauses`` on the first read of ``CompiledPolicy.kb``.
 
@@ -30,7 +33,7 @@ class CompiledPolicy:
     ast: PolicyAst
     rule_index: dict  # rule name -> FlowRule, declaration order
     service_index: dict  # service id -> ServiceDecl, declaration order
-    endpoint_patterns: dict  # service id -> compiled regex
+    endpoint_patterns: dict  # service id -> (literal prefix, endpoint text)
     # (service atom, route URL) -> Coverage: the covering declarations' ids
     # and the rules that target them
     covering: dict = field(default_factory=dict, compare=False, repr=False)
@@ -86,17 +89,27 @@ def compile_policy(ast: PolicyAst) -> CompiledPolicy:
         rule_index={r.name: r for r in ast.rules},
         service_index={s.id: s for s in ast.services},
         endpoint_patterns={
-            s.id: ast.endpoint_regex(s.endpoint) for s in ast.services
+            s.id: (ast.endpoint_prefix(s.endpoint), s.endpoint) for s in ast.services
         },
     )
 
 
 def service_matches(cp: CompiledPolicy, decl_id: str, target: str) -> bool:
-    """Does declared service ``decl_id`` cover ``target`` (URL or id)?"""
+    """Does declared service ``decl_id`` cover ``target`` (URL or id)?
+
+    The target must start with the endpoint's literal prefix before the
+    endpoint is compiled and matched.
+    """
     if decl_id == target:
         return True
-    pattern = cp.endpoint_patterns.get(decl_id)
-    return pattern is not None and pattern.fullmatch(target) is not None
+    entry = cp.endpoint_patterns.get(decl_id)
+    if entry is None:
+        return False
+    prefix, endpoint = entry
+    return (
+        target.startswith(prefix)
+        and cp.ast.endpoint_regex(endpoint).fullmatch(target) is not None
+    )
 
 
 class Coverage(tuple):
@@ -122,21 +135,33 @@ def covering_declarations(
     transforms (see ``Coverage``) are memoised together per (atom, url) on
     the compiled policy, so the runtime and the verifier share one answer
     and each key pays one pass over the services and one over the rules.
+    That pass compiles an endpoint only when its prefix admits the atom or
+    the URL and the AST holds no compiled copy yet.
     Two threads racing on a new key at worst build two equal entries.
     """
     key = (atom, url)
     cov = cp.covering.get(key)
     if cov is None:
+        regex = cp.ast.endpoint_regex
         # ``service_matches`` of the atom, then of the URL, inlined: each
-        # pattern is tried at most once on each.
+        # endpoint is tried at most once on each.
         cov = Coverage(
             sid
-            for sid, pattern in cp.endpoint_patterns.items()
+            for sid, (prefix, endpoint) in cp.endpoint_patterns.items()
             if sid == atom
-            or pattern.fullmatch(atom) is not None
+            or (
+                atom.startswith(prefix)
+                and regex(endpoint).fullmatch(atom) is not None
+            )
             or (
                 url is not None
-                and (sid == url or pattern.fullmatch(url) is not None)
+                and (
+                    sid == url
+                    or (
+                        url.startswith(prefix)
+                        and regex(endpoint).fullmatch(url) is not None
+                    )
+                )
             )
         )
         targets = set(cov)

@@ -27,6 +27,12 @@ costs one ``Tokenizer.next`` call per consumed token, and builds one
 ``Atom`` per distinct atom name of the text. Tokens carry no position.
 Line and column are recovered by token index, with one rescan of the text
 per raised error.
+
+Endpoint regexes are validated without compiling them where possible:
+``regex_prefix`` recognizes a subset of the regex language that ``re``
+always compiles, with one linear-time match per pattern, and returns the
+literal prefix that every match starts with. Only a pattern outside the
+subset goes through ``compile_regex`` to be validated.
 """
 
 from __future__ import annotations
@@ -59,6 +65,43 @@ def compile_regex(pattern: str) -> re.Pattern:
     # re rejects a too-large repeat count and too-deep nesting without re.error
     except (re.error, OverflowError, RecursionError) as exc:
         raise RegexError(str(exc)) from exc
+
+
+# A subset of the regex language that ``re`` always compiles: plain
+# characters, ``\`` before a non-alphanumeric, ``\d \D \s \S \w \W``, ``.``,
+# classes of letters, digits, ``._/:@%=`` and the ranges ``0-9 a-z A-Z``,
+# and one-level groups of alternatives of those; each item takes one
+# ``*``, ``+`` or ``?``, optionally lazy. Every alternative starts with a
+# character of its own and a plain run is maximal, so there is one way to
+# match any text and a match takes linear time, also when it fails.
+_PLAIN = r"[^.^$*+?{}\[\]\\|()]"
+_QUANTIFIER = r"(?:[*+?]\??)?"
+_ITEM = (
+    rf"(?:{_PLAIN}+(?!{_PLAIN})"
+    r"|\\(?:[^0-9A-Za-z]|[dDsSwW])"
+    r"|\."
+    r"|\[\^?(?:0-9|a-z|A-Z|[0-9A-Za-z._/:@%=])+\])" + _QUANTIFIER
+)
+_GROUP = rf"\((?:{_ITEM})*(?:\|(?:{_ITEM})*)*\){_QUANTIFIER}"
+# Group 1 is the leading plain run, group 2 a quantifier on its last character.
+_SIMPLE_REGEX = re.compile(
+    rf"({_PLAIN}*)(?!{_PLAIN})(?:(?<={_PLAIN})([*+?])\??)?(?:{_ITEM}|{_GROUP})*"
+)
+
+
+def regex_prefix(pattern: str) -> str | None:
+    """The literal text every ``fullmatch`` of ``pattern`` starts with, or
+    None if ``pattern`` lies outside the subset above.
+
+    A pattern inside the subset is a valid regex without being compiled;
+    recognizing one costs a single linear-time match. The prefix is the
+    leading run of plain characters, less its last one when a quantifier
+    follows the run.
+    """
+    m = _SIMPLE_REGEX.fullmatch(pattern)
+    if m is None:
+        return None
+    return m[1][:-1] if m[2] else m[1]
 
 
 _find_whitespace = re.compile(r"\s").search

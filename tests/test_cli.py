@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,34 @@ def test_endpoint_regex_rejected_without_re_error_is_input_error(
         f"error: {bad}: service 's' has an invalid endpoint regex: "
     )
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "policy, compiled",
+    [
+        # sensor covers its atom by id; only the inline target's pattern
+        # must be matched, against mqueue's URL
+        ("dont_publish_raw.lucon", ["http[s]?://.+"]),
+        # every service covers its atom by id, and no endpoint's literal
+        # prefix admits another atom or URL of the route
+        ("measurement_chain.lucon", []),
+    ],
+)
+def test_check_compiles_only_endpoints_a_route_target_can_match(
+    monkeypatch, capsys, policy, compiled
+):
+    calls: list = []
+    compile_regex = re.compile
+
+    def counting(pattern, flags=0):
+        calls.append(pattern)
+        return compile_regex(pattern, flags)
+
+    endpoints = {s.endpoint for s in parse_policy(read_fixture(policy)).services}
+    monkeypatch.setattr(re, "compile", counting)
+    main(["check", ROUTE, str(FIXTURES / policy)])
+    capsys.readouterr()
+    assert sorted(p for p in calls if p in endpoints) == sorted(compiled)
 
 
 def _nested(depth, leaf):
@@ -386,6 +415,70 @@ def test_check_and_run_reject_a_choice_into_a_split_branch(tmp_path, capsys):
         f"error: {route}: statement 5 is reached inside split 3 on one path "
         "and outside it on another\n"
     ]
+
+
+# Statement 3 is a choice inside split 2 whose "then" target is the join.
+# Every other path removes raw before the join, so only that jump carries
+# raw on to pub.
+JOIN_JUMP_POLICY = """
+service { id src endpoint "src://.+" creates_label raw }
+service { id clean endpoint "clean://.+" removes_label raw }
+service { id pub endpoint "pub://.+" }
+flow_rule { id noRawPub when pub receives raw decide drop }
+"""
+
+JOIN_JUMP_ROUTE = """
+route R {
+  1: from(src)
+  2: split parts -> 3, 4
+  3: when msg_prop(a, b) then goto 5 otherwise goto 6
+  4: bean(clean) -> 5
+  5: aggregate concat -> 7
+  6: bean(clean) -> 5
+  7: to(pub)
+}
+"""
+
+
+def test_check_and_run_agree_on_a_choice_that_jumps_to_its_join(tmp_path, capsys):
+    policy = tmp_path / "join.lucon"
+    route = tmp_path / "join.route"
+    services = tmp_path / "services.json"
+    policy.write_text(JOIN_JUMP_POLICY)
+    route.write_text(JOIN_JUMP_ROUTE)
+    manifest = {
+        "services": {
+            "src": {"kind": "source", "props": {"a": "b"}},
+            "clean": {"kind": "echo"},
+            "pub": {"kind": "sink"},
+        }
+    }
+    services.write_text(json.dumps(manifest))
+    assert main(["check", str(route), str(policy), "--format", "json"]) == 1
+    (ce,) = json.loads(capsys.readouterr().out)["counterexamples"]
+    assert main(["run", str(route), str(policy), "--services", str(services)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["status"] == "dropped"
+    assert summary["rule"] == ce["rule"] == "noRawPub"
+    assert summary["at_statement"] == ce["trace"][-1]["statement"] == 7
+    # without the prop the run takes the "otherwise" branch and completes
+    assert main(["run", str(route), str(policy)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "completed"
+
+
+def test_non_atom_msg_key_is_valid_for_check_and_an_input_error_for_run(
+    tmp_path, capsys
+):
+    policy = tmp_path / "src.lucon"
+    route = tmp_path / "key.route"
+    policy.write_text('service { id src endpoint "src://.+" }\n')
+    route.write_text("route R {\n  1: from(src)\n  2: set_msg_prop a := msg(1)\n}\n")
+    assert main(["check", str(route), str(policy)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(route), str(policy)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: msg(..) needs an atom key: msg(1)\n"
 
 
 def test_run_condition_mixing_a_read_and_a_variable(tmp_path, capsys):

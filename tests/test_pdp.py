@@ -285,10 +285,14 @@ class _CountingPattern:
 def test_repeated_decide_runs_no_regex():
     policy = worst_case_policy(50)
     calls: list = []
-    for sid, pattern in policy.endpoint_patterns.items():
-        policy.endpoint_patterns[sid] = _CountingPattern(pattern, calls)
+    # The matcher reads each endpoint's compiled pattern from the AST.
+    for _, endpoint in policy.endpoint_patterns.values():
+        policy.ast.endpoint_regexes[endpoint] = _CountingPattern(
+            re.compile(endpoint), calls
+        )
     req = bench_request(3)
     first = decide(policy, req)
+    assert calls == [req.service]
     calls.clear()
     assert decide(policy, req) == first
     assert calls == []

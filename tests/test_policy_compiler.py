@@ -1,6 +1,5 @@
 import random
 import re
-from collections import Counter
 
 import pytest
 
@@ -14,7 +13,7 @@ from labelflow.policy_compiler import (
     service_matches,
 )
 from labelflow.routes import parse_route
-from labelflow.terms import Atom, Compound, Int, Str, Var
+from labelflow.terms import Atom, Compound, Int, Str, Var, format_term, regex_prefix
 
 from .conftest import read_fixture
 from .helpers import SERVICE_POOL, random_policy
@@ -230,8 +229,9 @@ def test_random_coverage_agrees_with_service_matches(seed):
 
 
 def test_each_endpoint_is_compiled_once(monkeypatch):
-    # 600 endpoints overflow re's own cache (512), so validation and
-    # compilation must share one compiled pattern per endpoint.
+    # 600 endpoints overflow re's own cache (512). Validation and compilation
+    # compile none of them; a lookup compiles only the endpoint whose literal
+    # prefix admits its target, once per AST.
     endpoints = [f"svc://host{i}/.+" for i in range(600)]
     text = "\n".join(
         f'service {{ id s{i} endpoint "{e}" }}' for i, e in enumerate(endpoints)
@@ -246,8 +246,40 @@ def test_each_endpoint_is_compiled_once(monkeypatch):
     re.purge()
     monkeypatch.setattr(re, "compile", counting)
     compiled = compile_policy(parse_policy(text))
-    counts = Counter(calls)
-    assert [counts[e] for e in endpoints] == [1] * len(endpoints)
-    assert compiled.endpoint_patterns["s599"].fullmatch("svc://host599/x")
+    declared = set(endpoints)
+    assert [p for p in calls if p in declared] == []
+    for _ in range(2):
+        assert service_matches(compiled, "s599", "svc://host599/x")
+        assert list(covering_declarations(compiled, "svc://host599/x")) == ["s599"]
+    assert [p for p in calls if p in declared] == ["svc://host599/.+"]
     with pytest.raises(ValidationError):
         parse_policy('service { id bad endpoint "svc://(" }')
+
+
+def _workload_policy_texts():
+    from flowbench import gen
+
+    yield gen.enforce_inputs(1).policy.text()
+    for inputs in (gen.check_deep_inputs(1), gen.check_large_inputs(1)):
+        for _, policy in inputs.cases:
+            yield policy.text()
+
+
+def test_every_workload_and_fixture_endpoint_is_in_the_subset():
+    texts = list(_workload_policy_texts())
+    for name in ("dont_publish_raw", "measurement_chain"):
+        texts.append(read_fixture(f"{name}.lucon"))
+    endpoints = {s.endpoint for text in texts for s in parse_policy(text).services}
+    assert len(endpoints) > 100
+    assert [e for e in endpoints if regex_prefix(e) is None] == []
+
+
+def test_an_endpoint_outside_the_subset_still_covers_its_url():
+    endpoint = "^https://a\\.example/x{2,3}$"
+    assert regex_prefix(endpoint) is None
+    quoted = format_term(Str(endpoint))
+    cp = compile_policy(parse_policy(f"service {{ id a endpoint {quoted} }}"))
+    assert cp.endpoint_patterns["a"] == ("", endpoint)
+    assert list(covering_declarations(cp, "pub", "https://a.example/xx")) == ["a"]
+    assert service_matches(cp, "a", "https://a.example/xxx")
+    assert not service_matches(cp, "a", "https://a.example/x")

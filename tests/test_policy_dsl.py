@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from labelflow.policy import (
+    _SECTION_KEYWORDS,
     Decision,
     FlowRule,
     Obligation,
@@ -195,6 +196,16 @@ def test_keyword_cannot_start_list_element():
         parse_policy(text)
 
 
+@pytest.mark.parametrize("keyword", sorted(_SECTION_KEYWORDS))
+def test_keyword_functor_round_trips(keyword):
+    decl = ServiceDecl("s", "x", creates_labels=(Compound(keyword, (Int(1),)),))
+    ast = PolicyAst((decl,))
+    validate_policy(ast)
+    text = format_policy(ast)
+    assert f"  creates_label {keyword}(1)\n" in text
+    assert parse_policy(text) == ast
+
+
 def test_service_without_endpoint_rejected():
     with pytest.raises(TermSyntaxError):
         parse_policy("service { id s }")
@@ -317,6 +328,26 @@ def test_validation_bad_endpoint_regex():
         parse_policy('service { id s endpoint "([" }')
 
 
+@pytest.mark.parametrize("endpoint", ["([", "svc://(", "x{4294967295}"])
+def test_invalid_endpoint_regex_keeps_re_s_message(endpoint):
+    with pytest.raises((re.error, OverflowError)) as expected:
+        re.compile(endpoint)
+    with pytest.raises(ValidationError) as exc:
+        parse_policy(f'service {{ id s endpoint "{endpoint}" }}')
+    assert str(exc.value) == (
+        f"service 's' has an invalid endpoint regex: {expected.value}"
+    )
+
+
+def test_too_deeply_nested_endpoint_regex_is_a_validation_error():
+    endpoint = "(" * 600 + "a" + ")" * 600
+    with pytest.raises(ValidationError) as exc:
+        parse_policy(f'service {{ id s endpoint "{endpoint}" }}')
+    assert str(exc.value).startswith(
+        "service 's' has an invalid endpoint regex: maximum recursion depth exceeded"
+    )
+
+
 def test_validation_creates_removes_overlap():
     with pytest.raises(ValidationError):
         parse_policy('service { id s endpoint "x" creates_label a removes_label a }')
@@ -355,8 +386,6 @@ def test_format_parse_identity_on_fixture():
 
 # -- round-trip property over generated ASTs --------------------------------
 
-from labelflow.policy import _SECTION_KEYWORDS  # noqa: E402
-
 names = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(
     lambda s: s not in _SECTION_KEYWORDS
 )
@@ -369,9 +398,12 @@ def _is_valid_regex(pattern: str) -> bool:
         return False
     return True
 
+# A keyword may name a compound: only a bare keyword ends a term list.
+functors = st.one_of(names, st.sampled_from(sorted(_SECTION_KEYWORDS)))
+
 label_terms = st.one_of(
     names.map(Atom),
-    st.builds(lambda f, n: Compound(f, (Int(n),)), names, st.integers(0, 99)),
+    st.builds(lambda f, n: Compound(f, (Int(n),)), functors, st.integers(0, 99)),
 )
 
 service_decls = st.builds(

@@ -1,4 +1,8 @@
+import itertools
+import re
 import sys
+import time
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +26,7 @@ from labelflow.terms import (
     format_term,
     functor_arity,
     parse_term,
+    regex_prefix,
 )
 
 from .conftest import read_fixture
@@ -381,3 +386,163 @@ def test_tokenizer_agrees_with_character_scanner_on_repeated_lexemes(case):
     assert _scan_result(_tokens, text, comment) == _scan_result(
         reference_tokens, text, comment
     )
+
+
+# -- the endpoint regex recognizer, with ``re`` as the oracle -----------------
+
+# Heavy in metacharacters, so that most strings lie outside the subset.
+REGEX_ALPHABET = "a.^$*+?{}[]\\|()-0dA/ "
+
+
+def _short_strings(alphabet, max_len):
+    for n in range(max_len + 1):
+        for chars in itertools.product(alphabet, repeat=n):
+            yield "".join(chars)
+
+
+@pytest.mark.parametrize(
+    "alphabet, max_len",
+    [
+        (REGEX_ALPHABET, 4),
+        # long enough for character ranges, reversed or open-ended ones too
+        ("[]^-0aAz\\", 5),
+    ],
+)
+def test_every_recognized_pattern_compiles(alphabet, max_len):
+    accepted = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pattern in _short_strings(alphabet, max_len):
+            if regex_prefix(pattern) is not None:
+                re.compile(pattern)
+                accepted += 1
+    assert accepted > 5_000
+
+
+def test_every_short_match_starts_with_the_prefix():
+    subjects = list(_short_strings("a0dA/- .", 3))
+    checked = 0
+    for pattern in _short_strings(REGEX_ALPHABET, 3):
+        prefix = regex_prefix(pattern)
+        if not prefix:
+            continue
+        regex = re.compile(pattern)
+        for subject in subjects:
+            if regex.fullmatch(subject) is not None:
+                assert subject.startswith(prefix), (pattern, subject)
+                checked += 1
+    assert checked > 1_000
+
+
+# Items of the subset other than plain runs, each with characters it matches.
+_ITEM_MATCHES = {
+    "\\.": ".",
+    "\\/": "/",
+    "\\d": "09",
+    "\\W": " /-",
+    ".": "a./é",
+    "[a-z]": "az",
+    "[^0-9.]": "a/é",
+    "[._/:@%=A-Z]": "._/:@%=AZ",
+}
+# quantifier -> (fewest, most) repetitions drawn for it
+_REPEATS = {"": (1, 1), "?": (0, 1), "??": (0, 1), "*": (0, 2), "*?": (0, 2),
+            "+": (1, 2), "+?": (1, 2)}
+
+
+def _draw_item(draw) -> tuple[str, str]:
+    """A quantified item of the subset and a text that it fully matches."""
+    quantifier = draw(st.sampled_from(sorted(_REPEATS)))
+    repeats = draw(st.integers(*_REPEATS[quantifier]))
+    if draw(st.booleans()):
+        run = draw(st.text("ab/:-é 0", min_size=1, max_size=4))
+        # a quantifier repeats the run's last character only
+        return run + quantifier, run[:-1] + run[-1] * repeats
+    item = draw(st.sampled_from(sorted(_ITEM_MATCHES)))
+    chars = st.sampled_from(_ITEM_MATCHES[item])
+    return item + quantifier, "".join(draw(chars) for _ in range(repeats))
+
+
+def _draw_sequence(draw, max_items: int) -> tuple[str, str]:
+    parts = [_draw_item(draw) for _ in range(draw(st.integers(0, max_items)))]
+    return "".join(p for p, _ in parts), "".join(t for _, t in parts)
+
+
+@st.composite
+def subset_cases(draw):
+    """A pattern inside ``regex_prefix``'s subset and a text it fully matches."""
+    pattern, text = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            part, matched = _draw_item(draw)
+        else:
+            count = draw(st.integers(1, 3))
+            alternatives = [_draw_sequence(draw, 3) for _ in range(count)]
+            quantifier = draw(st.sampled_from(sorted(_REPEATS)))
+            repeats = draw(st.integers(*_REPEATS[quantifier]))
+            part = "(" + "|".join(a for a, _ in alternatives) + ")" + quantifier
+            picks = [draw(st.sampled_from(alternatives)) for _ in range(repeats)]
+            matched = "".join(t for _, t in picks)
+        pattern.append(part)
+        text.append(matched)
+    return "".join(pattern), "".join(text)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(subset_cases())
+def test_matches_of_a_subset_pattern_start_with_its_prefix(case):
+    pattern, text = case
+    assert re.fullmatch(pattern, text) is not None
+    prefix = regex_prefix(pattern)
+    assert prefix is not None
+    assert text.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "pattern, prefix",
+    [
+        ("bean://merge", "bean://merge"),
+        ("sensor://.+", "sensor://"),
+        ("http[s]?://.+", "http"),
+        ("https?://.+", "http"),
+        ("ab*?c", "a"),
+        ("https://a\\.example/(in|v[0-9])/.*", "https://a"),
+        ("(a|b)c", ""),
+        ("", ""),
+    ],
+)
+def test_regex_prefix_examples(pattern, prefix):
+    assert regex_prefix(pattern) == prefix
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "^a", "a$", "a{2}", "(?:a)", "((a))", "a|b", "\\1", "\\b", "a**", "[a-f]",
+        "[]", "a\\",
+    ],
+)
+def test_regex_prefix_rejects_outside_the_subset(pattern):
+    assert regex_prefix(pattern) is None
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "a" * 9_999 + "{",
+        "a?" * 4_999 + "{",
+        "(" + "ab" * 4_999 + "{",
+        "(a|" * 2_500,
+        "[a" * 5_000,
+        "\\d*" * 3_333 + "(",
+        "x" + ".+" * 4_999 + ")",
+    ],
+    ids=["run", "optional_runs", "open_group", "alternatives", "open_classes",
+         "escapes", "dots"],
+)
+def test_regex_prefix_is_linear_on_adversarial_input(pattern):
+    # A recognizer that backtracks over ways to split a run takes
+    # exponential time on these; a linear one takes a few milliseconds.
+    start = time.perf_counter()
+    assert regex_prefix(pattern) is None
+    assert time.perf_counter() - start < 1.0
