@@ -24,7 +24,26 @@ Example::
 Inline service declarations are hoisted to top-level services with a
 deterministic generated id, so parse(format(ast)) is the identity on valid
 ASTs. The id is derived from the parsed sections, so hoisting builds one
-declaration per inline service.
+declaration per inline service. A block whose generated 8-digit id is
+already held by a different declaration gets a 20-digit id from the same
+digest instead.
+
+Parsing tries a block recognizer first: one compiled pattern, matched once
+per top-level ``service`` or ``flow_rule`` block, that captures the
+block's fields; only term lists are split in Python. Its subset holds the
+``id``, ``endpoint``, ``properties``, ``capabilities``, ``creates_label``
+and ``removes_label`` sections in any order (a repeated section's last
+occurrence wins), inline ``when service { ... }`` targets, ``require T
+[otherwise E]`` obligations, and terms that are a leaf or a one-level
+compound of leaves. A leaf is an atom or variable that starts with an
+ASCII letter or ``_``, an integer of ASCII digits, or a string without
+escapes. A document inside the subset costs one match per block, one
+Python step per distinct term list, and no ``Tokenizer``. If any block
+lies outside the subset, the token parser parses the whole text instead,
+at one ``Tokenizer.next`` per token, after the recognizer's matches up to
+that block. So every syntax error comes from the token parser, with its
+message, line and column; a ``ValidationError`` reads the same from either
+path, since both share hoisting, rule numbering and validation.
 
 Validating an endpoint costs one ``regex_prefix`` match when the pattern
 lies in that recognizer's subset, and compiles nothing; only a pattern
@@ -41,11 +60,15 @@ from dataclasses import dataclass, field
 
 from .kernel import is_ground
 from .terms import (
+    Atom,
+    Compound,
+    Int,
     RegexError,
     Str,
     Term,
     TermSyntaxError,
     Tokenizer,
+    Var,
     compile_regex,
     format_term,
     parse_term_from,
@@ -149,9 +172,19 @@ class PolicyAst:
 
 
 def generated_service_id(
-    endpoint: str, properties=(), capabilities=(), creates_labels=(), removes_labels=()
+    endpoint: str,
+    properties=(),
+    capabilities=(),
+    creates_labels=(),
+    removes_labels=(),
+    *,
+    digits: int = 8,
 ) -> str:
-    """Stable id for an inline service declaration, derived from its content."""
+    """Stable id for an inline service declaration, derived from its content.
+
+    The id is ``service`` and ``digits`` decimal digits of one SHA-1 of the
+    declaration; hoisting asks for 20 digits when the 8-digit id is taken.
+    """
     basis = "|".join(
         [
             endpoint,
@@ -162,7 +195,7 @@ def generated_service_id(
         ]
     )
     digest = hashlib.sha1(basis.encode()).hexdigest()
-    return f"service{int(digest[:10], 16) % 10**8:08d}"
+    return f"service{int(digest[: digits + 2], 16) % 10**digits:0{digits}d}"
 
 
 # ---------------------------------------------------------------------------
@@ -170,33 +203,85 @@ def generated_service_id(
 # ---------------------------------------------------------------------------
 
 
-class _PolicyParser:
-    def __init__(self, text: str):
-        self.tok = Tokenizer(text, comment="//")
-        # An insertion-ordered set, so identical inline declarations
-        # collapse to one hoisted service in constant time.
+class _Document:
+    """What both parsers share: hoisting service declarations, numbering
+    anonymous rules, the table of one ``Atom`` per distinct name of the
+    text (the token parser's ``parse_term_from`` fills it through
+    ``Tokenizer.atoms``), and building and validating the AST."""
+
+    def __init__(self, atoms: dict[str, Atom]):
+        self.atoms = atoms
+        # An insertion-ordered set, so identical declarations collapse to
+        # one service in constant time; ``ids`` holds each id's first holder.
         self.services: dict[ServiceDecl, None] = {}
+        self.ids: dict[str, ServiceDecl] = {}
         self.rules: list[FlowRule] = []
         self._anon_rules = 0
+
+    def declare(self, sid: str | None, endpoint: str, lists) -> str:
+        """Hoist one service block, top-level or inline; return its id.
+
+        ``lists`` holds the block's term lists in ``_TERM_LISTS`` order. A
+        block without an ``id`` gets ``generated_service_id``'s. When that
+        id is already held by a different declaration, it gets the longer id
+        from the same digest instead, so two blocks whose short ids clash
+        both stay valid.
+        """
+        if sid is None:
+            decl = ServiceDecl(generated_service_id(endpoint, *lists), endpoint, *lists)
+            held = self.ids.get(decl.id)
+            if held is not None and held != decl:
+                sid = generated_service_id(endpoint, *lists, digits=20)
+                decl = ServiceDecl(sid, endpoint, *lists)
+        else:
+            decl = ServiceDecl(sid, endpoint, *lists)
+        self.services.setdefault(decl)
+        self.ids.setdefault(decl.id, decl)
+        return decl.id
+
+    def rule(self, name: str | None, target: str, triggers: tuple, decision) -> None:
+        if name is None:
+            self._anon_rules += 1
+            name = f"rule{self._anon_rules}"
+        self.rules.append(FlowRule(name, target, triggers, decision))
+
+    def atom(self, name: str) -> Atom:
+        atom = self.atoms.get(name)
+        if atom is None:
+            atom = self.atoms[name] = Atom(name)
+        return atom
+
+    def ast(self) -> PolicyAst:
+        ast = PolicyAst(tuple(self.services), tuple(self.rules))
+        validate_policy(ast)
+        return ast
+
+
+class _PolicyParser(_Document):
+    """The token parser: it reads the whole language and raises every
+    syntax error with its message, line and column. It consumes each token
+    with one ``Tokenizer.next``."""
+
+    def __init__(self, text: str):
+        self.tok = Tokenizer(text, comment="//")
+        super().__init__(self.tok.atoms)
 
     def parse(self) -> PolicyAst:
         tok = self.tok
         while tok.peek().kind != "EOF":
             if tok.at_keyword("service"):
-                self.services.setdefault(self._parse_service())
+                self._parse_service()
             elif tok.at_keyword("flow_rule"):
-                self.rules.append(self._parse_rule())
+                self._parse_rule()
             else:
                 t = tok.peek()
                 raise TermSyntaxError(
                     f"expected 'service' or 'flow_rule', found {t.text or t.kind!r}",
                     *tok.position(tok.index),
                 )
-        ast = PolicyAst(tuple(self.services), tuple(self.rules))
-        validate_policy(ast)
-        return ast
+        return self.ast()
 
-    def _parse_service(self) -> ServiceDecl:
+    def _parse_service(self) -> str:
         tok = self.tok
         tok.next("ATOM", "service")
         tok.next("PUNCT", "{")
@@ -225,10 +310,7 @@ class _PolicyParser:
                 "service block missing endpoint", *tok.position(tok.index)
             )
         lists = [sections.get(section, ()) for section in _TERM_LISTS]
-        sid = sections.get("id")
-        if sid is None:
-            sid = generated_service_id(endpoint, *lists)
-        return ServiceDecl(sid, endpoint, *lists)
+        return self.declare(sections.get("id"), endpoint, lists)
 
     def _parse_term_list(self) -> tuple:
         terms = [self._parse_term()]
@@ -256,7 +338,7 @@ class _PolicyParser:
             raise TermSyntaxError(f"unknown effect {t.text!r}", *self.tok.position(at))
         return t.text
 
-    def _parse_rule(self) -> FlowRule:
+    def _parse_rule(self) -> None:
         tok = self.tok
         tok.next("ATOM", "flow_rule")
         tok.next("PUNCT", "{")
@@ -265,9 +347,7 @@ class _PolicyParser:
             name = tok.next("ATOM").text
         tok.next("ATOM", "when")
         if tok.at_keyword("service"):
-            target_decl = self._parse_service()
-            self.services.setdefault(target_decl)
-            target = target_decl.id
+            target = self._parse_service()
         else:
             target = tok.next("ATOM").text
         tok.next("ATOM", "receives")
@@ -280,15 +360,157 @@ class _PolicyParser:
             otherwise = self._effect() if tok.accept("ATOM", "otherwise") else "error"
             obligations.append(Obligation(action, otherwise))
         tok.next("PUNCT", "}")
-        if name is None:
-            self._anon_rules += 1
-            name = f"rule{self._anon_rules}"
-        return FlowRule(name, target, triggers, Decision(effect, tuple(obligations)))
+        self.rule(name, target, triggers, Decision(effect, tuple(obligations)))
+
+
+# The block recognizer's subset of the language, as pieces of one pattern.
+# Each name, integer and keyword must end where the tokenizer's lexeme ends
+# (``(?!\w)``), so no match splits a lexeme. A name starts with an ASCII
+# letter or ``_``, whose case decides ATOM or VAR as the tokenizer's first
+# character does; an integer has ASCII digits; a string has no escapes.
+# ``_S`` skips what the tokenizer skips: whitespace and ``//`` comments. A
+# comment runs to the end of its line, also when a match backtracks.
+_S = r"\s*(?:(?=/)(?://[^\n]*(?![^\n])\s*)+|)"
+_ATOM = r"[a-z]\w*(?!\w)"
+_STR = r'"[^"\\]*"'
+_LEAF = rf"(?:{_ATOM}|[A-Z_]\w*(?!\w)|-?[0-9]+(?!\w)|{_STR})"
+_ARGS = rf"{_S}\({_S}{_LEAF}(?:{_S},{_S}{_LEAF})*{_S}\)"
+_KEYWORD = rf"(?:{'|'.join(sorted(_SECTION_KEYWORDS))})(?!\w)"
+# A list element or an obligation: a one-level compound of leaves, or a
+# leaf that is not a bare section keyword.
+_TERM = rf"(?:{_ATOM}{_ARGS}|(?!{_KEYWORD}){_LEAF})"
+_LIST = rf"{_TERM}(?:{_S},{_S}{_TERM})*"
+_EFFECT = rf"(?:{'|'.join(EFFECTS)})(?!\w)"
+# A service block's sections, up to the end of the last one; groups: the
+# last id, the last endpoint, and the last term-list section, if any.
+_BODY = (
+    rf"(?:{_S}(?:id(?!\w){_S}({_ATOM})|endpoint(?!\w){_S}({_STR})"
+    rf"|((?:{'|'.join(_TERM_LISTS)})(?!\w){_S}{_LIST})))*"
+)
+# One match per top-level block: an optional rule head, then a service
+# block (top-level, or a rule's inline target) or a rule's named target,
+# then the rest of a rule if there was a head. Groups: 1 the head and 2 its
+# id; 3 a service body and 4-6 its groups; 7 a named target; 8 the
+# triggers, 9 the effect and 10 all the obligations.
+_BLOCK = re.compile(
+    rf"{_S}(flow_rule(?!\w){_S}\{{{_S}(?:id(?!\w){_S}({_ATOM}){_S})?when(?!\w){_S})?"
+    rf"(?:service(?!\w){_S}\{{({_BODY}){_S}\}}|(?(1)(?!service(?!\w))({_ATOM})|(?!)))"
+    rf"(?(1){_S}receives(?!\w){_S}({_LIST}){_S}decide(?!\w){_S}({_EFFECT})"
+    rf"((?:{_S}require(?!\w){_S}{_TERM}(?:{_S}otherwise(?!\w){_S}{_EFFECT})?)*)"
+    rf"{_S}\}})"
+)
+_SKIP = re.compile(_S)
+# Split a span that ``_BLOCK`` has matched: a body into its sections (a
+# list keyword and its list, or none), the obligations into (action,
+# effect), and a term list or a compound's arguments into its terms
+# (functor and arguments, or an atom, variable, integer or string). Each
+# span ends where its last part ends, so the matches of ``findall`` follow
+# each other with no gap and never start inside a comment.
+_SECTIONS = re.compile(
+    rf"{_S}(?:id{_S}{_ATOM}|endpoint{_S}{_STR}|(\w+){_S}({_LIST}))"
+)
+_OBLIGATIONS = re.compile(rf"{_S}require{_S}({_TERM})(?:{_S}otherwise{_S}(\w+))?")
+_ITEMS = re.compile(
+    rf"{_S},?{_S}(?:(\w+){_S}\(((?:{_S},?{_S}{_LEAF})+){_S}\)"
+    rf'|([a-z]\w*)|([A-Z_]\w*)|(-?[0-9]+)|"([^"]*)")'
+)
+_NO_LISTS = ((),) * len(_TERM_LISTS)
+
+
+class _BlockRecognizer(_Document):
+    """Parses a document inside the subset above with one ``_BLOCK`` match
+    per top-level block; only term lists are split in Python. It builds
+    nothing until every block has matched."""
+
+    def __init__(self):
+        super().__init__({})
+        # term list text -> its terms; terms are immutable, so equal lists
+        # share them, for this document only
+        self.term_lists: dict[str, tuple] = {}
+
+    def parse(self, text: str) -> PolicyAst | None:
+        """The AST, or None if any block lies outside the subset."""
+        match = _BLOCK.match
+        blocks = []
+        pos = 0
+        while (m := match(text, pos)) is not None:
+            if not (m[5] or m[7]):
+                # Neither a body's endpoint nor a named target: the token
+                # parser reports the service body that lacks an endpoint.
+                return None
+            blocks.append(m)
+            pos = m.end()
+        if _SKIP.fullmatch(text, pos) is None:
+            return None
+        for m in blocks:
+            (
+                head,
+                name,
+                body,
+                sid,
+                endpoint,
+                last_list,
+                target,
+                triggers,
+                effect,
+                obligations,
+            ) = m.groups()
+            if body is not None:
+                target = self._service(body, sid, endpoint, last_list)
+            if head is None:
+                continue
+            actions = ()
+            if obligations:
+                actions = tuple(
+                    Obligation(self._terms(action)[0], otherwise or "error")
+                    for action, otherwise in _OBLIGATIONS.findall(obligations)
+                )
+            self.rule(name, target, self._terms(triggers), Decision(effect, actions))
+        return self.ast()
+
+    def _service(self, body: str, sid, endpoint: str, last_list) -> str:
+        if last_list is None:
+            lists = _NO_LISTS
+        else:
+            sections = dict.fromkeys(_TERM_LISTS, ())
+            for section, items in _SECTIONS.findall(body):
+                if section:
+                    sections[section] = self._terms(items)
+            lists = list(sections.values())
+        return self.declare(sid, endpoint[1:-1], lists)
+
+    def _terms(self, span: str) -> tuple:
+        terms = self.term_lists.get(span)
+        if terms is None:
+            terms = self.term_lists[span] = tuple(
+                self._term(*item) for item in _ITEMS.findall(span)
+            )
+        return terms
+
+    def _term(self, functor, args, atom, var, integer, string) -> Term:
+        if functor:
+            return Compound(
+                functor, tuple(self._term(*item) for item in _ITEMS.findall(args))
+            )
+        if atom:
+            return self.atom(atom)
+        if var:
+            return Var(var)
+        if integer:
+            return Int(int(integer))
+        return Str(string)
 
 
 def parse_policy(text: str) -> PolicyAst:
-    """Parse and validate a policy document."""
-    return _PolicyParser(text).parse()
+    """Parse and validate a policy document.
+
+    The block recognizer parses a document inside its subset; any other
+    document goes to the token parser, whole.
+    """
+    ast = _BlockRecognizer().parse(text)
+    if ast is None:
+        ast = _PolicyParser(text).parse()
+    return ast
 
 
 def validate_policy(ast: PolicyAst) -> None:

@@ -1,9 +1,10 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelflow import policy as policy_module
 from labelflow.policy import (
     _SECTION_KEYWORDS,
     Decision,
@@ -12,12 +13,22 @@ from labelflow.policy import (
     PolicyAst,
     ServiceDecl,
     ValidationError,
+    _BlockRecognizer,
+    _PolicyParser,
     format_policy,
     generated_service_id,
     parse_policy,
     validate_policy,
 )
-from labelflow.terms import Atom, Compound, Int, Str, TermSyntaxError
+from labelflow.terms import (
+    Atom,
+    Compound,
+    Int,
+    Str,
+    TermSyntaxError,
+    Tokenizer,
+    _token_pattern,
+)
 
 from .conftest import read_fixture
 
@@ -130,6 +141,43 @@ def test_each_service_block_builds_one_declaration(monkeypatch):
     ast = parse_policy(HOISTED)
     assert len(ast.services) == 3  # s and two hoisted inline targets
     assert len(built) == 3
+
+
+# These two endpoints hash to the same 8-digit id, service41364700.
+CLASHING = """
+service { id s endpoint "svc://s" }
+flow_rule { id a when service { endpoint "https://h14393/.+" } receives raw decide drop }
+flow_rule { id b when service { endpoint "https://h22416/.+" } receives raw decide drop }
+flow_rule { id c when service { endpoint "https://h22416/.+" } receives pii decide drop }
+"""
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [parse_policy, lambda text: _PolicyParser(text).parse()],
+    ids=["parse_policy", "token_parser"],
+)
+def test_clashing_inline_ids_take_the_longer_id(parse):
+    first, second = "https://h14393/.+", "https://h22416/.+"
+    assert generated_service_id(first) == generated_service_id(second)
+    ast = parse(CLASHING)
+    a, b, c = ast.rules
+    assert a.target == "service41364700" == generated_service_id(first)
+    assert b.target == generated_service_id(second, digits=20)
+    assert re.fullmatch(r"service\d{20}", b.target)
+    assert c.target == b.target  # an identical block still collapses
+    assert [s.id for s in ast.services] == ["s", a.target, b.target]
+    assert ast.service(b.target).endpoint == second
+
+
+def test_an_inline_id_held_by_a_declared_service_takes_the_longer_id():
+    endpoint = "http[s]?://.+"
+    text = f"""
+    service {{ id service97000661 endpoint "svc://s" }}
+    flow_rule {{ when service {{ endpoint "{endpoint}" }} receives raw decide drop }}
+    """
+    (rule,) = parse_policy(text).rules
+    assert rule.target == generated_service_id(endpoint, digits=20)
 
 
 def test_validation_service_without_id():
@@ -442,3 +490,212 @@ def policy_asts(draw):
 @given(policy_asts())
 def test_format_parse_round_trip(ast):
     assert parse_policy(format_policy(ast)) == ast
+
+
+# -- the block recognizer against the token parser ---------------------------
+
+
+def _outcome(parse, text):
+    """The AST, or the error as (type, message, line, column)."""
+    try:
+        return parse(text)
+    except TermSyntaxError as exc:
+        return (TermSyntaxError, exc.message, exc.line, exc.column)
+    except ValidationError as exc:
+        return (ValidationError, str(exc))
+
+
+def _token_parse(text):
+    return _PolicyParser(text).parse()
+
+
+def _assert_same_outcome(text):
+    assert _outcome(parse_policy, text) == _outcome(_token_parse, text)
+
+
+_LEXEMES = _token_pattern("//")
+
+# What a lexeme may be swapped for: every keyword, digit-led and non-ASCII
+# names, a non-decimal digit, escaped and plain strings, and other leaves
+# and punctuation.
+_SWAPS = sorted(_SECTION_KEYWORDS) + [
+    "1abc",
+    "0x",
+    "ñame",
+    "Ñame",
+    "ǅ",
+    "²",
+    "a²",
+    '"a\\nb"',
+    '"say \\"hi\\""',
+    '"plain"',
+    "X",
+    "_",
+    "-7",
+    "f(g(1))",
+    "(",
+    ")",
+    ",",
+    "}",
+]
+# Separators put between some lexemes; "" may merge two lexemes into one,
+# and a comment with no newline comments out the rest of its line.
+_SEPARATORS = [
+    "\t ",
+    "//\n\n",
+    '\n// f(a, "\n ',
+    "  // creates_label a, id b require c\n",
+    "",
+    "// cut",
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    text = format_policy(draw(policy_asts()))
+    lexemes = [m[1] for m in _LEXEMES.finditer(text) if m[1]]
+    edits = draw(st.lists(st.sampled_from(("delete", "duplicate", "swap")), max_size=2))
+    for edit in edits:
+        i = draw(st.integers(0, len(lexemes) - 1))
+        if edit == "delete":
+            del lexemes[i]
+        elif edit == "duplicate":
+            lexemes.insert(i, lexemes[i])
+        else:
+            lexemes[i] = draw(st.sampled_from(_SWAPS))
+    seps = [draw(st.sampled_from((" ", "\n", "\n\t")))] * (len(lexemes) + 1)
+    gaps = st.integers(0, len(lexemes))
+    # The gap before a closing brace ends a block's last section or term,
+    # so it gets draws of its own.
+    braces = [i for i, lexeme in enumerate(lexemes) if lexeme == "}"]
+    if braces:
+        gaps = st.one_of(gaps, st.sampled_from(braces))
+    for i in draw(st.lists(gaps, max_size=8)):
+        seps[i] = draw(st.sampled_from(_SEPARATORS))
+    text = seps[0] + "".join(map(str.__add__, lexemes, seps[1:]))
+    kept_lexemes = not edits and "" not in seps and "// cut" not in seps
+    return text, kept_lexemes
+
+
+@settings(derandomize=True, max_examples=500)
+@given(mutated_documents())
+def test_recognizer_and_token_parser_agree_on_mutated_documents(document):
+    text, kept_lexemes = document
+    _assert_same_outcome(text)
+    if kept_lexemes:
+        # A formatted document with only whitespace and comments changed
+        # lies inside the subset.
+        assert _BlockRecognizer().parse(text) == _token_parse(text)
+
+
+_ONE_SERVICE = 'service { id s endpoint "svc://s" }\n'
+
+# Documents on the lexical edges of the subset, each with whether the
+# recognizer parses it (True) or hands it to the token parser (False).
+LEXICAL_TRAPS = [
+    # a digit-led name is two lexemes, an integer and a name
+    (_ONE_SERVICE + "flow_rule { when s receives 1abc decide drop }", False),
+    (_ONE_SERVICE + "flow_rule { when s receives f(1abc) decide drop }", False),
+    ('service { id s endpoint "x" creates_label 1id x }', False),
+    # the first character decides ATOM or VAR, also past ASCII
+    (_ONE_SERVICE + "flow_rule { when s receives ñame decide drop }", False),
+    (_ONE_SERVICE + "flow_rule { when s receives Ñame decide drop }", False),
+    (_ONE_SERVICE + "flow_rule { when s receives ² decide drop }", False),
+    (_ONE_SERVICE + "flow_rule { when s receives a², f(b²) decide drop }", True),
+    (_ONE_SERVICE + "flow_rule { when s receives a١ decide drop }", True),
+    (_ONE_SERVICE + "flow_rule { when s receives f(١٢) decide drop }", False),
+    (_ONE_SERVICE + "flow_rule { when s receives X, _y, f(Z, _) decide drop }", True),
+    # a name runs to its last word character
+    (_ONE_SERVICE + "flow_rule { whens receives a decide drop }", False),
+    (_ONE_SERVICE + "flow_rule { when s receivesa decide drop }", False),
+    (_ONE_SERVICE + "flow_rule { when s receives a decidedrop }", False),
+    ('service { id s endpoint "x" creates_label xid y }', False),
+    ('service{id s endpoint"x"creates_label a,b}', True),
+    # comments between any two lexemes
+    (
+        "// head\nservice//a\n{//b\nid//c\ns//d\nendpoint//e\n\"svc://s\"//f\n}//g\n"
+        "flow_rule//h\n{//i\nwhen//j\ns//k\nreceives//l\nf//m\n(//n\n1//o\n,//p\n"
+        "\"a//b\"//q\n)//r\ndecide//s\ndrop//t\nrequire//u\nlog//v\n(//w\nmessage//x\n)"
+        "//y\notherwise//z\nallow//\n}// tail",
+        True,
+    ),
+    (_ONE_SERVICE + "flow_rule { when s receives a decide drop } / x", False),
+    # ``service`` is a target only as an inline block
+    (_ONE_SERVICE + "flow_rule { when service receives a decide drop }", False),
+    ('service { id receives endpoint "x" }\nflow_rule { when receives receives a decide drop }', True),
+    # a bare section keyword is no list element; a keyword functor is
+    (_ONE_SERVICE + "flow_rule { when s receives a, id decide drop }", False),
+    (_ONE_SERVICE + "flow_rule { when s receives id(1), f(when) decide drop }", True),
+    (_ONE_SERVICE + "flow_rule { when s receives a decide drop require otherwise }", False),
+    (_ONE_SERVICE + "flow_rule { id when when s receives a decide drop }", True),
+    (_ONE_SERVICE + "flow_rule { id when s receives a decide drop }", False),
+    # a block with no endpoint, top-level or inline
+    ('service { id s }\nservice { id t endpoint "x" }', False),
+    (_ONE_SERVICE + "flow_rule { when service { id t } receives a decide drop }", False),
+    # outside the subset: escapes, nested compounds
+    ('service { id s endpoint "a\\.b" }', False),
+    (_ONE_SERVICE + "flow_rule { when s receives f(g(1)) decide drop }", False),
+    # a comment after a block's last section holds no section
+    ('service { id s endpoint "x" creates_label a // removes_label b, id t\n}', True),
+    (
+        _ONE_SERVICE + "flow_rule { when s receives a decide drop "
+        "// require f(x) otherwise error\n}",
+        True,
+    ),
+    # repeated sections: the last one wins
+    ('service { id s endpoint "x" id t endpoint "y" creates_label a creates_label b }', True),
+    # empty documents and strings
+    ("", True),
+    ("  // nothing\n", True),
+    ('service { id s endpoint "" properties "" }', True),
+]
+
+
+@pytest.mark.parametrize("text, recognized", LEXICAL_TRAPS)
+def test_lexical_traps(text, recognized):
+    _assert_same_outcome(text)
+    assert (_BlockRecognizer().parse(text) is not None) == recognized
+
+
+def _benchmark_policies():
+    from flowbench.gen import check_deep_inputs, check_large_inputs, enforce_inputs
+
+    texts = [read_fixture("dont_publish_raw.lucon"), read_fixture("measurement_chain.lucon")]
+    for seed in (1, 2):
+        texts.append(enforce_inputs(seed).policy.text())
+        for inputs in (check_deep_inputs(seed), check_large_inputs(seed)):
+            texts.extend(policy.text() for _, policy in inputs.cases)
+    return list(dict.fromkeys(texts))
+
+
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
+def test_benchmark_policies_never_reach_the_token_parser(monkeypatch):
+    texts = _benchmark_policies()
+    expected = [_token_parse(text) for text in texts]
+    fallbacks, calls = [], []
+    parse, next_token = _PolicyParser.parse, Tokenizer.next
+    monkeypatch.setattr(
+        _PolicyParser, "parse", lambda self: fallbacks.append(None) or parse(self)
+    )
+    monkeypatch.setattr(
+        Tokenizer, "next", lambda *args: calls.append(None) or next_token(*args)
+    )
+    block = _CountingPattern(policy_module._BLOCK)
+    monkeypatch.setattr(policy_module, "_BLOCK", block)
+    for text, ast in zip(texts, expected):
+        block.calls = 0
+        assert parse_policy(text) == ast
+        # one match per top-level block, and one that finds the end
+        blocks = re.findall(r"^(?:service|flow_rule) \{", text, re.MULTILINE)
+        assert block.calls == len(blocks) + 1
+    assert len(texts) == 2 + 2 * (1 + 2 + 9)
+    assert fallbacks == [] and calls == []

@@ -848,3 +848,30 @@ def test_verify_warns_only_for_services_covered_by_neither_id_nor_url():
     )
     (warning,) = verify(route, policy).warnings
     assert "'ghost'" in warning
+
+
+def test_an_aggregate_outside_a_split_is_a_typed_error():
+    # ``validate_route`` rejects an aggregate that no split reaches, so this
+    # route is built by hand.
+    route = routes.Route(
+        "stray_join",
+        {1: routes.From("src"), 2: routes.Aggregate(Atom("concat"))},
+        1,
+        {1: (2,)},
+    )
+    services = ServiceRegistry()
+    services.register("src", echo_handler)
+    with pytest.raises(
+        runtime.RuntimeError_, match="aggregate 2 reached outside a split"
+    ):
+        execute(route, EMPTY_POLICY, services)
+
+
+def test_a_handler_lookup_for_an_unregistered_service_is_a_typed_error():
+    services = ServiceRegistry()
+    services.register("src", echo_handler)
+    assert services.handler("src") is echo_handler
+    with pytest.raises(
+        UnresolvedService, match="no handler registered for service 'ghost'"
+    ):
+        services.handler("ghost")

@@ -5,7 +5,7 @@ import pytest
 
 from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
-from labelflow.routes import parse_route
+from labelflow.routes import Aggregate, From, Route, Split, To, parse_route
 from labelflow.runtime import execute
 from labelflow import verifier
 from labelflow.terms import Atom, Compound, Int
@@ -509,3 +509,37 @@ def test_counterexamples_are_first_discovered_paths():
         ] == [
             (ce.rule, ce.trace, ce.choices, ce.offending_labels) for ce in expected
         ], f"seed {seed}"
+
+
+def test_a_split_branch_that_ends_before_its_join_still_reaches_the_join():
+    # ``validate_route`` rejects this route, so it is built by hand: branch
+    # 3 has no successor. The verifier counts its exit labels into the
+    # join's union, as if the branch ended at the join.
+    policy = compile_policy(
+        parse_policy(
+            'service { id sensor endpoint "sensor://.+" creates_label raw }\n'
+            'service { id tagger endpoint "t://.+" creates_label x }\n'
+            'service { id sink endpoint "s://.+" }\n'
+            "flow_rule { id noX when sink receives x decide drop }\n"
+        )
+    )
+    route = Route(
+        "dead_end",
+        {
+            1: From("sensor"),
+            2: Split(Atom("parts")),
+            3: To("tagger"),
+            4: To("plain"),
+            5: Aggregate(Atom("concat")),
+            6: To("sink"),
+        },
+        1,
+        {1: (2,), 2: (3, 4), 4: (5,), 5: (6,)},
+        joins={2: 5},
+    )
+    verdict = verify(route, policy)
+    (ce,) = verdict.counterexamples
+    assert (ce.rule, ce.violating_service) == ("noX", "sink")
+    assert ce.offending_labels == frozenset({Atom("x")})
+    trace = [node for _, node, _ in ce.trace]
+    assert trace == ["sensor", "split", "tagger", "aggr", "sink"]
