@@ -2,8 +2,9 @@
 
 Hot inner loop of resolution: variable dereferencing, destructive
 unification with a trail for backtracking, and deep substitution. The
-decision point and the label transforms use ``match`` instead, one-way
-matching of a pattern against a ground label.
+decision point, the label transforms and the verifier match label terms
+against ground labels one way instead: ``label_test`` compiles a set of
+them once, and only its non-ground terms go through ``match``.
 
 Every walk over one term goes through ``subterms`` (a pre-order scan) or
 ``rebuild`` (a post-order copy with a visitor), over explicit stacks, so a
@@ -248,6 +249,28 @@ def is_ground(t):
     if type(t) is not Compound:  # most labels are atoms: no scan for those
         return type(t) is not Var
     return Var not in map(type, subterms(t))
+
+
+def label_test(terms):
+    """``terms`` split for ``matched_labels``: (ground ones, patterns)."""
+    ground, patterns = [], []
+    for t in terms:
+        (ground if is_ground(t) else patterns).append(t)
+    return frozenset(ground), tuple(patterns)
+
+
+def matched_labels(test, labels):
+    """The ``labels`` that some term of ``test``, a ``label_test``, matches
+    one way. A ground term matches only its equal, so the ground terms take
+    one set intersection; only the labels they miss go through ``match``,
+    once per pattern until one matches."""
+    ground, patterns = test
+    hit = ground.intersection(labels)
+    if patterns:
+        hit = hit.union(
+            l for l in labels if l not in ground and any(match(p, l) for p in patterns)
+        )
+    return hit
 
 
 def rename(t, suffix):

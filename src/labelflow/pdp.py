@@ -21,19 +21,18 @@ scans only the plan, so a to/bean statement costs one decision linear in
 the rules that target its service, and linear in all rules only when all of
 them do (the worst case ``bench_decide`` times).
 
-A rule's triggers are split once, on its first scan, into a frozenset of
-ground triggers and a tuple of one-way patterns. A decision costs one
-subset test per planned rule, O(sum of the ground triggers of the planned
-rules) in all, plus, for a planned rule with patterns, one ``kernel.match``
-per (pattern, label) pair until each pattern has matched. A policy whose
-planned triggers are ground therefore decides in time independent of the
-number of labels. A request that no planned rule matches gets the one
-shared ``DecisionResult`` of its default effect, so it allocates no result.
+The plan holds each planned rule's triggers as a ``kernel.label_test``: a
+frozenset of ground triggers and a tuple of one-way patterns. A decision
+costs one subset test per planned rule, O(sum of the ground triggers of
+the planned rules) in all, plus, for a planned rule with patterns, one
+``kernel.match`` per (pattern, label) pair until each pattern has matched. A policy whose planned triggers are ground therefore
+decides in time independent of the number of labels. A request that no
+planned rule matches gets the one shared ``DecisionResult`` of its default
+effect, so it allocates no result.
 
-``apply_label_transform`` splits a service's removes the same way: ground
-removes come off with one set difference, and only the non-ground ones go
-through ``kernel.match``, once per (pattern, label) pair. A transform whose
-removes are empty or ground therefore calls ``kernel.match`` not at all.
+``apply_label_transform`` strips the ``kernel.matched_labels`` of a
+service's removes, so only non-ground removes go through ``kernel.match``,
+once per (pattern, label) pair; empty or ground removes call it not at all.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import gc
 import time
 from dataclasses import dataclass
 
-from .kernel import is_ground, match, rebuild
+from .kernel import label_test, match, matched_labels, rebuild
 from .policy import Decision, FlowRule, PolicyAst, ServiceDecl
 from .policy_compiler import CompiledPolicy, compile_policy, covering_declarations
 # flowbench/tracing.py patches labelflow.pdp.service_matches.
@@ -61,33 +60,16 @@ def most_restrictive(effects) -> str:
     return best
 
 
-def _split_ground(terms) -> tuple[frozenset, tuple]:
-    """``terms`` as a frozenset of the ground ones and a tuple of the rest."""
-    ground, patterns = [], []
-    for t in terms:
-        (ground if is_ground(t) else patterns).append(t)
-    return frozenset(ground), tuple(patterns)
-
-
 def apply_label_transform(labels: frozenset, removes, creates) -> frozenset:
     """The per-service taint step: remove matching labels, then add new ones.
 
-    A ground remove strips the label equal to it, and all of them come off
-    with one set difference (``kernel.match`` of a ground pattern is
-    equality). A non-ground remove strips every label it matches one way,
-    so a pattern like ``classification(X)`` strips every classification
-    label; only these go through ``kernel.match``, once per (pattern, label)
-    pair. Empty or ground removes therefore call ``kernel.match`` not at
-    all. Shared by the runtime and the verifier.
+    A remove strips every label it matches one way: a ground remove the
+    label equal to it, a pattern like ``classification(X)`` every
+    classification label. Shared by the runtime and the verifier.
     """
     kept = frozenset(labels)
     if removes:
-        ground, patterns = _split_ground(removes)
-        kept -= ground
-        if patterns:
-            kept = frozenset(
-                l for l in kept if not any(match(r, l) for r in patterns)
-            )
+        kept -= matched_labels(label_test(removes), kept)
     return kept.union(creates)
 
 
@@ -128,21 +110,11 @@ class DecisionResult:
 _DEFAULT_RESULTS = {effect: DecisionResult(effect) for effect in _SEVERITY}
 
 
-def _compile_triggers(rule: FlowRule) -> tuple:
-    """Split ``rule``'s triggers into a ground frozenset and one-way patterns.
-
-    Stored on the rule, so each rule is compiled once, on its first scan;
-    two threads racing on that scan at worst store two equal splits.
-    """
-    tests = _split_ground(rule.trigger_labels)
-    object.__setattr__(rule, "trigger_tests", tests)
-    return tests
-
-
-def rule_matches(rule: FlowRule, labels: frozenset) -> bool:
-    """Does every trigger of ``rule`` match a label in ``labels``? (Only
-    planned rules are asked about, and those all cover the request.)"""
-    ground, patterns = rule.trigger_tests or _compile_triggers(rule)
+def rule_matches(triggers: tuple, labels: frozenset) -> bool:
+    """Does every term of ``triggers``, a planned rule's ``kernel.label_test``,
+    match a label in ``labels``? (Only planned rules are asked about, and
+    those all cover the request.)"""
+    ground, patterns = triggers
     if not ground <= labels:
         return False
     for pattern in patterns:
@@ -168,10 +140,11 @@ def decide(
 ) -> DecisionResult:
     """Total decision function; identical inputs give identical results."""
     labels = req.labels
+    plan = covering_declarations(policy, req.service, req.url)
     rules = [
         rule
-        for rule in covering_declarations(policy, req.service, req.url).rules
-        if rule_matches(rule, labels)
+        for rule, triggers in zip(plan.rules, plan.triggers)
+        if rule_matches(triggers, labels)
     ]
     if not rules:
         return _DEFAULT_RESULTS.get(default_effect) or DecisionResult(default_effect)

@@ -24,9 +24,9 @@ Example::
 Inline service declarations are hoisted to top-level services with a
 deterministic generated id, so parse(format(ast)) is the identity on valid
 ASTs. The id is derived from the parsed sections, so hoisting builds one
-declaration per inline service. A block whose generated 8-digit id is
-already held by a different declaration gets a 20-digit id from the same
-digest instead.
+declaration per inline service. A block whose generated 8-digit id is held
+by a different declaration, one with that ``id`` anywhere in the document
+or an earlier inline one, gets a 20-digit id from the same digest instead.
 
 Parsing tries a block recognizer first: one compiled pattern, matched once
 per top-level ``service`` or ``flow_rule`` block, that captures the
@@ -119,11 +119,6 @@ class FlowRule:
     target: str  # id of a declared service
     trigger_labels: tuple = ()
     decision: Decision = Decision("allow")
-    # trigger_labels split into ground ones and one-way patterns; compiled by
-    # the decision point on the rule's first scan, not at parse time
-    trigger_tests: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,38 +207,29 @@ class _Document:
     def __init__(self, atoms: dict[str, Atom]):
         self.atoms = atoms
         # An insertion-ordered set, so identical declarations collapse to
-        # one service in constant time; ``ids`` holds each id's first holder.
-        self.services: dict[ServiceDecl, None] = {}
-        self.ids: dict[str, ServiceDecl] = {}
-        self.rules: list[FlowRule] = []
+        # one service in constant time; an id-less block's declaration maps
+        # to its term lists, any other to None.
+        self.services: dict[ServiceDecl, tuple | list | None] = {}
+        self.rules: list[tuple] = []  # ``rule``'s arguments
         self._anon_rules = 0
 
-    def declare(self, sid: str | None, endpoint: str, lists) -> str:
-        """Hoist one service block, top-level or inline; return its id.
-
-        ``lists`` holds the block's term lists in ``_TERM_LISTS`` order. A
-        block without an ``id`` gets ``generated_service_id``'s. When that
-        id is already held by a different declaration, it gets the longer id
-        from the same digest instead, so two blocks whose short ids clash
-        both stay valid.
+    def declare(self, sid: str | None, endpoint: str, lists) -> str | ServiceDecl:
+        """Hoist one service block, top-level or inline, with its term lists
+        in ``_TERM_LISTS`` order. Return what a rule names it by: its id, or
+        for a block without one, its declaration, whose id ``ast`` settles.
         """
         if sid is None:
             decl = ServiceDecl(generated_service_id(endpoint, *lists), endpoint, *lists)
-            held = self.ids.get(decl.id)
-            if held is not None and held != decl:
-                sid = generated_service_id(endpoint, *lists, digits=20)
-                decl = ServiceDecl(sid, endpoint, *lists)
-        else:
-            decl = ServiceDecl(sid, endpoint, *lists)
-        self.services.setdefault(decl)
-        self.ids.setdefault(decl.id, decl)
-        return decl.id
+            self.services.setdefault(decl, lists)
+            return decl
+        self.services[ServiceDecl(sid, endpoint, *lists)] = None
+        return sid
 
-    def rule(self, name: str | None, target: str, triggers: tuple, decision) -> None:
+    def rule(self, name: str | None, target, triggers: tuple, decision) -> None:
         if name is None:
             self._anon_rules += 1
             name = f"rule{self._anon_rules}"
-        self.rules.append(FlowRule(name, target, triggers, decision))
+        self.rules.append((name, target, triggers, decision))
 
     def atom(self, name: str) -> Atom:
         atom = self.atoms.get(name)
@@ -252,7 +238,24 @@ class _Document:
         return atom
 
     def ast(self) -> PolicyAst:
-        ast = PolicyAst(tuple(self.services), tuple(self.rules))
+        """The validated AST, with the generated ids settled (see the module
+        docstring)."""
+        held = {d.id: d for d, lists in self.services.items() if lists is None}
+        longer = {}  # declaration -> the same with the longer id
+        for decl, lists in self.services.items():
+            # Keys are distinct, so another holder is a different declaration.
+            if lists is not None and held.setdefault(decl.id, decl) is not decl:
+                sid = generated_service_id(decl.endpoint, *lists, digits=20)
+                longer[decl] = ServiceDecl(sid, decl.endpoint, *lists)
+        services, rules = self.services, self.rules
+        if longer:
+            services = dict.fromkeys(longer.get(d, d) for d in services)
+            rules = [(n, longer.get(t, t), *rest) for n, t, *rest in rules]
+        rules = tuple(
+            FlowRule(name, t if type(t) is str else t.id, triggers, decision)
+            for name, t, triggers, decision in rules
+        )
+        ast = PolicyAst(tuple(services), rules)
         validate_policy(ast)
         return ast
 
@@ -281,7 +284,7 @@ class _PolicyParser(_Document):
                 )
         return self.ast()
 
-    def _parse_service(self) -> str:
+    def _parse_service(self) -> str | ServiceDecl:
         tok = self.tok
         tok.next("ATOM", "service")
         tok.next("PUNCT", "{")
@@ -468,7 +471,7 @@ class _BlockRecognizer(_Document):
             self.rule(name, target, self._terms(triggers), Decision(effect, actions))
         return self.ast()
 
-    def _service(self, body: str, sid, endpoint: str, last_list) -> str:
+    def _service(self, body: str, sid, endpoint: str, last_list) -> str | ServiceDecl:
         if last_list is None:
             lists = _NO_LISTS
         else:
@@ -577,11 +580,9 @@ def format_policy(ast: PolicyAst) -> str:
         lines.append("service {")
         lines.append(f"  id {s.id}")
         lines.append(f"  endpoint {_quote(s.endpoint)}")
-        for kw, terms in (
-            ("properties", s.properties),
-            ("capabilities", s.capabilities),
-            ("creates_label", s.creates_labels),
-            ("removes_label", s.removes_labels),
+        for kw, terms in zip(
+            _TERM_LISTS,
+            (s.properties, s.capabilities, s.creates_labels, s.removes_labels),
         ):
             if terms:
                 lines.append(f"  {kw} " + ", ".join(format_term(t) for t in terms))

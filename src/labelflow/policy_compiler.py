@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .engine import Clause, KnowledgeBase, default_builtins, format_program
+from .kernel import label_test
 from .policy import PolicyAst
 from .terms import Atom, Compound, Str, Term
 
@@ -117,11 +118,13 @@ class Coverage(tuple):
 
     ``rules`` is the service's rule plan: the rules whose target is one of
     these ids, in rule declaration order. No other rule covers the service,
-    so ``decide`` scans only the plan. ``transforms`` is the service's
+    so ``decide`` scans only the plan. ``triggers`` holds each planned
+    rule's ``kernel.label_test``. ``transforms`` is the service's
     ``(removes, creates)``: the union of these declarations' label sets.
     """
 
     rules: tuple
+    triggers: tuple
     transforms: tuple
 
 
@@ -166,6 +169,7 @@ def covering_declarations(
         )
         targets = set(cov)
         cov.rules = tuple(r for r in cp.rule_index.values() if r.target in targets)
+        cov.triggers = tuple(label_test(r.trigger_labels) for r in cov.rules)
         decls = [cp.service_index[sid] for sid in cov]
         cov.transforms = (
             frozenset(l for d in decls for l in d.removes_labels),

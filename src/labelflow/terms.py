@@ -376,9 +376,9 @@ def parse_term_from(tok: Tokenizer) -> Term:
     )
 
 
-def parse_term(text: str, comment: str = "%") -> Term:
+def parse_term(text: str) -> Term:
     """Parse a complete term from ``text``; trailing input is an error."""
-    tok = Tokenizer(text, comment=comment)
+    tok = Tokenizer(text)
     term = parse_term_from(tok)
     end = tok.peek()
     if end.kind != "EOF":

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .kernel import match
+from .kernel import label_test, matched_labels
 from .pdp import DecisionRequest, apply_label_transform, decide
 from .policy_compiler import (
     CompiledPolicy,
@@ -155,9 +155,7 @@ class _Verifier:
             return
         rule = self.policy.rule_index.get(rule_name)
         if rule is not None:
-            offending = frozenset(
-                l for l in labels if any(match(t, l) for t in rule.trigger_labels)
-            )
+            offending = matched_labels(label_test(rule.trigger_labels), labels)
         else:
             offending = labels
         ce = Counterexample(

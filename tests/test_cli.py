@@ -387,6 +387,70 @@ def test_check_and_run_agree_on_route_endpoint(tmp_path, capsys):
     assert summary["at_statement"] == ce["trace"][-1]["statement"] == 2
 
 
+# The public case with ``pub`` at a URL that no rule covers.
+PRIVATE_ROUTE = PUBLIC_ROUTE.replace('"https://public.example/in"', '"svc://pub"')
+
+
+def test_run_const_stub_replaces_the_payload(tmp_path, capsys):
+    manifest = {
+        "services": {
+            "sensor": {"kind": "source"},
+            "pub": {"kind": "const", "payload": "fixed body"},
+        }
+    }
+    route, policy, services = _write_public_case(tmp_path, PRIVATE_ROUTE, manifest)
+    assert main(["run", route, policy, "--services", services]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["status"] == "completed"
+    (msg,) = summary["final_messages"]
+    assert msg["payload"] == "fixed body"
+
+
+def test_run_fail_stub_errors_at_its_statement(tmp_path, capsys):
+    manifest = {"services": {"sensor": {"kind": "source"}, "pub": {"kind": "fail"}}}
+    route, policy, services = _write_public_case(tmp_path, PRIVATE_ROUTE, manifest)
+    assert main(["run", route, policy, "--services", services]) == 1
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary["status"] == "errored"
+    assert summary["at_statement"] == 2
+    assert "Traceback" not in captured.out + captured.err
+
+
+ENV_WRITER = """
+route writer {
+  1: from(a)
+  2: set_env_prop seen := 7
+}
+"""
+ENV_READER = """
+route reader {
+  1: from(a)
+  2: set_msg_prop copied := env(seen)
+}
+"""
+
+
+def test_run_env_reset_gives_each_route_file_fresh_globals(tmp_path, capsys):
+    writer, reader = tmp_path / "writer.route", tmp_path / "reader.route"
+    writer.write_text(ENV_WRITER)
+    reader.write_text(ENV_READER)
+    policy = tmp_path / "empty.lucon"
+    policy.write_text('service { id a endpoint "svc://a" }\n')
+    argv = ["run", str(writer), str(reader), str(policy)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    decoder = json.JSONDecoder()
+    first, end = decoder.raw_decode(out)
+    second, _ = decoder.raw_decode(out, end + 1)
+    assert [first["status"], second["status"]] == ["completed", "completed"]
+    assert second["final_messages"][0]["props"] == {"copied": "7"}
+    assert main(argv + ["--env-reset"]) == 2
+    captured = capsys.readouterr()
+    assert "unbound variable env(seen)" in captured.err
+    assert "Traceback" not in captured.err
+
+
 PROBE_ROUTE = """
 route R {
   1: from(src)

@@ -205,6 +205,7 @@ def test_program_round_trip():
 def test_format_clause():
     clauses = parse_program("p(X) :- q(X), \\+ r(X).")
     assert format_clause(clauses[0]) == "p(X) :- q(X), \\+ r(X)."
+    assert repr(clauses[0]) == format_clause(clauses[0])
 
 
 def test_literal_requires_callable_term():

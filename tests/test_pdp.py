@@ -1,3 +1,4 @@
+import operator
 import os
 import random
 import re
@@ -21,7 +22,8 @@ from labelflow.pdp import (
     worst_case_policy,
 )
 from labelflow.policy import Decision, FlowRule, PolicyAst, ServiceDecl, parse_policy
-from labelflow import kernel, pdp
+from labelflow import kernel, pdp, policy_compiler
+from labelflow.kernel import label_test, matched_labels
 from labelflow.policy_compiler import compile_policy, covering_declarations
 from labelflow.terms import Atom, Compound, Int, Str, Var
 
@@ -268,7 +270,7 @@ def test_worst_case_policy_all_rules_match():
     req = bench_request(3)
     covering = covering_declarations(policy, req.service, req.url)
     assert covering.rules == tuple(policy.rule_index.values())
-    assert all(rule_matches(rule, req.labels) for rule in covering.rules)
+    assert all(rule_matches(t, req.labels) for t in covering.triggers)
     assert len(policy.rule_index) == 7
 
 
@@ -316,16 +318,21 @@ def test_decide_resolves_coverage_once(monkeypatch):
 def test_worst_case_decide_scans_every_rule(monkeypatch, n_rules):
     scanned: list = []
 
-    def counting(rule, labels):
-        scanned.append(rule.name)
-        return rule_matches(rule, labels)
+    def counting(triggers, labels):
+        scanned.append(triggers)
+        return rule_matches(triggers, labels)
 
     monkeypatch.setattr(pdp, "rule_matches", counting)
     policy = worst_case_policy(n_rules)
+    req = bench_request(3)
+    plan = covering_declarations(policy, req.service, req.url)
+    # Every rule has the same triggers, so the scanned tests are told apart
+    # by identity and named by the planned rule they belong to.
+    names = {id(t): r.name for r, t in zip(plan.rules, plan.triggers)}
     for _ in range(2):
         scanned.clear()
-        result = decide(policy, bench_request(3))
-        assert scanned == list(policy.rule_index)
+        result = decide(policy, req)
+        assert [names[id(t)] for t in scanned] == list(policy.rule_index)
         assert result.matched_rules == tuple(policy.rule_index)
 
 
@@ -337,6 +344,35 @@ def test_rule_plan_is_memoised_with_the_coverage():
         r.name for r in policy.rule_index.values() if r.target in covering
     ]
     assert covering_declarations(policy, "nobody").rules == ()
+
+
+def test_two_decides_build_each_trigger_test_once_and_scan_the_plan_in_order(
+    monkeypatch,
+):
+    built: list = []
+    scanned: list = []
+
+    def counting_label_test(terms):
+        built.append(tuple(terms))
+        return label_test(terms)
+
+    def counting_rule_matches(triggers, labels):
+        scanned.append(triggers)
+        return rule_matches(triggers, labels)
+
+    monkeypatch.setattr(policy_compiler, "label_test", counting_label_test)
+    monkeypatch.setattr(pdp, "rule_matches", counting_rule_matches)
+    policy = compile_policy(parse_policy(SHAPES + OTHER_TARGET))
+    req = DecisionRequest("s", frozenset({Compound("w", (Int(1),)), Atom("raw")}))
+    for _ in range(2):
+        scanned.clear()
+        assert decide(policy, req).matched_rules == ("wx", "wy", "any")
+        plan = covering_declarations(policy, "s")
+        assert len(scanned) == len(plan.triggers)
+        assert all(map(operator.is_, scanned, plan.triggers))
+    planned = [r for r in policy.rule_index.values() if r.target == "s"]
+    assert plan.rules == tuple(planned)
+    assert built == [r.trigger_labels for r in planned]
 
 
 def _loaded_by_import_labelflow(module: str) -> bool:
@@ -380,6 +416,7 @@ def test_linear_fit_r2():
     assert linear_fit_r2(xs, [2 * x + 1 for x in xs]) == pytest.approx(1.0)
     assert linear_fit_r2(xs, [5, 5, 5, 5]) == pytest.approx(1.0)
     assert linear_fit_r2([1, 2, 3, 4], [1, -4, 9, -2]) < 0.9
+    assert linear_fit_r2([3, 3, 3], [1, 2, 3]) == 1.0  # no spread in x
 
 
 # -- trigger shapes and one-way matching -----------------------------------
@@ -394,6 +431,10 @@ flow_rule { id str when s receives "s" decide drop }
 flow_rule { id level when s receives level(3, X) decide drop }
 flow_rule { id shared when s receives p(X), q(X) decide drop }
 flow_rule { id any when s receives X decide drop }
+"""
+OTHER_TARGET = """
+service { id t endpoint "svc://t" }
+flow_rule { id other when t receives raw decide drop }
 """
 
 
@@ -592,16 +633,21 @@ def test_label_transform_agrees_with_the_per_pair_definition(seed):
         got = apply_label_transform(labels, removes, creates)
         assert type(got) is frozenset
         assert got == reference_label_transform(labels, removes, creates)
+        # The label test that the transform, the rule plan and the verifier
+        # share, against the same per-pair definition.
+        hit = matched_labels(label_test(removes), labels)
+        assert hit == {l for l in labels if any(kernel.match(t, l) for t in removes)}
 
 
 def test_only_non_ground_removes_call_match(monkeypatch):
     calls: list = []
+    match = kernel.match
 
     def counting(pattern, term):
         calls.append(pattern)
-        return kernel.match(pattern, term)
+        return match(pattern, term)
 
-    monkeypatch.setattr(pdp, "match", counting)
+    monkeypatch.setattr(kernel, "match", counting)
     labels = frozenset(_GROUND_LABELS + _NONGROUND_LABELS)
     for removes in (set(), (), frozenset()):
         out = apply_label_transform(labels, removes, {Atom("new")})

@@ -115,6 +115,7 @@ def test_service_matches_by_id_and_pattern(compiled):
     assert service_matches(compiled, "merge", "merge")
     assert service_matches(compiled, "merge", "bean://merge")
     assert not service_matches(compiled, "merge", "bean://other")
+    assert not service_matches(compiled, "nobody", "bean://merge")
 
 
 def test_resolve_transforms(compiled):

@@ -58,6 +58,8 @@ def test_parse_service_declaration():
     assert sensor.capabilities == (Atom("read"),)
     assert sensor.creates_labels == (Atom("raw"),)
     assert sensor.removes_labels == ()
+    with pytest.raises(KeyError):
+        ast.service("nobody")
 
 
 def test_parse_rule_with_obligation():
@@ -170,14 +172,31 @@ def test_clashing_inline_ids_take_the_longer_id(parse):
     assert ast.service(b.target).endpoint == second
 
 
-def test_an_inline_id_held_by_a_declared_service_takes_the_longer_id():
+@pytest.mark.parametrize(
+    "parse",
+    [parse_policy, lambda text: _PolicyParser(text).parse()],
+    ids=["parse_policy", "token_parser"],
+)
+@pytest.mark.parametrize("declared_first", [True, False])
+def test_an_inline_id_held_by_a_declared_service_takes_the_longer_id(
+    parse, declared_first
+):
     endpoint = "http[s]?://.+"
-    text = f"""
-    service {{ id service97000661 endpoint "svc://s" }}
-    flow_rule {{ when service {{ endpoint "{endpoint}" }} receives raw decide drop }}
-    """
-    (rule,) = parse_policy(text).rules
-    assert rule.target == generated_service_id(endpoint, digits=20)
+    declared = 'service { id service97000661 endpoint "svc://other" }'
+    inline = f'flow_rule {{ when service {{ endpoint "{endpoint}" }} receives raw decide drop }}'
+    named = "flow_rule { when service97000661 receives pii decide drop }"
+    blocks = [declared, inline] if declared_first else [inline, declared]
+    ast = parse("\n".join(blocks + [named]))
+    hoisted, by_name = ast.rules
+    assert hoisted.target == generated_service_id(endpoint, digits=20)
+    assert ast.service(hoisted.target).endpoint == endpoint
+    assert by_name.target == "service97000661"
+    assert ast.service(by_name.target).endpoint == "svc://other"
+    # An identical declaration still collapses into the hoisted service.
+    same = 'service { id service97000661 endpoint "http[s]?://.+" }'
+    ast = parse("\n".join([inline, same] if declared_first else [same, inline]))
+    assert [s.id for s in ast.services] == ["service97000661"]
+    assert ast.rules[0].target == "service97000661"
 
 
 def test_validation_service_without_id():

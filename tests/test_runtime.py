@@ -444,6 +444,15 @@ def test_obligation_exception_counts_as_failure():
     assert obligation_outcome(log).status == "dropped"
 
 
+def test_an_obligation_that_is_not_callable_counts_as_failure():
+    # ``require 5`` parses, but a number names no obligation to invoke.
+    policy = compile_policy(
+        parse_policy(OBLIGATION_POLICY.replace("require log(message)", "require 5"))
+    )
+    out = run_route(OBLIGATION_ROUTE, policy, obligations=ObligationRegistry())
+    assert (out.status, out.rule) == ("dropped", "mustLog")
+
+
 # ---------------------------------------------------------------------------
 # Expressions, conditions, globals.
 # ---------------------------------------------------------------------------
@@ -456,6 +465,9 @@ def test_eval_expr_reads_scopes():
     assert eval_expr(Compound("env", (Atom("limit"),)), props, env) == Int(30)
     nested = Compound("pair", (Compound("msg", (Atom("t"),)), Int(1)))
     assert eval_expr(nested, props, env) == Compound("pair", (Int(21), Int(1)))
+    # Only a one-argument msg(..)/env(..) reads; any other arity is data.
+    two = Compound("msg", (Atom("t"), Compound("env", (Atom("limit"),))))
+    assert eval_expr(two, props, env) == Compound("msg", (Atom("t"), Int(30)))
 
 
 def test_eval_expr_unbound_variable():
@@ -645,9 +657,9 @@ def test_to_scans_only_the_rules_targeting_its_service(monkeypatch, n_rules):
     decisions: list = []
     rule_matches = pdp.rule_matches
 
-    def counting_rule_matches(rule, labels):
-        scanned.append(rule.name)
-        return rule_matches(rule, labels)
+    def counting_rule_matches(triggers, labels):
+        scanned.append(triggers)
+        return rule_matches(triggers, labels)
 
     def counting_decide(*args, **kwargs):
         decisions.append(args[1].service)
@@ -662,7 +674,13 @@ def test_to_scans_only_the_rules_targeting_its_service(monkeypatch, n_rules):
         out = execute(route, policy, registry(route))
         assert out.status == "completed"
         assert decisions == ["k"]
-        assert scanned == sink_rules
+        # A scanned trigger test is named by the planned rule it belongs to.
+        names = {
+            id(t): r.name
+            for plan in policy.covering.values()
+            for r, t in zip(plan.rules, plan.triggers)
+        }
+        assert [names[id(t)] for t in scanned] == sink_rules
         assert [ev.rule for ev in out.audit] == [None, sink_rules[0]]
 
 

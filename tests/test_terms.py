@@ -188,6 +188,11 @@ def test_format_parse_round_trip(term):
     assert parse_term(format_term(term)) == term
 
 
+def test_format_term_rejects_a_value_that_is_not_a_term():
+    with pytest.raises(TypeError, match="not a term: 3"):
+        format_term(3)
+
+
 # -- the tokenizer against the character-at-a-time oracle --------------------
 
 
