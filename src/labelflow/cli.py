@@ -51,21 +51,14 @@ def _read(path: str) -> str:
         raise CliError(f"{path}: not UTF-8 text")
 
 
-def _load_policy(path: str):
+def _load(path: str, route: bool = False):
+    """The compiled policy, or with ``route`` the route, in the file ``path``."""
+    text = _read(path)
     try:
-        return compile_policy(parse_policy(_read(path)))
-    except (TermSyntaxError, ValidationError) as exc:
+        return parse_route(text) if route else compile_policy(parse_policy(text))
+    except (RouteError, TermSyntaxError, ValidationError) as exc:
         raise CliError(f"{path}: {exc}")
     except RecursionError:  # the term parser still recurses per nesting level
-        raise CliError(f"{path}: term nested too deeply")
-
-
-def _load_route(path: str):
-    try:
-        return parse_route(_read(path))
-    except (TermSyntaxError, RouteError) as exc:
-        raise CliError(f"{path}: {exc}")
-    except RecursionError:
         raise CliError(f"{path}: term nested too deeply")
 
 
@@ -159,7 +152,7 @@ def _default_registry_for(route):
 
 
 def cmd_compile(args) -> int:
-    policy = _load_policy(args.policy)
+    policy = _load(args.policy)
     text = emit_clauses(policy)
     if args.emit_clauses:
         Path(args.emit_clauses).write_text(text, encoding="utf-8")
@@ -169,8 +162,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_check(args) -> int:
-    route = _load_route(args.route)
-    policy = _load_policy(args.policy)
+    route = _load(args.route, route=True)
+    policy = _load(args.policy)
     default_effect = "drop" if args.default_deny else "allow"
     verdict = verify(
         route, policy, all_paths=args.all_paths, default_effect=default_effect
@@ -196,7 +189,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    policy = _load_policy(args.policy)
+    policy = _load(args.policy)
     registries = None
     if args.services:
         try:
@@ -207,7 +200,7 @@ def cmd_run(args) -> int:
     worst = 0
     env: dict = {}
     for route_path in args.routes:
-        route = _load_route(route_path)
+        route = _load(route_path, route=True)
         services, obligations = registries or (
             _default_registry_for(route), ObligationRegistry()
         )

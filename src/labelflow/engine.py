@@ -201,14 +201,15 @@ class _Solver:
                 raise NameCollision(f"clause {pred[0]}/{pred[1]} collides with a builtin")
         self.fresh = 0
 
-    def _rename_clause(self, clause: Clause) -> Clause:
+    def _rename_clause(self, clause: Clause) -> tuple[Term, tuple]:
+        """``clause``'s head and body literals, renamed apart."""
         self.fresh += 1
         suffix = f"#{self.fresh}"
         head = kernel.rename(clause.head, suffix)
         body = tuple(
             Literal(kernel.rename(l.term, suffix), l.negated) for l in clause.body
         )
-        return Clause(head, body)
+        return head, body
 
     def solve(self, goals, bindings: dict, trail: list, depth: int) -> Iterator[dict]:
         if not goals:
@@ -241,12 +242,10 @@ class _Solver:
                 kernel.undo_to(bindings, trail, mark)
             return
         for clause in self.kb.candidates(goal, bindings):
-            renamed = self._rename_clause(clause)
+            head, body = self._rename_clause(clause)
             mark = len(trail)
-            if kernel.unify_inplace(goal, renamed.head, bindings, trail):
-                yield from self.solve(
-                    renamed.body + tuple(rest), bindings, trail, depth + 1
-                )
+            if kernel.unify_inplace(goal, head, bindings, trail):
+                yield from self.solve(body + tuple(rest), bindings, trail, depth + 1)
             kernel.undo_to(bindings, trail, mark)
 
 

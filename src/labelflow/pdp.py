@@ -9,9 +9,10 @@ ground, so this agrees with unification). Each trigger is tested on its
 own: variables shared between one rule's triggers bind independently, so
 ``receives p(X), q(X)`` matches ``{p(a), q(b)}`` (ROADMAP item 7 asks
 whether they should bind jointly). The effects of all matched rules fold
-under the restrictiveness order error > drop > allow; obligations
-concatenate in rule declaration order. With no match the default effect
-applies (allow, unless a default-deny deployment flips it to drop).
+under the restrictiveness order ``policy.EFFECTS``, error > drop > allow;
+obligations concatenate in rule declaration order. With no match the
+default effect applies (allow, unless a default-deny deployment flips it to
+drop); a default effect outside ``EFFECTS`` raises ``ValueError``.
 
 ``covering_declarations`` in ``policy_compiler``, the resolver the label
 transforms use too, answers coverage once per decision, together with the
@@ -42,13 +43,13 @@ import time
 from dataclasses import dataclass
 
 from .kernel import label_test, match, matched_labels, rebuild
-from .policy import Decision, FlowRule, PolicyAst, ServiceDecl
+from .policy import EFFECTS, Decision, FlowRule, PolicyAst, ServiceDecl
 from .policy_compiler import CompiledPolicy, compile_policy, covering_declarations
 # flowbench/tracing.py patches labelflow.pdp.service_matches.
 from .policy_compiler import service_matches  # noqa: F401
 from .terms import Atom, Compound, Term
 
-_SEVERITY = {"allow": 0, "drop": 1, "error": 2}
+_SEVERITY = {effect: rank for rank, effect in enumerate(EFFECTS)}
 
 
 def most_restrictive(effects) -> str:
@@ -107,7 +108,16 @@ class DecisionResult:
 
 # The result of a decision that no rule matches, one per default effect;
 # a DecisionResult is immutable, so every such decision can share it.
-_DEFAULT_RESULTS = {effect: DecisionResult(effect) for effect in _SEVERITY}
+_DEFAULT_RESULTS = {effect: DecisionResult(effect) for effect in EFFECTS}
+
+
+def default_result(default_effect: str) -> DecisionResult:
+    """The shared result of a decision that no rule matches. An effect outside
+    ``EFFECTS`` raises ``ValueError``; every entry point checks here first."""
+    result = _DEFAULT_RESULTS.get(default_effect)
+    if result is None:
+        raise ValueError(f"unknown default effect {default_effect!r}")
+    return result
 
 
 def rule_matches(triggers: tuple, labels: frozenset) -> bool:
@@ -138,7 +148,8 @@ def _bind_message(action: Term, ref: Term | None) -> Term:
 def decide(
     policy: CompiledPolicy, req: DecisionRequest, default_effect: str = "allow"
 ) -> DecisionResult:
-    """Total decision function; identical inputs give identical results."""
+    """The decision on ``req``; identical inputs give identical results."""
+    default = default_result(default_effect)
     labels = req.labels
     plan = covering_declarations(policy, req.service, req.url)
     rules = [
@@ -147,7 +158,7 @@ def decide(
         if rule_matches(triggers, labels)
     ]
     if not rules:
-        return _DEFAULT_RESULTS.get(default_effect) or DecisionResult(default_effect)
+        return default
     effects = [rule.decision.effect for rule in rules]
     effect = most_restrictive(effects)
     obligations = tuple(

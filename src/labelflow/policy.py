@@ -75,6 +75,8 @@ from .terms import (
     regex_prefix,
 )
 
+# The flow-rule effects in restrictiveness order, least restrictive first:
+# a decision takes the last of them that a matched rule names.
 EFFECTS = ("allow", "drop", "error")
 
 # Service-block sections that hold a term list, in ServiceDecl field order.
@@ -129,12 +131,6 @@ class PolicyAst:
     endpoint_prefixes: dict = field(default_factory=dict, compare=False, repr=False)
     # endpoint text -> compiled regex, filled by ``endpoint_regex``
     endpoint_regexes: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def service(self, sid: str) -> ServiceDecl:
-        for s in self.services:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
 
     def endpoint_prefix(self, endpoint: str) -> str:
         """The literal prefix of every URL ``endpoint`` matches; validates it.
@@ -200,12 +196,9 @@ def generated_service_id(
 
 class _Document:
     """What both parsers share: hoisting service declarations, numbering
-    anonymous rules, the table of one ``Atom`` per distinct name of the
-    text (the token parser's ``parse_term_from`` fills it through
-    ``Tokenizer.atoms``), and building and validating the AST."""
+    anonymous rules, and building and validating the AST."""
 
-    def __init__(self, atoms: dict[str, Atom]):
-        self.atoms = atoms
+    def __init__(self):
         # An insertion-ordered set, so identical declarations collapse to
         # one service in constant time; an id-less block's declaration maps
         # to its term lists, any other to None.
@@ -230,12 +223,6 @@ class _Document:
             self._anon_rules += 1
             name = f"rule{self._anon_rules}"
         self.rules.append((name, target, triggers, decision))
-
-    def atom(self, name: str) -> Atom:
-        atom = self.atoms.get(name)
-        if atom is None:
-            atom = self.atoms[name] = Atom(name)
-        return atom
 
     def ast(self) -> PolicyAst:
         """The validated AST, with the generated ids settled (see the module
@@ -266,8 +253,8 @@ class _PolicyParser(_Document):
     with one ``Tokenizer.next``."""
 
     def __init__(self, text: str):
+        super().__init__()
         self.tok = Tokenizer(text, comment="//")
-        super().__init__(self.tok.atoms)
 
     def parse(self) -> PolicyAst:
         tok = self.tok
@@ -426,7 +413,8 @@ class _BlockRecognizer(_Document):
     nothing until every block has matched."""
 
     def __init__(self):
-        super().__init__({})
+        super().__init__()
+        self.atoms: dict[str, Atom] = {}  # one Atom per distinct name
         # term list text -> its terms; terms are immutable, so equal lists
         # share them, for this document only
         self.term_lists: dict[str, tuple] = {}
@@ -496,7 +484,7 @@ class _BlockRecognizer(_Document):
                 functor, tuple(self._term(*item) for item in _ITEMS.findall(args))
             )
         if atom:
-            return self.atom(atom)
+            return self.atoms.get(atom) or self.atoms.setdefault(atom, Atom(atom))
         if var:
             return Var(var)
         if integer:

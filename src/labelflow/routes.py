@@ -250,6 +250,12 @@ def parse_route(text: str) -> Route:
 _SERVICE_STATEMENTS = {"from": From, "to": To, "bean": Bean}
 _EXPR_STATEMENTS = {"split": Split, "aggregate": Aggregate}
 _SET_STATEMENTS = {"set_msg_prop": SetMsgProp, "set_env_prop": SetEnvProp}
+# Statement class -> its keyword; a choice has none.
+_KEYWORDS = {
+    cls: word
+    for table in (_SERVICE_STATEMENTS, _EXPR_STATEMENTS, _SET_STATEMENTS)
+    for word, cls in table.items()
+}
 
 
 def _parse_statement(tok: Tokenizer):
@@ -410,33 +416,23 @@ def format_route(route: Route) -> str:
         lines.append("  }")
     last_declared = next(reversed(route.statements))
     for n, stmt in route.statements.items():
-        succ = route.successors_map.get(n, ())
-        arrow = ""
-        if isinstance(stmt, Choice):
-            pass
-        elif succ:
-            arrow = " -> " + ", ".join(str(t) for t in succ)
-        elif n != last_declared:
-            arrow = " -> end"  # keep the terminal explicit on re-parse
-        if isinstance(stmt, From):
-            body = f"from({stmt.service})"
-        elif isinstance(stmt, To):
-            body = f"to({stmt.service})"
-        elif isinstance(stmt, Bean):
-            body = f"bean({stmt.service})"
-        elif isinstance(stmt, Choice):
+        word = _KEYWORDS.get(type(stmt))
+        if word in _SERVICE_STATEMENTS:
+            body = f"{word}({stmt.service})"
+        elif word in _EXPR_STATEMENTS:
+            body = f"{word} {format_term(stmt.expr)}"
+        elif word in _SET_STATEMENTS:
+            body = f"{word} {stmt.var} := {format_term(stmt.expr)}"
+        else:  # a choice, whose gotos are its successors
             body = (
                 f"when {format_term(stmt.cond)} then goto {stmt.then_target} "
                 f"otherwise goto {stmt.else_target}"
             )
-        elif isinstance(stmt, Split):
-            body = f"split {format_term(stmt.expr)}"
-        elif isinstance(stmt, Aggregate):
-            body = f"aggregate {format_term(stmt.expr)}"
-        elif isinstance(stmt, SetMsgProp):
-            body = f"set_msg_prop {stmt.var} := {format_term(stmt.expr)}"
-        else:
-            body = f"set_env_prop {stmt.var} := {format_term(stmt.expr)}"
-        lines.append(f"  {n}: {body}{arrow}")
+        succ = route.successors_map.get(n, ())
+        if word and succ:
+            body += " -> " + ", ".join(map(str, succ))
+        elif word and n != last_declared:
+            body += " -> end"  # keep the terminal explicit on re-parse
+        lines.append(f"  {n}: {body}")
     lines.append("}")
     return "\n".join(lines) + "\n"

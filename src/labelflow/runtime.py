@@ -37,7 +37,13 @@ from .engine import (
     default_builtins,
     provable,
 )
-from .pdp import DecisionRequest, apply_label_transform, decide, most_restrictive
+from .pdp import (
+    DecisionRequest,
+    apply_label_transform,
+    decide,
+    default_result,
+    most_restrictive,
+)
 from .policy_compiler import CompiledPolicy, resolve_transforms
 from .routes import (
     Aggregate,
@@ -412,7 +418,7 @@ class _Execution:
                     effect = ob.otherwise
                     rule = ob.rule
                 break
-        if effect in _STOP_STATUS:
+        if effect != "allow":
             self.record(stmt_no, msg, before, before, effect, rule)
             raise _PolicyStop(_STOP_STATUS[effect], stmt_no, rule)
         self._call_handler(stmt_no, atom, msg)
@@ -460,8 +466,10 @@ def execute(
     ``env`` is the global variable map; pass the same dict across calls to
     persist globals between executions of a route. ``choice_decisions``
     forces choice branches (statement number -> bool), used for replaying
-    counterexamples and exhaustive-path testing.
+    counterexamples and exhaustive-path testing. A default effect outside
+    ``EFFECTS`` raises ``ValueError`` before any handler runs.
     """
+    default_result(default_effect)
     services.check_route(route)
     obligations = obligations or ObligationRegistry()
     env = env if env is not None else {}

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .kernel import label_test, matched_labels
-from .pdp import DecisionRequest, apply_label_transform, decide
+from .pdp import DecisionRequest, apply_label_transform, decide, default_result
 from .policy_compiler import (
     CompiledPolicy,
     covering_declarations,
@@ -147,7 +147,7 @@ class _Verifier:
         return step
 
     def check(self, n, atom, labels, result, trace, choices) -> None:
-        if result.effect not in ("drop", "error"):
+        if result.effect == "allow":
             return
         rule_name = result.effect_rule or "default_deny"
         key = (rule_name, n)
@@ -316,7 +316,9 @@ def verify(
     all_paths: bool = False,
     default_effect: str = "allow",
 ) -> Verdict:
-    """Explore every label flow through the route; collect counterexamples."""
+    """Explore every label flow through the route; collect counterexamples.
+    A default effect outside ``EFFECTS`` raises ``ValueError`` first."""
+    default_result(default_effect)
     warnings = []
     for atom in route.services:
         if not covering_declarations(policy, atom, route.endpoints.get(atom)):

@@ -311,6 +311,22 @@ def sink_policy(n_rules: int) -> CompiledPolicy:
     return compile_policy(PolicyAst(decls, rules))
 
 
+# A sensor that creates ``raw`` and a declared sink, with no rule: only the
+# default effect decides the flow from one to the other.
+UNRULED_POLICY = """
+service { id sensor endpoint "svc://sensor" creates_label raw }
+service { id sink endpoint "svc://sink" }
+"""
+
+UNRULED_ROUTE = """
+route r {
+  services { sensor = "svc://sensor" sink = "svc://sink" }
+  1: from(sensor)
+  2: to(sink)
+}
+"""
+
+
 SINK_ROUTE = """
 route r {
   services { s = "svc://src" k = "svc://sink" }

@@ -23,7 +23,7 @@ unreached:
 - Tracing switches off inside a test that hits ``RecursionError``: the
   trace function itself overflows the stack, and CPython then removes the
   hook for the rest of that phase. The lines that handle the error, such
-  as the CLI's "term nested too deeply" maps, therefore read as
+  as the CLI's "term nested too deeply" map, therefore read as
   unreached although a test reaches them.
 """
 

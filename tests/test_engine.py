@@ -24,7 +24,7 @@ from labelflow.engine import (
 )
 from labelflow.terms import Atom, Compound, Int, Str, Var
 
-from .helpers import forward_chain
+from .helpers import forward_chain, match_pattern, substitute
 
 GRAPH = """
 edge(a, b). edge(b, c). edge(c, d). edge(b, d).
@@ -289,6 +289,57 @@ def test_solve_agrees_with_fixpoint(seed):
             and len(f.args) == arity
         }
         assert derived == expected
+
+
+def test_failed_head_unification_leaves_no_binding():
+    # Unification takes the last argument pair first, so Y binds to e before
+    # b fails against c; the next clause must see Y unbound.
+    kb = KnowledgeBase(parse_program("s(a, c, e). s(a, b, f)."))
+    answers = list(solve(kb, parse_query("s(X, b, Y)")))
+    assert answers == [{"X": Atom("a"), "Y": Atom("f")}]
+
+
+def test_failed_builtin_output_leaves_no_binding():
+    # X binds to a before b fails against c; the next output must see X
+    # unbound.
+    def pair(args):
+        yield Atom("a"), Atom("c")
+        yield Atom("d"), Atom("b")
+
+    kb = KnowledgeBase([], default_builtins())
+    answers = list(solve(kb, parse_query("pair(X, b)"), builtins={("pair", 2): pair}))
+    assert answers == [{"X": Atom("d")}]
+
+
+TERNARY_RULES = parse_program(
+    """
+    mirror(X, Z) :- t(X, Y, Z), t(Z, Y, X).
+    hop(X, Z) :- t(X, b, Y), t(Y, Z, Z).
+    """
+)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_partly_ground_queries_agree_with_fixpoint(seed):
+    # Ternary facts over three constants, queried with every mix of ground
+    # arguments and (possibly repeated) variables: most candidate clauses
+    # fail after binding some query variables.
+    rng = random.Random(seed)
+    consts = CONSTANTS[:3]
+    facts = {
+        Compound("t", tuple(rng.choice(consts) for _ in range(3)))
+        for _ in range(rng.randint(1, 12))
+    }
+    clauses = [Clause(f) for f in sorted(facts, key=repr)] + TERNARY_RULES
+    kb = KnowledgeBase(clauses)
+    fixpoint = forward_chain(clauses)
+    choices = consts + [Var("X"), Var("Y"), Var("Z")]
+    for functor, arity in (("t", 3), ("mirror", 2), ("hop", 2)):
+        for _ in range(12):
+            goal = Compound(functor, tuple(rng.choice(choices) for _ in range(arity)))
+            derived = {substitute(goal, s) for s in solve(kb, goal)}
+            expected = {f for f in fixpoint if match_pattern(goal, f) is not None}
+            assert derived == expected, goal
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -21,7 +21,14 @@ from labelflow.pdp import (
     rule_matches,
     worst_case_policy,
 )
-from labelflow.policy import Decision, FlowRule, PolicyAst, ServiceDecl, parse_policy
+from labelflow.policy import (
+    EFFECTS,
+    Decision,
+    FlowRule,
+    PolicyAst,
+    ServiceDecl,
+    parse_policy,
+)
 from labelflow import kernel, pdp, policy_compiler
 from labelflow.kernel import label_test, matched_labels
 from labelflow.policy_compiler import compile_policy, covering_declarations
@@ -201,13 +208,24 @@ def test_decision_is_pure(compiled):
     assert decide(compiled, req) == decide(compiled, req)
 
 
+@pytest.mark.parametrize("labels", [frozenset(), frozenset({Atom("raw")})])
+def test_decide_rejects_an_unknown_default_effect(compiled, labels):
+    # Whether or not a rule matches, "deny" is no effect: it raises instead
+    # of deciding anything, let alone allowing the unmatched request.
+    req = DecisionRequest("https://mq.example/out", labels)
+    with pytest.raises(ValueError, match="unknown default effect 'deny'"):
+        decide(compiled, req, "deny")
+    effects = [decide(compiled, req, effect).effect for effect in EFFECTS]
+    assert effects == (["drop"] * 3 if labels else list(EFFECTS))
+
+
 # -- differential check against a from-scratch matcher ----------------------
 
 
 def reference_decide(policy, req, default_effect="allow"):
     matched = []
     for name, rule in policy.rule_index.items():
-        decl = policy.ast.service(rule.target)
+        decl = next(s for s in policy.ast.services if s.id == rule.target)
         covers = False
         for target in (req.service, req.url):
             if target is None:

@@ -50,16 +50,19 @@ flow_rule {
 """
 
 
+def _service(ast, sid: str):
+    (decl,) = [s for s in ast.services if s.id == sid]
+    return decl
+
+
 def test_parse_service_declaration():
     ast = parse_policy(EXAMPLE)
-    sensor = ast.service("sensor")
+    sensor = _service(ast, "sensor")
     assert sensor.endpoint == "sensor://.+"
     assert sensor.properties == (Atom("trusted"), Compound("location", (Atom("lab"),)))
     assert sensor.capabilities == (Atom("read"),)
     assert sensor.creates_labels == (Atom("raw"),)
     assert sensor.removes_labels == ()
-    with pytest.raises(KeyError):
-        ast.service("nobody")
 
 
 def test_parse_rule_with_obligation():
@@ -78,7 +81,7 @@ def test_parse_rule_with_obligation():
 def test_inline_service_is_hoisted():
     ast = parse_policy(EXAMPLE)
     (rule,) = ast.rules
-    target = ast.service(rule.target)
+    target = _service(ast, rule.target)
     assert target.endpoint == "http[s]?://.+"
     assert rule.target.startswith("service")
 
@@ -121,7 +124,7 @@ def test_hoisted_ids_are_pinned():
     plain, rich = ast.rules
     assert plain.target == "service97000661" == _inline_id("http[s]?://.+")
     assert rich.target == "service31024044"
-    decl = ast.service(rich.target)
+    decl = _service(ast, rich.target)
     assert generated_service_id(
         decl.endpoint,
         decl.properties,
@@ -169,7 +172,7 @@ def test_clashing_inline_ids_take_the_longer_id(parse):
     assert re.fullmatch(r"service\d{20}", b.target)
     assert c.target == b.target  # an identical block still collapses
     assert [s.id for s in ast.services] == ["s", a.target, b.target]
-    assert ast.service(b.target).endpoint == second
+    assert _service(ast, b.target).endpoint == second
 
 
 @pytest.mark.parametrize(
@@ -189,9 +192,9 @@ def test_an_inline_id_held_by_a_declared_service_takes_the_longer_id(
     ast = parse("\n".join(blocks + [named]))
     hoisted, by_name = ast.rules
     assert hoisted.target == generated_service_id(endpoint, digits=20)
-    assert ast.service(hoisted.target).endpoint == endpoint
+    assert _service(ast, hoisted.target).endpoint == endpoint
     assert by_name.target == "service97000661"
-    assert ast.service(by_name.target).endpoint == "svc://other"
+    assert _service(ast, by_name.target).endpoint == "svc://other"
     # An identical declaration still collapses into the hoisted service.
     same = 'service { id service97000661 endpoint "http[s]?://.+" }'
     ast = parse("\n".join([inline, same] if declared_first else [same, inline]))

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,7 @@ from labelflow.engine import (
 from labelflow.pdp import worst_case_policy
 from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
-from labelflow.routes import node_names, parse_route
+from labelflow.routes import Bean, Choice, To, node_names, parse_route
 from labelflow.runtime import (
     IMPLICIT_LEAK_ROUTE,
     EvalError,
@@ -34,6 +35,8 @@ from labelflow.verifier import verify
 from .conftest import read_fixture
 from .helpers import (
     SINK_ROUTE,
+    UNRULED_POLICY,
+    UNRULED_ROUTE,
     exhaustive_outcomes,
     random_policy,
     random_route,
@@ -361,6 +364,41 @@ def test_missing_handler_fails_every_execute_of_one_route():
             execute(route, EMPTY_POLICY, services)
     services.register("b", echo_handler)
     assert execute(route, EMPTY_POLICY, services).status == "completed"
+
+
+def test_execute_rejects_an_unknown_default_effect():
+    policy = compile_policy(parse_policy(UNRULED_POLICY))
+    route = parse_route(UNRULED_ROUTE)
+    ran = []
+
+    def recording(payload, props):
+        ran.append(payload)
+        return payload, props
+
+    services = registry(route, sensor=recording, sink=recording)
+    with pytest.raises(ValueError, match="unknown default effect 'deny'"):
+        execute(route, policy, services, default_effect="deny")
+    assert ran == []  # not even the from handler
+
+
+@pytest.mark.parametrize(
+    "effect, status, valid",
+    [
+        ("allow", "completed", True),
+        ("drop", "dropped", False),
+        ("error", "errored", False),
+    ],
+)
+def test_the_default_effect_decides_an_unruled_flow(effect, status, valid):
+    policy = compile_policy(parse_policy(UNRULED_POLICY))
+    route = parse_route(UNRULED_ROUTE)
+    out = execute(route, policy, registry(route), default_effect=effect)
+    assert (out.status, out.at_statement) == (status, None if valid else 2)
+    assert [ev.decision for ev in out.audit] == [None, effect]
+    verdict = verify(route, policy, default_effect=effect)
+    assert verdict.valid is valid
+    rules = [ce.rule for ce in verdict.counterexamples]
+    assert rules == ([] if valid else ["default_deny"])
 
 
 def test_execute_derives_node_names_once_per_route(monkeypatch):
@@ -804,6 +842,42 @@ def test_assignments_never_change_labels(seed):
         for ev in outcome.audit:
             if ev.decision is None:
                 assert ev.labels_before == ev.labels_after or ev.statement == route.entry
+
+
+@pytest.mark.parametrize("max_statements", [10, 40])
+@pytest.mark.parametrize("seed", range(25))
+def test_execute_decides_once_per_to_and_bean(monkeypatch, seed, max_statements):
+    # The module docstring's claim: the decision point is consulted exactly
+    # once per to/bean statement run and never for anything else.
+    rng = random.Random(seed)
+    route = random_route(rng, max_statements=max_statements)
+    policy = random_policy(rng)
+    decided = []
+    decide = runtime.decide
+
+    def counting(policy, req, default_effect):
+        decided.append(req.service)
+        return decide(policy, req, default_effect)
+
+    monkeypatch.setattr(runtime, "decide", counting)
+    stmts = route.statements
+    choices = [n for n, stmt in stmts.items() if isinstance(stmt, Choice)]
+    for effect in ("allow", "drop"):
+        for bits in product((False, True), repeat=len(choices)):
+            decided.clear()
+            out = execute(
+                route,
+                policy,
+                registry(route),
+                choice_decisions=dict(zip(choices, bits)),
+                default_effect=effect,
+            )
+            entered = [
+                stmts[ev.statement].service
+                for ev in out.audit
+                if isinstance(stmts[ev.statement], (To, Bean))
+            ]
+            assert decided == entered
 
 
 @pytest.mark.parametrize("seed", range(30))

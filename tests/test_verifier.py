@@ -18,6 +18,8 @@ from labelflow.verifier import (
 
 from .conftest import read_fixture
 from .helpers import (
+    UNRULED_POLICY,
+    UNRULED_ROUTE,
     dynamically_violates,
     random_policy,
     random_route,
@@ -379,6 +381,17 @@ def test_each_service_and_label_set_is_decided_once(monkeypatch):
     assert verdict.explored_states == 6
 
 
+def test_verify_rejects_an_unknown_default_effect(monkeypatch):
+    policy = compile_policy(parse_policy(UNRULED_POLICY))
+    route = parse_route(UNRULED_ROUTE)
+    visited = []
+    monkeypatch.setattr(_Verifier, "explore", lambda self: visited.append(self))
+    for all_paths in (False, True):
+        with pytest.raises(ValueError, match="unknown default effect 'deny'"):
+            verify(route, policy, all_paths=all_paths, default_effect="deny")
+    assert visited == []
+
+
 def _wide_split(b: int):
     """A split of ``b`` branches, each a choice between to(mk) and to(nop).
 
@@ -481,6 +494,34 @@ def test_all_paths_agrees_on_validity(seed):
     route = random_route(rng)
     policy = random_policy(rng)
     assert verify(route, policy).valid == verify(route, policy, all_paths=True).valid
+
+
+@pytest.mark.parametrize("max_statements", [10, 40])
+@pytest.mark.parametrize("seed", range(25))
+def test_verify_decides_each_service_and_label_set_once(
+    monkeypatch, seed, max_statements
+):
+    # The module docstring's claim: each distinct (service, arrival label
+    # set) is decided once per verification, and all_paths decides the same
+    # pairs.
+    rng = random.Random(seed)
+    route = random_route(rng, max_statements=max_statements)
+    policy = random_policy(rng)
+    calls = []
+    decide = verifier.decide
+
+    def counting(policy, req, default_effect):
+        calls.append((req.service, req.labels))
+        return decide(policy, req, default_effect)
+
+    monkeypatch.setattr(verifier, "decide", counting)
+    decided = {}
+    for all_paths in (False, True):
+        calls.clear()
+        verify(route, policy, all_paths=all_paths)
+        assert len(set(calls)) == len(calls)
+        decided[all_paths] = set(calls)
+    assert decided[False] == decided[True]
 
 
 def _first_per_violation(counterexamples):
