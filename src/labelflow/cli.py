@@ -7,8 +7,9 @@ Subcommands:
 * ``run <route...> <policy>`` — execute routes with stub service handlers
 * ``bench``                   — decision-point scaling benchmark (CSV)
 
-A call builds the argument parser of the subcommand it names and no other;
-the whole tree (``build_parser``) is built only for no, ``-h`` or an
+A call parses with the argument parser of the subcommand it names and no
+other; a process builds each subcommand's parser once, on its first call.
+The whole tree (``build_parser``) is built only for no, ``-h`` or an
 unknown subcommand and to word an unrecognized-arguments error.
 
 Exit codes: 0 success/valid/completed, 1 policy violation or a dropped or
@@ -18,6 +19,7 @@ errored run, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -132,10 +134,14 @@ def build_registries(manifest: dict):
     table = _object(manifest.get("obligations", {}), "obligations")
     for key, behavior in table.items():
         name, _, arity = key.partition("/")
-        if not arity.isdecimal() or behavior not in ("succeed", "fail"):
+        try:
+            arity = int(arity) if arity.isdecimal() else None
+        except ValueError:  # more digits than ``int`` converts
+            arity = None
+        if arity is None or behavior not in ("succeed", "fail"):
             raise CliError(f"obligation {key!r}: expected name/arity: succeed|fail")
         ok = behavior == "succeed"
-        obligations.register(name, int(arity), lambda args, msg, _ok=ok: _ok)
+        obligations.register(name, arity, lambda args, msg, _ok=ok: _ok)
     return services, obligations
 
 
@@ -193,9 +199,14 @@ def cmd_run(args) -> int:
     registries = None
     if args.services:
         try:
-            registries = build_registries(json.loads(_read(args.services)))
+            manifest = json.loads(_read(args.services))
         except json.JSONDecodeError as exc:
             raise CliError(f"{args.services}: {exc}")
+        except ValueError:  # an integer with more digits than ``int`` converts
+            raise CliError(f"{args.services}: integer literal too long")
+        except RecursionError:
+            raise CliError(f"{args.services}: JSON nested too deeply")
+        registries = build_registries(manifest)
     audit_lines = []
     worst = 0
     env: dict = {}
@@ -320,18 +331,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``, built on its first use in a process.
+
+    It is the parser ``build_parser`` would dispatch to, so help and
+    argument errors read the same. Parsing leaves it unchanged, so every
+    later call reuses it.
+    """
+    parser = argparse.ArgumentParser(prog=f"labelflow {name}")
+    _SUBCOMMANDS[name][1](parser)
+    return parser
+
+
 def _parse_args(argv: list) -> argparse.Namespace:
     """Parse ``argv`` with only the parser of the subcommand it names.
 
-    That parser is the one ``build_parser`` would dispatch to, so help and
-    argument errors read the same. Leftover arguments, no subcommand or an
-    unknown one go to the whole tree, which words those errors itself.
+    Leftover arguments, no subcommand or an unknown one go to the whole
+    tree, which words those errors itself.
     """
-    entry = _SUBCOMMANDS.get(argv[0]) if argv else None
-    if entry is not None:
-        parser = argparse.ArgumentParser(prog=f"labelflow {argv[0]}")
-        entry[1](parser)
-        args, extra = parser.parse_known_args(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extra = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
         if not extra:
             return args
     return build_parser().parse_args(argv)

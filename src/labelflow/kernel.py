@@ -259,6 +259,19 @@ def label_test(terms):
     return frozenset(ground), tuple(patterns)
 
 
+class LabelTerms(frozenset):
+    """A frozenset of label terms that carries its ``label_test`` as
+    ``test``, built once with the set; it compares and hashes as the plain
+    frozenset does."""
+
+    __slots__ = ("test",)
+
+    def __new__(cls, terms=()):
+        self = super().__new__(cls, terms)
+        self.test = label_test(self)
+        return self
+
+
 def matched_labels(test, labels):
     """The ``labels`` that some term of ``test``, a ``label_test``, matches
     one way. A ground term matches only its equal, so the ground terms take

@@ -34,6 +34,8 @@ effect, so it allocates no result.
 ``apply_label_transform`` strips the ``kernel.matched_labels`` of a
 service's removes, so only non-ground removes go through ``kernel.match``,
 once per (pattern, label) pair; empty or ground removes call it not at all.
+The removes that ``resolve_transforms`` gives are a ``kernel.LabelTerms``,
+whose label test was built once with the service's coverage.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import gc
 import time
 from dataclasses import dataclass
 
-from .kernel import label_test, match, matched_labels, rebuild
+from .kernel import LabelTerms, label_test, match, matched_labels, rebuild
 from .policy import EFFECTS, Decision, FlowRule, PolicyAst, ServiceDecl
 from .policy_compiler import CompiledPolicy, compile_policy, covering_declarations
 # flowbench/tracing.py patches labelflow.pdp.service_matches.
@@ -66,11 +68,14 @@ def apply_label_transform(labels: frozenset, removes, creates) -> frozenset:
 
     A remove strips every label it matches one way: a ground remove the
     label equal to it, a pattern like ``classification(X)`` every
-    classification label. Shared by the runtime and the verifier.
+    classification label. Shared by the runtime and the verifier. Removes
+    that are a ``kernel.LabelTerms`` bring their label test; any others are
+    split into one on each call.
     """
     kept = frozenset(labels)
     if removes:
-        kept -= matched_labels(label_test(removes), kept)
+        test = removes.test if type(removes) is LabelTerms else label_test(removes)
+        kept -= matched_labels(test, kept)
     return kept.union(creates)
 
 

@@ -407,6 +407,10 @@ _ITEMS = re.compile(
 _NO_LISTS = ((),) * len(_TERM_LISTS)
 
 
+class _OutsideSubset(Exception):
+    """A matched block holds a term that the recognizer does not build."""
+
+
 class _BlockRecognizer(_Document):
     """Parses a document inside the subset above with one ``_BLOCK`` match
     per top-level block; only term lists are split in Python. It builds
@@ -421,6 +425,12 @@ class _BlockRecognizer(_Document):
 
     def parse(self, text: str) -> PolicyAst | None:
         """The AST, or None if any block lies outside the subset."""
+        try:
+            return self._parse(text)
+        except _OutsideSubset:
+            return None
+
+    def _parse(self, text: str) -> PolicyAst | None:
         match = _BLOCK.match
         blocks = []
         pos = 0
@@ -488,7 +498,10 @@ class _BlockRecognizer(_Document):
         if var:
             return Var(var)
         if integer:
-            return Int(int(integer))
+            try:
+                return Int(int(integer))
+            except ValueError:  # too long: the token parser words the error
+                raise _OutsideSubset from None
         return Str(string)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .engine import Clause, KnowledgeBase, default_builtins, format_program
-from .kernel import label_test
+from .kernel import LabelTerms, label_test
 from .policy import PolicyAst
 from .terms import Atom, Compound, Str, Term
 
@@ -121,6 +121,8 @@ class Coverage(tuple):
     so ``decide`` scans only the plan. ``triggers`` holds each planned
     rule's ``kernel.label_test``. ``transforms`` is the service's
     ``(removes, creates)``: the union of these declarations' label sets.
+    The removes are a ``kernel.LabelTerms``, so their label test is built
+    once per coverage, not on every transform.
     """
 
     rules: tuple
@@ -172,7 +174,7 @@ def covering_declarations(
         cov.triggers = tuple(label_test(r.trigger_labels) for r in cov.rules)
         decls = [cp.service_index[sid] for sid in cov]
         cov.transforms = (
-            frozenset(l for d in decls for l in d.removes_labels),
+            LabelTerms(l for d in decls for l in d.removes_labels),
             frozenset(l for d in decls for l in d.creates_labels),
         )
         cp.covering[key] = cov

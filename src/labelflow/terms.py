@@ -251,7 +251,16 @@ class _Lexicon(dict):
         elif raw in _PUNCT:
             token = _new_token(Token, ("PUNCT", raw, None))
         elif first.isdecimal() or (first == "-" and len(raw) > 1):
-            token = _new_token(Token, ("INT", raw, int(raw)))
+            try:
+                value = int(raw)
+            except ValueError:  # more digits than ``int`` converts
+                digits = len(raw.lstrip("-"))
+                raise _syntax_error(
+                    f"integer literal too long ({digits} digits)",
+                    self.text,
+                    self._first_offset(raw),
+                ) from None
+            token = _new_token(Token, ("INT", raw, value))
         elif first == '"':
             closed = _CLOSED_STRING.fullmatch(raw)
             if closed is None:

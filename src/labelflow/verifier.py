@@ -28,7 +28,8 @@ that branch's distinct exit sets, plus the length of the traces it
 reports: a chain of k choices has 2^k paths but 2k + 2 states
 (``tests/test_verifier.py::test_choice_chain_is_linear_in_states``).
 Witness traces share their cells and are flattened only for a reported
-counterexample, and the walk keeps its own stack, so a route's length is
+counterexample. The walk is one loop over its own stack of frames, with
+no generator per state (see ``_Verifier.explore``), so a route's length is
 not bounded by Python's recursion limit.
 
 ``all_paths`` enumerates every violating path instead. It memoises
@@ -115,6 +116,12 @@ def _flatten(seq) -> list:
     return items
 
 
+# The kinds of frame on ``_Verifier.explore``'s stack, ``(kind, state, a,
+# b)``: a VISIT's a and b are the prefix trace and choices, a SPLIT's the
+# split's trace and prefix choices, and a FINISH's a is its slots.
+_VISIT, _FINISH, _SPLIT = range(3)
+
+
 class _Verifier:
     def __init__(self, route, policy, default_effect, all_paths):
         self.route = route
@@ -168,27 +175,134 @@ class _Verifier:
         self.violations.setdefault(key, []).append(ce)
 
     def explore(self) -> None:
-        """Visit every reachable state, walked with an explicit stack.
+        """Visit every reachable state, in one loop over a stack of frames.
 
-        Each ``_visit`` generator yields the states it needs, in the order
-        a recursive walk would visit them, and receives their outcomes;
-        Python's call stack stays flat however long the route is.
+        A VISIT frame ``(_VISIT, (stmt, labels, stop_at), prefix,
+        prefix_choices)`` requests a state; ``prefix`` and ``prefix_choices``
+        only feed counterexamples, since outcomes (exit labels, suffix trace,
+        suffix choices) are prefix-independent. Unless ``all_paths`` is set,
+        a memoised state is done at once, and the memo marks a state visited.
+        Otherwise the state is visited: arrival, ``step`` and ``check``. It
+        then pushes its successors' VISIT frames in reverse, so that they pop
+        in the order of a recursive walk.
+
+        Only a split reads outcomes. A state outside every split branch
+        (``stop_at`` None) is memoised with ``()`` when it is visited and
+        builds none. Every requested state inside a branch leaves its
+        outcomes on ``results``. Such a state pushes a FINISH frame below its
+        successors; when it pops, it takes their outcomes from ``results`` in
+        request order, builds its own, summarises them to the first-discovered
+        witness per distinct exit label set unless ``all_paths`` is set, and
+        memoises and leaves them. A split pushes a SPLIT frame below its
+        branches. When that frame pops, it folds the branch outcomes with
+        ``_combinations`` and requests one join state per union; a split
+        inside an outer branch first pushes the FINISH frame that collects
+        the joins' outcomes. Python's call stack stays flat however long the
+        route is.
         """
-        stack = [self._visit((self.route.entry, frozenset(), None), None, None)]
+        route = self.route
+        statements = route.statements
+        successors = route.successors_map
         memo = None if self.all_paths else self.memo
-        outcomes = None
+        results: list = []  # outcomes of requested states inside a branch
+        stack = [(_VISIT, (route.entry, frozenset(), None), None, None)]
         while stack:
-            try:
-                call = stack[-1].send(outcomes)
-            except StopIteration as done:
-                stack.pop()
-                outcomes = done.value
-                continue
-            outcomes = None if memo is None else memo.get(call[0])
-            if outcomes is None:
-                stack.append(self._visit(*call))
+            kind, key, a, b = stack.pop()
+            n, labels, stop_at = key
+            if kind == _VISIT:
+                if memo is not None:
+                    outcomes = memo.get(key)
+                    if outcomes is not None:
+                        if stop_at is not None:
+                            results.append(outcomes)
+                        continue
+                self.states += 1
+                stmt = statements[n]
+                out_labels = labels
+                if isinstance(stmt, From):
+                    url = route.endpoints.get(stmt.service)
+                    _, out_labels = resolve_transforms(self.policy, stmt.service, url)
+                    labels = out_labels  # arrival shows the created set
+                arrival = (n, self.names[n], labels)
+                trace = _Seq((a, arrival))
+                if isinstance(stmt, (To, Bean)):
+                    result, out_labels = self.step(stmt.service, labels)
+                    self.check(n, stmt.service, labels, result, trace, b)
+                if stop_at is None and memo is not None:
+                    memo[key] = ()
+                if isinstance(stmt, Split):
+                    join = route.joins[n]
+                    stack.append((_SPLIT, key, trace, b))
+                    for t in reversed(successors[n]):
+                        if t != join:
+                            stack.append((_VISIT, (t, labels, join), trace, b))
+                    continue
+                # (target, the choice taken or None) per edge
+                if isinstance(stmt, Choice):
+                    out_labels = labels
+                    edges = (
+                        (stmt.then_target, (n, True)),
+                        (stmt.else_target, (n, False)),
+                    )
+                else:
+                    edges = [(s, None) for s in successors.get(n, ())]
+                if stop_at is not None:
+                    # An edge to the join, or no edge, ends the branch.
+                    slots = [
+                        (None, (out_labels, arrival, picked))
+                        if target == stop_at
+                        else (arrival, picked)
+                        for target, picked in edges
+                    ] or [(None, (out_labels, arrival, None))]
+                    stack.append((_FINISH, key, slots, None))
+                for target, picked in reversed(edges):
+                    if target != stop_at:
+                        choices = b if picked is None else _Seq((b, picked))
+                        state = (target, out_labels, stop_at)
+                        stack.append((_VISIT, state, trace, choices))
+            elif kind == _FINISH:
+                # a slot is ``(None, outcome)``, or ``(head, picked)`` for a
+                # requested state, which left its outcomes on ``results``
+                downstream = [
+                    None if head is None else results.pop()
+                    for head, _ in reversed(a)
+                ]
+                downstream.reverse()
+                outcomes = []
+                for (head, picked), down in zip(a, downstream):
+                    if head is None:
+                        outcomes.append(picked)  # the outcome itself
+                        continue
+                    for el, st, sc in down:
+                        outcomes.append((
+                            el,
+                            _Seq((head, st)),
+                            sc if picked is None else _Seq((picked, sc)),
+                        ))
+                if memo is not None:
+                    summary: dict = {}
+                    for outcome in outcomes:
+                        summary.setdefault(outcome[0], outcome)
+                    outcomes = memo[key] = list(summary.values())
+                results.append(outcomes)
+            else:  # _SPLIT
+                join = route.joins[n]
+                branch_outcomes = [
+                    [(labels, None, None)] if t == join else results.pop()
+                    for t in reversed(successors[n])
+                ]
+                branch_outcomes.reverse()
+                unions = self._combinations(branch_outcomes)
+                if stop_at is not None:
+                    arrival = a[1]  # a split's trace ends at its arrival
+                    slots = [(_Seq((arrival, rep)), p) for _, rep, p in unions]
+                    stack.append((_FINISH, key, slots, None))
+                # the first branch is the reported flow
+                for union, rep, picked in reversed(unions):
+                    state = (join, union, stop_at)
+                    stack.append((_VISIT, state, _Seq((a, rep)), _Seq((b, picked))))
 
-    def _combinations(self, branch_outcomes):
+    def _combinations(self, branch_outcomes) -> list:
         """One ``(union, first branch's trace, choices)`` per distinct union.
 
         ``all_paths`` takes every combination of branch outcomes, in
@@ -201,13 +315,14 @@ class _Verifier:
         unions x a branch's distinct exit sets per branch.
         """
         if self.all_paths:
+            unions = []
             for combo in product(*branch_outcomes):
                 picked = None
                 for _, _, sc in combo:
                     picked = _Seq((picked, sc))
                 union = frozenset().union(*(el for el, _, _ in combo))
-                yield union, combo[0][1], picked
-            return
+                unions.append((union, combo[0][1], picked))
+            return unions
         first, *rest = branch_outcomes
         partial: dict = {}
         for el, st, sc in first:
@@ -220,93 +335,7 @@ class _Verifier:
                     if grown not in extended:
                         extended[grown] = (st, _Seq((picked, sc)))
             partial = extended
-        for union, (st, picked) in partial.items():
-            yield union, st, picked
-
-    def _visit(self, key, prefix, prefix_choices):
-        """Outcomes (exit labels, suffix trace, suffix choices) from state n.
-
-        Yields ``((stmt, labels, stop_at), prefix, prefix_choices)`` for each
-        successor state and receives that state's outcomes. ``prefix`` and
-        ``prefix_choices`` only feed counterexamples; outcomes are
-        prefix-independent. Only a split reads its branches' outcomes, so a
-        state outside every split branch (``stop_at`` None) builds none and
-        returns ``()``. Inside a branch, unless ``all_paths`` is set, the
-        outcomes are summarised to the first-discovered witness per distinct
-        exit label set. Unless ``all_paths`` is set, the result is memoised
-        on ``(stmt, labels, stop_at)``, which also marks the state visited.
-        """
-        n, labels, stop_at = key
-        self.states += 1
-        inside = stop_at is not None
-        stmt = self.route.statements[n]
-        out_labels = labels
-        if isinstance(stmt, From):
-            url = self.route.endpoints.get(stmt.service)
-            _, out_labels = resolve_transforms(self.policy, stmt.service, url)
-            labels = out_labels  # arrival shows the created set
-        arrival = (n, self.names[n], labels)
-        trace = _Seq((prefix, arrival))
-        outcomes = []
-        if isinstance(stmt, (To, Bean)):
-            result, out_labels = self.step(stmt.service, labels)
-            self.check(n, stmt.service, labels, result, trace, prefix_choices)
-        if isinstance(stmt, Choice):
-            for taken, target in (
-                (True, stmt.then_target),
-                (False, stmt.else_target),
-            ):
-                picked = (n, taken)
-                if target == stop_at:
-                    outcomes.append((labels, arrival, picked))
-                    continue
-                downstream = yield (
-                    (target, labels, stop_at), trace, _Seq((prefix_choices, picked))
-                )
-                for el, st, sc in downstream:
-                    outcomes.append((el, _Seq((arrival, st)), _Seq((picked, sc))))
-        elif isinstance(stmt, Split):
-            join = self.route.joins[n]
-            branch_outcomes = []
-            for b in self.route.successors_map[n]:
-                if b == join:
-                    branch_outcomes.append([(labels, None, None)])
-                else:
-                    branch_outcomes.append(
-                        (yield ((b, labels, join), trace, prefix_choices))
-                    )
-            for union, rep_trace, picked in self._combinations(branch_outcomes):
-                # the first branch is the reported flow
-                downstream = yield (
-                    (join, union, stop_at),
-                    _Seq((trace, rep_trace)),
-                    _Seq((prefix_choices, picked)),
-                )
-                if downstream:
-                    head = _Seq((arrival, rep_trace))
-                    for el, st, sc in downstream:
-                        outcomes.append((el, _Seq((head, st)), _Seq((picked, sc))))
-        else:
-            succs = self.route.successors_map.get(n, ())
-            if not succs and inside:
-                outcomes.append((out_labels, arrival, None))
-            for s in succs:
-                if s == stop_at:
-                    outcomes.append((out_labels, arrival, None))
-                    continue
-                downstream = yield ((s, out_labels, stop_at), trace, prefix_choices)
-                for el, st, sc in downstream:
-                    outcomes.append((el, _Seq((arrival, st)), sc))
-        if not inside:
-            outcomes = ()
-        elif not self.all_paths:
-            summary: dict = {}
-            for outcome in outcomes:
-                summary.setdefault(outcome[0], outcome)
-            outcomes = list(summary.values())
-        if not self.all_paths:
-            self.memo[key] = outcomes
-        return outcomes
+        return [(union, st, picked) for union, (st, picked) in partial.items()]
 
 
 def verify(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import labelflow
+from labelflow import cli
 from labelflow.cli import build_parser, build_registries, main
 from labelflow.engine import parse_program
 from labelflow.policy import parse_policy
@@ -23,6 +24,8 @@ ROUTE = str(FIXTURES / "sensor.route")
 CHAIN_POLICY = str(FIXTURES / "measurement_chain.lucon")
 CHAIN_ROUTE = str(FIXTURES / "measurement_chain.route")
 MANIFEST = str(FIXTURES / "stub_services.json")
+# An integer literal one digit past what ``int`` converts from text.
+_LONG_INT = "9" * (sys.get_int_max_str_digits() + 1)
 
 
 def test_compile_prints_clauses(capsys):
@@ -178,6 +181,37 @@ def test_too_deeply_nested_term_is_input_error(tmp_path, capsys, command, deep_f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, long_file",
+    [("compile", "policy"), ("check", "policy"), ("check", "route"), ("run", "policy")],
+)
+def test_over_long_integer_literal_is_input_error(tmp_path, capsys, command, long_file):
+    policy, route = tmp_path / "p.lucon", tmp_path / "r.route"
+    policy.write_text(read_fixture("dont_publish_raw.lucon"))
+    route.write_text(read_fixture("sensor.route"))
+    if long_file == "policy":
+        long = policy
+        policy.write_text(
+            f'service {{\n  id s\n  endpoint "s://x"\n  creates_label n({_LONG_INT})\n}}\n'
+        )
+        position = "(line 4, column 19)"
+    else:
+        long = route
+        route.write_text(
+            "route r {\n  1: from(a)\n"
+            f"  2: when f({_LONG_INT}) then goto 3 otherwise goto 3\n"
+            "  3: to(b)\n}\n"
+        )
+        position = "(line 3, column 13)"
+    argv = [command, str(policy)] if command == "compile" else [command, str(route), str(policy)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {long}: integer literal too long ({len(_LONG_INT)} digits) {position}\n"
+    )
+
+
 def test_check_invalid_route_exits_1_with_golden_text(capsys):
     assert main(["check", ROUTE, POLICY]) == 1
     out = capsys.readouterr().out
@@ -305,6 +339,18 @@ def test_bench_bad_arguments_are_usage_errors(capsys, args):
         (
             '{"services": {"sensor": {"kind": "source", "props": {"my key": 1}}}}',
             "'my key'",
+        ),
+        # what ``json.loads`` and ``int`` refuse to convert
+        pytest.param("[" * 200000, "JSON nested too deeply", id="deep"),
+        pytest.param(
+            '{"services": {"s": {"kind": "source", "props": {"t": %s}}}}' % _LONG_INT,
+            "services.json: integer literal too long",
+            id="long-integer",
+        ),
+        pytest.param(
+            '{"obligations": {"log/%s": "succeed"}}' % _LONG_INT,
+            "expected name/arity",
+            id="long-arity",
         ),
     ],
 )
@@ -839,7 +885,9 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, case):
     ],
     ids=lambda value: value[0] if isinstance(value, list) else None,
 )
-def test_a_successful_call_builds_one_parser(monkeypatch, capsys, argv, code):
+def test_a_process_builds_each_subcommand_parser_once(
+    monkeypatch, capsys, argv, code
+):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -848,8 +896,13 @@ def test_a_successful_call_builds_one_parser(monkeypatch, capsys, argv, code):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._subcommand_parser.cache_clear()
+    assert main(argv) == code
     assert main(argv) == code
     assert built == [f"labelflow {argv[0]}"]
+    other = ["check", ROUTE, POLICY] if argv[0] == "compile" else ["compile", POLICY]
+    main(other)
+    assert built == [f"labelflow {argv[0]}", f"labelflow {other[0]}"]
 
 
 def _module_cli(*args, timeout=60):

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -537,9 +538,12 @@ def _assert_same_outcome(text):
 
 _LEXEMES = _token_pattern("//")
 
+# An integer literal one digit past what ``int`` converts from text.
+_LONG_INT = "9" * (sys.get_int_max_str_digits() + 1)
+
 # What a lexeme may be swapped for: every keyword, digit-led and non-ASCII
-# names, a non-decimal digit, escaped and plain strings, and other leaves
-# and punctuation.
+# names, a non-decimal digit, escaped and plain strings, an over-long
+# integer, and other leaves and punctuation.
 _SWAPS = sorted(_SECTION_KEYWORDS) + [
     "1abc",
     "0x",
@@ -554,6 +558,7 @@ _SWAPS = sorted(_SECTION_KEYWORDS) + [
     "X",
     "_",
     "-7",
+    _LONG_INT,
     "f(g(1))",
     "(",
     ")",
@@ -677,6 +682,35 @@ LEXICAL_TRAPS = [
 def test_lexical_traps(text, recognized):
     _assert_same_outcome(text)
     assert (_BlockRecognizer().parse(text) is not None) == recognized
+
+
+@pytest.mark.parametrize(
+    "before, literal, after",
+    [
+        (_ONE_SERVICE + "flow_rule { when s receives ", _LONG_INT, " decide drop }"),
+        (
+            _ONE_SERVICE + "flow_rule { when s receives f(a, ",
+            "-" + _LONG_INT,
+            ") decide drop }",
+        ),
+        ('service { id s endpoint "x"\n  creates_label n(', _LONG_INT, ") }"),
+    ],
+    ids=["trigger", "negative argument", "created label"],
+)
+def test_an_over_long_integer_is_a_syntax_error_at_the_literal(before, literal, after):
+    text = before + literal + after
+    _assert_same_outcome(text)
+    assert _BlockRecognizer().parse(text) is None
+    with pytest.raises(TermSyntaxError) as info:
+        parse_policy(text)
+    assert info.value.message == f"integer literal too long ({len(_LONG_INT)} digits)"
+    lines = before.split("\n")
+    assert (info.value.line, info.value.column) == (len(lines), len(lines[-1]) + 1)
+
+
+def test_an_integer_at_the_digit_limit_is_recognized():
+    text = _ONE_SERVICE + f"flow_rule {{ when s receives f({_LONG_INT[1:]}) decide drop }}"
+    assert _BlockRecognizer().parse(text) == _token_parse(text)
 
 
 def _benchmark_policies():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from labelflow import pdp, policy_compiler, routes, runtime
+from labelflow import kernel, pdp, policy_compiler, routes, runtime
 from labelflow.engine import (
     EngineError,
     KnowledgeBase,
@@ -275,6 +275,27 @@ def test_chain_route_label_evolution(chain_route):
     assert entering_c.labels_before == frozenset(
         {Atom("temperature"), Compound("merge", (Int(10),))}
     )
+
+
+def test_transforms_build_the_removes_test_once_per_coverage(monkeypatch, chain_route):
+    # bean(merge) removes raw from every message. Its label test is built
+    # with merge's coverage, not again on each transform.
+    built = []
+    label_test = kernel.label_test
+
+    def counting_label_test(terms):
+        built.append(frozenset(terms))
+        return label_test(terms)
+
+    monkeypatch.setattr(kernel, "label_test", counting_label_test)
+    monkeypatch.setattr(pdp, "label_test", counting_label_test)
+    policy = compile_policy(parse_policy(read_fixture("measurement_chain.lucon")))
+    for _ in range(5):
+        out = execute(chain_route, policy, registry(chain_route))
+        assert out.status == "completed"
+        assert Atom("raw") not in out.final_messages[0].labels
+    assert len(built) == len(policy.covering) == 3
+    assert built.count(frozenset({Atom("raw")})) == 1
 
 
 def test_dropped_message_never_reaches_handler(sensor_route, dont_publish_raw):

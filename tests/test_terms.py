@@ -79,6 +79,16 @@ def test_bad_escape():
         parse_term(r'"\q"')
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_over_long_integer_is_syntax_error_at_the_literal(sign):
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term(f"f(a,\n  {sign}{'7' * digits})")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    assert exc.value.message == f"integer literal too long ({digits} digits)"
+    assert parse_term(sign + "7" * (digits - 1)) == Int(int(sign + "7" * (digits - 1)))
+
+
 @pytest.mark.parametrize("text", ["²", "-²"])
 def test_non_decimal_digit_is_syntax_error(text):
     with pytest.raises(TermSyntaxError) as exc:

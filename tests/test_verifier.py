@@ -460,6 +460,35 @@ def test_split_cost_follows_distinct_unions_not_branch_product():
     assert large <= 8 * small, (small, large)
 
 
+@pytest.mark.parametrize("b", [8, 16])
+def test_split_fold_counts_distinct_partial_unions_not_branch_product(monkeypatch, b):
+    # The count behind the timing above: each branch's summary holds two exit
+    # sets, {m} and {}, and every fold step keeps two distinct partial
+    # unions, so the fold builds 2b partial unions where the product has 2^b
+    # combinations.
+    folds = []
+    combinations = _Verifier._combinations
+
+    def recording(self, branch_outcomes):
+        folds.append((self, branch_outcomes))
+        return combinations(self, branch_outcomes)
+
+    monkeypatch.setattr(_Verifier, "_combinations", recording)
+    verdict = verify(_wide_split(b), SPLIT_POLICY)
+    assert verdict.explored_states == 6 + 3 * b
+    assert not verdict.valid
+    [(v, branch_outcomes)] = folds
+    assert [len(outcomes) for outcomes in branch_outcomes] == [2] * b
+    # Each partial union is kept with one witness cell, so the cells built
+    # during the fold count the partial unions.
+    cells = []
+    seq = verifier._Seq
+    monkeypatch.setattr(verifier, "_Seq", lambda parts: cells.append(parts) or seq(parts))
+    unions = combinations(v, branch_outcomes)
+    assert [union for union, _, _ in unions] == [frozenset({Atom("m")}), frozenset()]
+    assert len(cells) == 2 * b
+
+
 # ---------------------------------------------------------------------------
 # Random agreement and counterexample replay.
 # ---------------------------------------------------------------------------
