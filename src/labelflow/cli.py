@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .engine import SolveLimits
 from .policy import ValidationError, parse_policy
-from .policy_compiler import compile_policy, emit_clauses
+from .policy_compiler import CompiledPolicy, compile_policy, emit_clauses
 from .routes import RouteError, parse_route
 from .runtime import (
     ObligationRegistry,
@@ -53,15 +53,21 @@ def _read(path: str) -> str:
         raise CliError(f"{path}: not UTF-8 text")
 
 
-def _load(path: str, route: bool = False):
-    """The compiled policy, or with ``route`` the route, in the file ``path``."""
+def _load(path: str, parse):
+    """``parse`` of the text in the file ``path``; input errors name the file."""
     text = _read(path)
     try:
-        return parse_route(text) if route else compile_policy(parse_policy(text))
+        return parse(text)
     except (RouteError, TermSyntaxError, ValidationError) as exc:
         raise CliError(f"{path}: {exc}")
     except RecursionError:  # the term parser still recurses per nesting level
         raise CliError(f"{path}: term nested too deeply")
+
+
+def _load_policy(path: str, default_deny: bool = False) -> CompiledPolicy:
+    """The policy in the file ``path``, compiled, and so validated, once."""
+    effect = "drop" if default_deny else "allow"
+    return _load(path, lambda text: compile_policy(parse_policy(text), effect))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +164,7 @@ def _default_registry_for(route):
 
 
 def cmd_compile(args) -> int:
-    policy = _load(args.policy)
+    policy = _load_policy(args.policy)
     text = emit_clauses(policy)
     if args.emit_clauses:
         Path(args.emit_clauses).write_text(text, encoding="utf-8")
@@ -168,12 +174,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_check(args) -> int:
-    route = _load(args.route, route=True)
-    policy = _load(args.policy)
-    default_effect = "drop" if args.default_deny else "allow"
-    verdict = verify(
-        route, policy, all_paths=args.all_paths, default_effect=default_effect
-    )
+    route = _load(args.route, parse_route)
+    policy = _load_policy(args.policy, args.default_deny)
+    verdict = verify(route, policy, all_paths=args.all_paths)
     for w in verdict.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.format == "json":
@@ -195,7 +198,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    policy = _load(args.policy)
+    policy = _load_policy(args.policy, args.default_deny)
     registries = None
     if args.services:
         try:
@@ -211,7 +214,7 @@ def cmd_run(args) -> int:
     worst = 0
     env: dict = {}
     for route_path in args.routes:
-        route = _load(route_path, route=True)
+        route = _load(route_path, parse_route)
         services, obligations = registries or (
             _default_registry_for(route), ObligationRegistry()
         )
@@ -223,7 +226,6 @@ def cmd_run(args) -> int:
             services,
             obligations,
             env=env,
-            default_effect="drop" if args.default_deny else "allow",
             limits=SolveLimits(args.depth_limit),
         )
         audit_lines.extend(ev.to_json() for ev in outcome.audit)

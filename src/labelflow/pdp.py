@@ -11,8 +11,9 @@ own: variables shared between one rule's triggers bind independently, so
 whether they should bind jointly). The effects of all matched rules fold
 under the restrictiveness order ``policy.EFFECTS``, error > drop > allow;
 obligations concatenate in rule declaration order. With no match the
-default effect applies (allow, unless a default-deny deployment flips it to
-drop); a default effect outside ``EFFECTS`` raises ``ValueError``.
+compiled policy's default effect applies (allow, unless a default-deny
+deployment compiled it with drop); ``compile_policy`` has checked it, and
+the rest of the policy, so a decision checks nothing again.
 
 ``covering_declarations`` in ``policy_compiler``, the resolver the label
 transforms use too, answers coverage once per decision, together with the
@@ -116,15 +117,6 @@ class DecisionResult:
 _DEFAULT_RESULTS = {effect: DecisionResult(effect) for effect in EFFECTS}
 
 
-def default_result(default_effect: str) -> DecisionResult:
-    """The shared result of a decision that no rule matches. An effect outside
-    ``EFFECTS`` raises ``ValueError``; every entry point checks here first."""
-    result = _DEFAULT_RESULTS.get(default_effect)
-    if result is None:
-        raise ValueError(f"unknown default effect {default_effect!r}")
-    return result
-
-
 def rule_matches(triggers: tuple, labels: frozenset) -> bool:
     """Does every term of ``triggers``, a planned rule's ``kernel.label_test``,
     match a label in ``labels``? (Only planned rules are asked about, and
@@ -150,11 +142,8 @@ def _bind_message(action: Term, ref: Term | None) -> Term:
     )
 
 
-def decide(
-    policy: CompiledPolicy, req: DecisionRequest, default_effect: str = "allow"
-) -> DecisionResult:
+def decide(policy: CompiledPolicy, req: DecisionRequest) -> DecisionResult:
     """The decision on ``req``; identical inputs give identical results."""
-    default = default_result(default_effect)
     labels = req.labels
     plan = covering_declarations(policy, req.service, req.url)
     rules = [
@@ -163,7 +152,7 @@ def decide(
         if rule_matches(triggers, labels)
     ]
     if not rules:
-        return default
+        return _DEFAULT_RESULTS[policy.default_effect]
     effects = [rule.decision.effect for rule in rules]
     effect = most_restrictive(effects)
     obligations = tuple(

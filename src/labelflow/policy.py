@@ -1,4 +1,4 @@
-"""Policy DSL: lexer, parser, validator, and canonical printer.
+"""Policy DSL: lexer, parser and canonical printer.
 
 A policy document declares services (their endpoint pattern, properties,
 capabilities, and taint propagation as ``creates_label`` / ``removes_label``
@@ -42,37 +42,30 @@ Python step per distinct term list, and no ``Tokenizer``. If any block
 lies outside the subset, the token parser parses the whole text instead,
 at one ``Tokenizer.next`` per token, after the recognizer's matches up to
 that block. So every syntax error comes from the token parser, with its
-message, line and column; a ``ValidationError`` reads the same from either
-path, since both share hoisting, rule numbering and validation.
-
-Validating an endpoint costs one ``regex_prefix`` match when the pattern
-lies in that recognizer's subset, and compiles nothing; only a pattern
-outside the subset is compiled to be validated. Such a pattern is compiled
-later, at most once per AST, when coverage first meets a target that its
-literal prefix admits.
+message, line and column. Both paths share hoisting and rule numbering, so
+they build equal ASTs. Parsing checks no document invariant:
+``policy_compiler.compile_policy`` validates the AST, once, before any
+decision reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 
-from .kernel import is_ground
 from .terms import (
     Atom,
     Compound,
     Int,
-    RegexError,
     Str,
     Term,
     TermSyntaxError,
     Tokenizer,
     Var,
-    compile_regex,
     format_term,
     parse_term_from,
-    regex_prefix,
 )
 
 # The flow-rule effects in restrictiveness order, least restrictive first:
@@ -90,7 +83,8 @@ _SECTION_KEYWORDS = frozenset(_SERVICE_SECTIONS).union(
 
 
 class ValidationError(Exception):
-    """Structurally well-formed policy text violating a document invariant."""
+    """A policy AST violating a document invariant; ``compile_policy`` checks
+    them."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,39 +121,6 @@ class FlowRule:
 class PolicyAst:
     services: tuple = ()
     rules: tuple = ()
-    # endpoint text -> literal prefix, filled by ``endpoint_prefix``
-    endpoint_prefixes: dict = field(default_factory=dict, compare=False, repr=False)
-    # endpoint text -> compiled regex, filled by ``endpoint_regex``
-    endpoint_regexes: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def endpoint_prefix(self, endpoint: str) -> str:
-        """The literal prefix of every URL ``endpoint`` matches; validates it.
-
-        A pattern inside ``regex_prefix``'s subset costs one recognizer
-        match and is not compiled. Any other pattern is compiled, so an
-        invalid one raises ``RegexError``, and its prefix is empty.
-        """
-        prefix = self.endpoint_prefixes.get(endpoint)
-        if prefix is None:
-            prefix = regex_prefix(endpoint)
-            if prefix is None:
-                # Compiled here, not through ``endpoint_regex``, so that ``re``
-                # meets the recursion limit at the depth it always has.
-                self.endpoint_regexes[endpoint] = compile_regex(endpoint)
-                prefix = ""
-            self.endpoint_prefixes[endpoint] = prefix
-        return prefix
-
-    def endpoint_regex(self, endpoint: str) -> re.Pattern:
-        """``endpoint`` compiled at most once per AST, on first use.
-
-        Memoised on the AST by endpoint text, not by service id, so an AST
-        derived with ``dataclasses.replace`` never reads a stale pattern.
-        """
-        pattern = self.endpoint_regexes.get(endpoint)
-        if pattern is None:
-            pattern = self.endpoint_regexes[endpoint] = compile_regex(endpoint)
-        return pattern
 
 
 def generated_service_id(
@@ -196,7 +157,7 @@ def generated_service_id(
 
 class _Document:
     """What both parsers share: hoisting service declarations, numbering
-    anonymous rules, and building and validating the AST."""
+    anonymous rules, and building the AST."""
 
     def __init__(self):
         # An insertion-ordered set, so identical declarations collapse to
@@ -221,12 +182,12 @@ class _Document:
     def rule(self, name: str | None, target, triggers: tuple, decision) -> None:
         if name is None:
             self._anon_rules += 1
-            name = f"rule{self._anon_rules}"
         self.rules.append((name, target, triggers, decision))
 
     def ast(self) -> PolicyAst:
-        """The validated AST, with the generated ids settled (see the module
-        docstring)."""
+        """The AST, with the generated service ids settled (see the module
+        docstring) and each anonymous rule named ``rule<n>``: the n-th, in
+        document order, of the names that no rule's ``id`` holds."""
         held = {d.id: d for d, lists in self.services.items() if lists is None}
         longer = {}  # declaration -> the same with the longer id
         for decl, lists in self.services.items():
@@ -238,13 +199,17 @@ class _Document:
         if longer:
             services = dict.fromkeys(longer.get(d, d) for d in services)
             rules = [(n, longer.get(t, t), *rest) for n, t, *rest in rules]
+        fresh = None
+        if self._anon_rules:
+            held_names = {rule[0] for rule in rules}
+            fresh = (n for i in count(1) if (n := f"rule{i}") not in held_names)
         rules = tuple(
-            FlowRule(name, t if type(t) is str else t.id, triggers, decision)
+            FlowRule(
+                name or next(fresh), t if type(t) is str else t.id, triggers, decision
+            )
             for name, t, triggers, decision in rules
         )
-        ast = PolicyAst(tuple(services), rules)
-        validate_policy(ast)
-        return ast
+        return PolicyAst(tuple(services), rules)
 
 
 class _PolicyParser(_Document):
@@ -506,7 +471,7 @@ class _BlockRecognizer(_Document):
 
 
 def parse_policy(text: str) -> PolicyAst:
-    """Parse and validate a policy document.
+    """Parse a policy document; ``compile_policy`` validates what this returns.
 
     The block recognizer parses a document inside its subset; any other
     document goes to the token parser, whole.
@@ -515,53 +480,6 @@ def parse_policy(text: str) -> PolicyAst:
     if ast is None:
         ast = _PolicyParser(text).parse()
     return ast
-
-
-def validate_policy(ast: PolicyAst) -> None:
-    seen_services: set[str] = set()
-    for s in ast.services:
-        if not s.id:
-            raise ValidationError("service declaration without id")
-        if s.id in seen_services:
-            raise ValidationError(f"duplicate service id {s.id!r}")
-        seen_services.add(s.id)
-        try:
-            ast.endpoint_prefix(s.endpoint)
-        except RegexError as exc:
-            raise ValidationError(
-                f"service {s.id!r} has an invalid endpoint regex: {exc}"
-            ) from exc
-        for label in s.creates_labels:
-            if not is_ground(label):
-                raise ValidationError(
-                    f"service {s.id!r} creates non-ground label {format_term(label)}"
-                )
-        overlap = set(s.creates_labels) & set(s.removes_labels)
-        if overlap:
-            names = ", ".join(sorted(format_term(t) for t in overlap))
-            raise ValidationError(
-                f"service {s.id!r} both creates and removes label(s) {names}"
-            )
-    seen_rules: set[str] = set()
-    for r in ast.rules:
-        if r.name in seen_rules:
-            raise ValidationError(f"duplicate rule name {r.name!r}")
-        seen_rules.add(r.name)
-        if r.target not in seen_services:
-            raise ValidationError(
-                f"rule {r.name!r} targets undeclared service {r.target!r}"
-            )
-        if not r.trigger_labels:
-            raise ValidationError(f"rule {r.name!r} has no trigger labels")
-        if r.decision.effect not in EFFECTS:
-            raise ValidationError(
-                f"rule {r.name!r} has unknown effect {r.decision.effect!r}"
-            )
-        for ob in r.decision.obligations:
-            if ob.otherwise not in EFFECTS:
-                raise ValidationError(
-                    f"rule {r.name!r} obligation has unknown otherwise effect"
-                )
 
 
 # ---------------------------------------------------------------------------

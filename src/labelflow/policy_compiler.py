@@ -1,13 +1,23 @@
 """Compilation of a policy AST into lookup tables and Horn clauses.
 
-``compile_policy`` builds the tables that the decision point, the label
-transforms and the verifier read: rules and services by name and each
-service's endpoint, as its literal prefix and its text. Compiling the policy
-compiles no regex. Coverage tests a target against an endpoint's prefix
-first, and compiles the endpoint, once per AST, only on the first target
-that the prefix admits. The Horn-clause knowledge base is read
-only by route choice conditions and by ``labelflow compile``, so it is built
-from ``policy_clauses`` on the first read of ``CompiledPolicy.kb``.
+``compile_policy`` is the one gate between a policy AST and decisions. It
+checks the document invariants and the default effect, and raises
+``ValidationError`` or ``ValueError`` before anything reads the policy, so
+an AST built by hand meets the same checks as a parsed one. The
+``CompiledPolicy`` it returns owns every table derived from the AST and the
+default effect; nothing after it checks the policy again.
+
+The tables are the ones that the decision point, the label transforms and
+the verifier read: rules and services by name and each service's endpoint,
+as its literal prefix and its text. The pass that checks the services also
+computes each endpoint's prefix: one ``regex_prefix`` match when the
+pattern lies in that function's subset, compiling nothing; only a pattern
+outside the subset is compiled, to be checked. Coverage tests a target
+against an endpoint's prefix first, and compiles the endpoint, once per
+compiled policy, only on the first target that the prefix admits. The
+Horn-clause knowledge base is read only by route choice conditions and by
+``labelflow compile``, so it is built from ``policy_clauses`` on the first
+read of ``CompiledPolicy.kb``.
 
 Every rule R produces the fact family ``rule(R)``, ``has_target(R,S)``,
 ``receives_label(R,L)`` per trigger, ``has_decision(R,D)``,
@@ -20,13 +30,23 @@ bases diff cleanly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .engine import Clause, KnowledgeBase, default_builtins, format_program
-from .kernel import LabelTerms, label_test
-from .policy import PolicyAst
-from .terms import Atom, Compound, Str, Term
+from .kernel import LabelTerms, is_ground, label_test
+from .policy import EFFECTS, PolicyAst, ValidationError
+from .terms import (
+    Atom,
+    Compound,
+    RegexError,
+    Str,
+    Term,
+    compile_regex,
+    format_term,
+    regex_prefix,
+)
 
 
 @dataclass(frozen=True)
@@ -35,9 +55,23 @@ class CompiledPolicy:
     rule_index: dict  # rule name -> FlowRule, declaration order
     service_index: dict  # service id -> ServiceDecl, declaration order
     endpoint_patterns: dict  # service id -> (literal prefix, endpoint text)
+    default_effect: str  # the effect of a request that no rule matches
     # (service atom, route URL) -> Coverage: the covering declarations' ids
     # and the rules that target them
     covering: dict = field(default_factory=dict, compare=False, repr=False)
+    # endpoint text -> compiled regex, filled by ``endpoint_regex``
+    endpoint_regexes: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def endpoint_regex(self, endpoint: str) -> re.Pattern:
+        """``endpoint`` compiled at most once per compiled policy, on first use.
+
+        Memoised by endpoint text, so declarations that share an endpoint
+        share its compiled pattern.
+        """
+        pattern = self.endpoint_regexes.get(endpoint)
+        if pattern is None:
+            pattern = self.endpoint_regexes[endpoint] = compile_regex(endpoint)
+        return pattern
 
     @cached_property
     def kb(self) -> KnowledgeBase:
@@ -83,15 +117,71 @@ def policy_clauses(ast: PolicyAst) -> list[Clause]:
     return clauses
 
 
-def compile_policy(ast: PolicyAst) -> CompiledPolicy:
-    """Lookup tables of a validated AST; clauses wait for the first ``kb`` read."""
+def compile_policy(ast: PolicyAst, default_effect: str = "allow") -> CompiledPolicy:
+    """The checked lookup tables of ``ast``; clauses wait for the first ``kb`` read.
+
+    A default effect outside ``EFFECTS`` raises ``ValueError``, and an AST
+    that breaks a document invariant raises ``ValidationError``.
+    """
+    if default_effect not in EFFECTS:
+        raise ValueError(f"unknown default effect {default_effect!r}")
+    regexes: dict = {}
+    patterns: dict = {}
+    for s in ast.services:
+        if not s.id:
+            raise ValidationError("service declaration without id")
+        if s.id in patterns:
+            raise ValidationError(f"duplicate service id {s.id!r}")
+        prefix = regex_prefix(s.endpoint)
+        if prefix is None:
+            # Outside ``regex_prefix``'s subset: compiled to be checked, and
+            # kept for coverage; the prefix is empty.
+            try:
+                regexes[s.endpoint] = compile_regex(s.endpoint)
+            except RegexError as exc:
+                raise ValidationError(
+                    f"service {s.id!r} has an invalid endpoint regex: {exc}"
+                ) from exc
+            prefix = ""
+        patterns[s.id] = (prefix, s.endpoint)
+        for label in s.creates_labels:
+            if not is_ground(label):
+                raise ValidationError(
+                    f"service {s.id!r} creates non-ground label {format_term(label)}"
+                )
+        overlap = set(s.creates_labels) & set(s.removes_labels)
+        if overlap:
+            names = ", ".join(sorted(format_term(t) for t in overlap))
+            raise ValidationError(
+                f"service {s.id!r} both creates and removes label(s) {names}"
+            )
+    rule_index: dict = {}
+    for r in ast.rules:
+        if r.name in rule_index:
+            raise ValidationError(f"duplicate rule name {r.name!r}")
+        if r.target not in patterns:
+            raise ValidationError(
+                f"rule {r.name!r} targets undeclared service {r.target!r}"
+            )
+        if not r.trigger_labels:
+            raise ValidationError(f"rule {r.name!r} has no trigger labels")
+        if r.decision.effect not in EFFECTS:
+            raise ValidationError(
+                f"rule {r.name!r} has unknown effect {r.decision.effect!r}"
+            )
+        for ob in r.decision.obligations:
+            if ob.otherwise not in EFFECTS:
+                raise ValidationError(
+                    f"rule {r.name!r} obligation has unknown otherwise effect"
+                )
+        rule_index[r.name] = r
     return CompiledPolicy(
         ast=ast,
-        rule_index={r.name: r for r in ast.rules},
+        rule_index=rule_index,
         service_index={s.id: s for s in ast.services},
-        endpoint_patterns={
-            s.id: (ast.endpoint_prefix(s.endpoint), s.endpoint) for s in ast.services
-        },
+        endpoint_patterns=patterns,
+        default_effect=default_effect,
+        endpoint_regexes=regexes,
     )
 
 
@@ -109,7 +199,7 @@ def service_matches(cp: CompiledPolicy, decl_id: str, target: str) -> bool:
     prefix, endpoint = entry
     return (
         target.startswith(prefix)
-        and cp.ast.endpoint_regex(endpoint).fullmatch(target) is not None
+        and cp.endpoint_regex(endpoint).fullmatch(target) is not None
     )
 
 
@@ -141,13 +231,13 @@ def covering_declarations(
     the compiled policy, so the runtime and the verifier share one answer
     and each key pays one pass over the services and one over the rules.
     That pass compiles an endpoint only when its prefix admits the atom or
-    the URL and the AST holds no compiled copy yet.
+    the URL and the compiled policy holds no compiled copy yet.
     Two threads racing on a new key at worst build two equal entries.
     """
     key = (atom, url)
     cov = cp.covering.get(key)
     if cov is None:
-        regex = cp.ast.endpoint_regex
+        regex = cp.endpoint_regex
         # ``service_matches`` of the atom, then of the URL, inlined: each
         # endpoint is tried at most once on each.
         cov = Coverage(

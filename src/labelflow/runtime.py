@@ -12,7 +12,9 @@ Implements the taint-controlled execution rules:
 * set_msg_prop / set_env_prop — variable updates; never touch labels
 
 The decision point is consulted exactly once per to/bean statement and
-never for anything else. Split branches run sequentially in successor
+never for anything else; a request that no rule matches takes the default
+effect that ``compile_policy`` fixed on the policy, so ``execute`` takes no
+default effect of its own. Split branches run sequentially in successor
 order; global-variable writes in an earlier branch are visible to later
 ones. A drop removes the in-flight message and thereby ends the execution;
 an error terminates it exceptionally. Obligations run up to the first that
@@ -41,7 +43,6 @@ from .pdp import (
     DecisionRequest,
     apply_label_transform,
     decide,
-    default_result,
     most_restrictive,
 )
 from .policy_compiler import CompiledPolicy, resolve_transforms
@@ -295,7 +296,6 @@ class _Execution:
         obligations: ObligationRegistry,
         env: dict,
         choice_decisions: dict | None,
-        default_effect: str,
         limits: SolveLimits | None = None,
     ):
         self.route = route
@@ -304,7 +304,6 @@ class _Execution:
         self.obligations = obligations
         self.env = env
         self.choice_decisions = choice_decisions or {}
-        self.default_effect = default_effect
         self.limits = limits
         self.names = route.names
         self.audit: list[AuditEvent] = []
@@ -409,7 +408,7 @@ class _Execution:
         url = self.route.endpoints.get(atom)
         before = msg.labels
         req = DecisionRequest(atom, before, url, Str(msg.id))
-        result = decide(self.policy, req, self.default_effect)
+        result = decide(self.policy, req)
         effect = result.effect
         rule = result.effect_rule
         for ob in result.obligations:
@@ -458,7 +457,6 @@ def execute(
     *,
     env: dict | None = None,
     choice_decisions: dict | None = None,
-    default_effect: str = "allow",
     limits: SolveLimits | None = None,
 ) -> RunOutcome:
     """Run a route to completion under a compiled policy.
@@ -466,10 +464,9 @@ def execute(
     ``env`` is the global variable map; pass the same dict across calls to
     persist globals between executions of a route. ``choice_decisions``
     forces choice branches (statement number -> bool), used for replaying
-    counterexamples and exhaustive-path testing. A default effect outside
-    ``EFFECTS`` raises ``ValueError`` before any handler runs.
+    counterexamples and exhaustive-path testing. A decision that no rule
+    matches takes the policy's default effect, fixed by ``compile_policy``.
     """
-    default_result(default_effect)
     services.check_route(route)
     obligations = obligations or ObligationRegistry()
     env = env if env is not None else {}
@@ -480,7 +477,6 @@ def execute(
         obligations,
         env,
         choice_decisions,
-        default_effect,
         limits,
     )
     try:

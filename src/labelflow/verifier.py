@@ -8,7 +8,9 @@ Choice conditions are runtime data, so both branches are explored; the
 verdict is therefore a conservative over-approximation.
 
 A violation is a reachable to/bean statement whose arrival label set folds
-to a drop or error decision. Each distinct (rule, statement) violation
+to a drop or error decision. A set that no rule matches takes the default
+effect that ``compile_policy`` fixed on the policy; under drop it is a
+violation of rule ``default_deny``. Each distinct (rule, statement) violation
 yields one counterexample with a concrete trace (the first discovered
 path) and the arrival labels that the rule's triggers match.
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .kernel import label_test, matched_labels
-from .pdp import DecisionRequest, apply_label_transform, decide, default_result
+from .pdp import DecisionRequest, apply_label_transform, decide
 from .policy_compiler import (
     CompiledPolicy,
     covering_declarations,
@@ -123,10 +125,9 @@ _VISIT, _FINISH, _SPLIT = range(3)
 
 
 class _Verifier:
-    def __init__(self, route, policy, default_effect, all_paths):
+    def __init__(self, route, policy, all_paths):
         self.route = route
         self.policy = policy
-        self.default_effect = default_effect
         self.all_paths = all_paths
         self.names = route.names
         self.memo: dict = {}  # (stmt, labels, stop_at) -> summary, () outside splits
@@ -145,7 +146,7 @@ class _Verifier:
         if step is None:
             url = self.route.endpoints.get(atom)
             req = DecisionRequest(atom, labels, url)
-            result = decide(self.policy, req, self.default_effect)
+            result = decide(self.policy, req)
             removes, creates = resolve_transforms(self.policy, atom, url)
             step = self.steps[key] = (
                 result,
@@ -343,11 +344,8 @@ def verify(
     policy: CompiledPolicy,
     *,
     all_paths: bool = False,
-    default_effect: str = "allow",
 ) -> Verdict:
-    """Explore every label flow through the route; collect counterexamples.
-    A default effect outside ``EFFECTS`` raises ``ValueError`` first."""
-    default_result(default_effect)
+    """Explore every label flow through the route; collect counterexamples."""
     warnings = []
     for atom in route.services:
         if not covering_declarations(policy, atom, route.endpoints.get(atom)):
@@ -355,7 +353,7 @@ def verify(
                 f"service {atom!r} is not declared in the policy; "
                 "assuming it neither adds nor removes labels"
             )
-    v = _Verifier(route, policy, default_effect, all_paths)
+    v = _Verifier(route, policy, all_paths)
     v.explore()
     counterexamples = [ce for ces in v.violations.values() for ce in ces]
     return Verdict(

@@ -23,7 +23,6 @@ from labelflow.policy import (
     FlowRule,
     PolicyAst,
     ServiceDecl,
-    validate_policy,
 )
 from labelflow.policy_compiler import CompiledPolicy, compile_policy
 from labelflow.routes import (
@@ -282,9 +281,7 @@ def random_policy(rng, max_rules: int = 10) -> CompiledPolicy:
                 decision=Decision(rng.choice(("allow", "drop", "drop", "error"))),
             )
         )
-    ast = PolicyAst(tuple(decls), tuple(rules))
-    validate_policy(ast)
-    return compile_policy(ast)
+    return compile_policy(PolicyAst(tuple(decls), tuple(rules)))
 
 
 def sink_policy(n_rules: int) -> CompiledPolicy:
@@ -568,7 +565,7 @@ def registry_for(route: Route) -> ServiceRegistry:
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_outcomes(route: Route, policy, default_effect: str = "allow"):
+def exhaustive_outcomes(route: Route, policy):
     choice_nums = [
         n for n, s in route.statements.items() if isinstance(s, Choice)
     ]
@@ -580,17 +577,13 @@ def exhaustive_outcomes(route: Route, policy, default_effect: str = "allow"):
                 policy,
                 registry_for(route),
                 choice_decisions=dict(zip(choice_nums, bits)),
-                default_effect=default_effect,
             )
         )
     return outcomes
 
 
-def dynamically_violates(route: Route, policy, default_effect: str = "allow") -> bool:
-    return any(
-        o.status != "completed"
-        for o in exhaustive_outcomes(route, policy, default_effect)
-    )
+def dynamically_violates(route: Route, policy) -> bool:
+    return any(o.status != "completed" for o in exhaustive_outcomes(route, policy))
 
 
 # ---------------------------------------------------------------------------

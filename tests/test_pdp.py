@@ -105,17 +105,19 @@ def test_no_match_defaults_to_allow(compiled):
 
 def test_default_deny(compiled):
     req = DecisionRequest("ftp://internal/", frozenset({Atom("raw")}))
-    assert decide(compiled, req, default_effect="drop").effect == "drop"
+    deny = compile_policy(compiled.ast, default_effect="drop")
+    assert decide(deny, req).effect == "drop"
 
 
 @pytest.mark.parametrize("effect", ["allow", "drop", "error"])
 def test_no_match_gives_the_plain_default_result(compiled, effect):
     uncovered = DecisionRequest("ftp://internal/", frozenset({Atom("raw")}))
     unmatched = DecisionRequest("https://mq.example/out", frozenset({Atom("la")}))
-    first = decide(compiled, uncovered, effect)
+    policy = compile_policy(compiled.ast, effect)
+    first = decide(policy, uncovered)
     assert first == DecisionResult(effect)
     # One immutable result per default effect serves every such decision.
-    assert decide(compiled, unmatched, effect) is first
+    assert decide(policy, unmatched) is first
 
 
 def test_url_match_with_trigger_label(compiled):
@@ -210,19 +212,22 @@ def test_decision_is_pure(compiled):
 
 @pytest.mark.parametrize("labels", [frozenset(), frozenset({Atom("raw")})])
 def test_decide_rejects_an_unknown_default_effect(compiled, labels):
-    # Whether or not a rule matches, "deny" is no effect: it raises instead
-    # of deciding anything, let alone allowing the unmatched request.
+    # Whether or not a rule matches, "deny" is no effect: compiling with it
+    # raises, so no policy decides anything with it, let alone allows the
+    # unmatched request.
     req = DecisionRequest("https://mq.example/out", labels)
     with pytest.raises(ValueError, match="unknown default effect 'deny'"):
-        decide(compiled, req, "deny")
-    effects = [decide(compiled, req, effect).effect for effect in EFFECTS]
+        compile_policy(compiled.ast, "deny")
+    effects = [
+        decide(compile_policy(compiled.ast, effect), req).effect for effect in EFFECTS
+    ]
     assert effects == (["drop"] * 3 if labels else list(EFFECTS))
 
 
 # -- differential check against a from-scratch matcher ----------------------
 
 
-def reference_decide(policy, req, default_effect="allow"):
+def reference_decide(policy, req):
     matched = []
     for name, rule in policy.rule_index.items():
         decl = next(s for s in policy.ast.services if s.id == rule.target)
@@ -238,7 +243,7 @@ def reference_decide(policy, req, default_effect="allow"):
         ):
             matched.append(name)
     if not matched:
-        return default_effect, ()
+        return policy.default_effect, ()
     effects = [policy.rule_index[n].decision.effect for n in matched]
     return most_restrictive(effects), tuple(matched)
 
@@ -305,9 +310,9 @@ class _CountingPattern:
 def test_repeated_decide_runs_no_regex():
     policy = worst_case_policy(50)
     calls: list = []
-    # The matcher reads each endpoint's compiled pattern from the AST.
+    # The matcher reads each endpoint's compiled pattern from the policy.
     for _, endpoint in policy.endpoint_patterns.values():
-        policy.ast.endpoint_regexes[endpoint] = _CountingPattern(
+        policy.endpoint_regexes[endpoint] = _CountingPattern(
             re.compile(endpoint), calls
         )
     req = bench_request(3)

@@ -3,8 +3,17 @@ import re
 
 import pytest
 
+from labelflow import cli, policy_compiler
 from labelflow.engine import parse_program, parse_query, provable, solve
-from labelflow.policy import ValidationError, parse_policy
+from labelflow.policy import (
+    Decision,
+    FlowRule,
+    PolicyAst,
+    ServiceDecl,
+    ValidationError,
+    format_policy,
+    parse_policy,
+)
 from labelflow.policy_compiler import (
     compile_policy,
     covering_declarations,
@@ -15,7 +24,7 @@ from labelflow.policy_compiler import (
 from labelflow.routes import parse_route
 from labelflow.terms import Atom, Compound, Int, Str, Var, format_term, regex_prefix
 
-from .conftest import read_fixture
+from .conftest import FIXTURES, read_fixture
 from .helpers import SERVICE_POOL, random_policy
 
 POLICY = """
@@ -254,7 +263,7 @@ def test_each_endpoint_is_compiled_once(monkeypatch):
         assert list(covering_declarations(compiled, "svc://host599/x")) == ["s599"]
     assert [p for p in calls if p in declared] == ["svc://host599/.+"]
     with pytest.raises(ValidationError):
-        parse_policy('service { id bad endpoint "svc://(" }')
+        compile_policy(parse_policy('service { id bad endpoint "svc://(" }'))
 
 
 def _workload_policy_texts():
@@ -284,3 +293,66 @@ def test_an_endpoint_outside_the_subset_still_covers_its_url():
     assert list(covering_declarations(cp, "pub", "https://a.example/xx")) == ["a"]
     assert service_matches(cp, "a", "https://a.example/xxx")
     assert not service_matches(cp, "a", "https://a.example/x")
+
+
+# -- compile_policy is the one gate -----------------------------------------
+
+_S = ServiceDecl("s", "svc://s")
+_RAW = (Atom("raw"),)
+
+
+def _compile_error(ast):
+    with pytest.raises(ValidationError) as exc:
+        compile_policy(ast)
+    return str(exc.value)
+
+
+def test_a_hand_built_rule_with_an_unknown_effect_is_rejected_at_compile():
+    # It used to compile, and ``decide`` then raised a bare KeyError.
+    ast = PolicyAst((_S,), (FlowRule("r", "s", _RAW, Decision("deny")),))
+    assert _compile_error(ast) == "rule 'r' has unknown effect 'deny'"
+
+
+@pytest.mark.parametrize(
+    "ast",
+    [
+        # It used to compile, and the rule silently never applied.
+        PolicyAst((_S,), (FlowRule("r", "ghost", _RAW, Decision("drop")),)),
+        # It used to escape compile_policy as a bare RegexError.
+        PolicyAst((ServiceDecl("s", "(["),)),
+    ],
+    ids=["undeclared_target", "invalid_endpoint"],
+)
+def test_a_hand_built_ast_fails_as_its_parsed_document_does(ast):
+    text = format_policy(ast)
+    assert parse_policy(text) == ast
+    assert _compile_error(ast) == _compile_error(parse_policy(text))
+
+
+def test_one_check_validates_the_policy_once(monkeypatch, capsys):
+    # The CLI compiles the policy, and so checks each endpoint, exactly once
+    # per call; parsing checks none.
+    compiles, prefixes = [], []
+    compile_policy_, regex_prefix_ = cli.compile_policy, policy_compiler.regex_prefix
+
+    def counting_compile(ast, default_effect="allow"):
+        compiles.append(default_effect)
+        return compile_policy_(ast, default_effect)
+
+    def counting_prefix(pattern):
+        prefixes.append(pattern)
+        return regex_prefix_(pattern)
+
+    monkeypatch.setattr(cli, "compile_policy", counting_compile)
+    monkeypatch.setattr(policy_compiler, "regex_prefix", counting_prefix)
+    policy = FIXTURES / "dont_publish_raw.lucon"
+    route = str(FIXTURES / "sensor.route")
+    services = parse_policy(policy.read_text(encoding="utf-8")).services
+    assert prefixes == []
+    for argv, effect in ([], "allow"), (["--default-deny"], "drop"):
+        compiles.clear()
+        prefixes.clear()
+        assert cli.main(["check", route, str(policy), *argv]) == 1
+        capsys.readouterr()
+        assert compiles == [effect]
+        assert prefixes == [s.endpoint for s in services]

@@ -19,8 +19,8 @@ from labelflow.policy import (
     format_policy,
     generated_service_id,
     parse_policy,
-    validate_policy,
 )
+from labelflow.policy_compiler import compile_policy
 from labelflow.terms import (
     Atom,
     Compound,
@@ -158,11 +158,14 @@ flow_rule { id c when service { endpoint "https://h22416/.+" } receives pii deci
 """
 
 
-@pytest.mark.parametrize(
+_PARSERS = pytest.mark.parametrize(
     "parse",
     [parse_policy, lambda text: _PolicyParser(text).parse()],
     ids=["parse_policy", "token_parser"],
 )
+
+
+@_PARSERS
 def test_clashing_inline_ids_take_the_longer_id(parse):
     first, second = "https://h14393/.+", "https://h22416/.+"
     assert generated_service_id(first) == generated_service_id(second)
@@ -176,11 +179,7 @@ def test_clashing_inline_ids_take_the_longer_id(parse):
     assert _service(ast, b.target).endpoint == second
 
 
-@pytest.mark.parametrize(
-    "parse",
-    [parse_policy, lambda text: _PolicyParser(text).parse()],
-    ids=["parse_policy", "token_parser"],
-)
+@_PARSERS
 @pytest.mark.parametrize("declared_first", [True, False])
 def test_an_inline_id_held_by_a_declared_service_takes_the_longer_id(
     parse, declared_first
@@ -206,7 +205,7 @@ def test_an_inline_id_held_by_a_declared_service_takes_the_longer_id(
 def test_validation_service_without_id():
     ast = PolicyAst((ServiceDecl("", "x"),))
     with pytest.raises(ValidationError) as exc:
-        validate_policy(ast)
+        compile_policy(ast)
     assert str(exc.value) == "service declaration without id"
 
 
@@ -216,7 +215,7 @@ def test_validation_unknown_effect():
         (FlowRule("r", "s", (Atom("a"),), Decision("maybe")),),
     )
     with pytest.raises(ValidationError) as exc:
-        validate_policy(ast)
+        compile_policy(ast)
     assert str(exc.value) == "rule 'r' has unknown effect 'maybe'"
 
 
@@ -227,7 +226,7 @@ def test_validation_unknown_otherwise_effect():
         (FlowRule("r", "s", (Atom("a"),), Decision("drop", (obligation,))),),
     )
     with pytest.raises(ValidationError) as exc:
-        validate_policy(ast)
+        compile_policy(ast)
     assert str(exc.value) == "rule 'r' obligation has unknown otherwise effect"
 
 
@@ -239,6 +238,35 @@ def test_anonymous_rules_are_numbered():
     """
     ast = parse_policy(text)
     assert [r.name for r in ast.rules] == ["rule1", "rule2"]
+
+
+@_PARSERS
+@pytest.mark.parametrize("anonymous_first", [True, False])
+def test_anonymous_rules_skip_the_names_that_ids_hold(parse, anonymous_first):
+    anonymous = "flow_rule { when s receives a decide drop }"
+    named = "flow_rule { id rule1 when s receives a decide error }"
+    blocks = [anonymous, named] if anonymous_first else [named, anonymous]
+    ast = parse("\n".join(['service { id s endpoint "svc://s" }'] + blocks))
+    names = ["rule2", "rule1"] if anonymous_first else ["rule1", "rule2"]
+    assert [r.name for r in ast.rules] == names
+    assert list(compile_policy(ast).rule_index) == names
+
+
+@_PARSERS
+def test_parsing_checks_no_document_invariant(parse):
+    # Every invariant is compile_policy's: the parsers build the AST as
+    # written, and the compile step rejects it.
+    text = """
+    service { id s endpoint "([" creates_label a removes_label a }
+    service { id s endpoint "svc://s" }
+    flow_rule { id r when ghost receives a decide drop }
+    flow_rule { id r when s receives a decide drop }
+    """
+    ast = parse(text)
+    assert [s.id for s in ast.services] == ["s", "s"]
+    assert [(r.name, r.target) for r in ast.rules] == [("r", "ghost"), ("r", "s")]
+    with pytest.raises(ValidationError, match="invalid endpoint regex"):
+        compile_policy(ast)
 
 
 def test_obligation_default_otherwise_is_error():
@@ -271,7 +299,7 @@ def test_keyword_cannot_start_list_element():
 def test_keyword_functor_round_trips(keyword):
     decl = ServiceDecl("s", "x", creates_labels=(Compound(keyword, (Int(1),)),))
     ast = PolicyAst((decl,))
-    validate_policy(ast)
+    compile_policy(ast)
     text = format_policy(ast)
     assert f"  creates_label {keyword}(1)\n" in text
     assert parse_policy(text) == ast
@@ -381,7 +409,7 @@ def test_syntax_error_positions(text, expected):
 def test_validation_duplicate_service():
     text = 'service { id s endpoint "a" }\nservice { id s endpoint "b" }'
     with pytest.raises(ValidationError):
-        parse_policy(text)
+        compile_policy(parse_policy(text))
 
 
 def test_validation_duplicate_rule():
@@ -391,12 +419,12 @@ def test_validation_duplicate_rule():
     flow_rule { id r when s receives b decide drop }
     """
     with pytest.raises(ValidationError):
-        parse_policy(text)
+        compile_policy(parse_policy(text))
 
 
 def test_validation_bad_endpoint_regex():
     with pytest.raises(ValidationError):
-        parse_policy('service { id s endpoint "([" }')
+        compile_policy(parse_policy('service { id s endpoint "([" }'))
 
 
 @pytest.mark.parametrize("endpoint", ["([", "svc://(", "x{4294967295}"])
@@ -404,7 +432,7 @@ def test_invalid_endpoint_regex_keeps_re_s_message(endpoint):
     with pytest.raises((re.error, OverflowError)) as expected:
         re.compile(endpoint)
     with pytest.raises(ValidationError) as exc:
-        parse_policy(f'service {{ id s endpoint "{endpoint}" }}')
+        compile_policy(parse_policy(f'service {{ id s endpoint "{endpoint}" }}'))
     assert str(exc.value) == (
         f"service 's' has an invalid endpoint regex: {expected.value}"
     )
@@ -413,27 +441,29 @@ def test_invalid_endpoint_regex_keeps_re_s_message(endpoint):
 def test_too_deeply_nested_endpoint_regex_is_a_validation_error():
     endpoint = "(" * 600 + "a" + ")" * 600
     with pytest.raises(ValidationError) as exc:
-        parse_policy(f'service {{ id s endpoint "{endpoint}" }}')
+        compile_policy(parse_policy(f'service {{ id s endpoint "{endpoint}" }}'))
     assert str(exc.value).startswith(
         "service 's' has an invalid endpoint regex: maximum recursion depth exceeded"
     )
 
 
 def test_validation_creates_removes_overlap():
+    text = 'service { id s endpoint "x" creates_label a removes_label a }'
     with pytest.raises(ValidationError):
-        parse_policy('service { id s endpoint "x" creates_label a removes_label a }')
+        compile_policy(parse_policy(text))
 
 
 @pytest.mark.parametrize("label", ["pair(b, X)", "_", "f(g(h(1, Y)))"])
 def test_validation_created_label_must_be_ground(label):
     text = f'service {{ id s endpoint "x" creates_label a, {label} removes_label r(X) }}'
     with pytest.raises(ValidationError, match=r"service 's' creates non-ground label"):
-        parse_policy(text)
+        compile_policy(parse_policy(text))
 
 
 def test_validation_undeclared_target():
+    text = "flow_rule { when ghost receives a decide drop }"
     with pytest.raises(ValidationError):
-        parse_policy("flow_rule { when ghost receives a decide drop }")
+        compile_policy(parse_policy(text))
 
 
 def test_validation_empty_triggers():
@@ -442,7 +472,7 @@ def test_validation_empty_triggers():
         (FlowRule("r", "s", (), Decision("drop")),),
     )
     with pytest.raises(ValidationError):
-        validate_policy(ast)
+        compile_policy(ast)
 
 
 def test_comments_and_fixture_parse():
@@ -506,7 +536,7 @@ def policy_asts(draw):
         )
         rules.append(FlowRule(f"rule{i + 1}", target, triggers, Decision(effect, obligations)))
     ast = PolicyAst(tuple(services), tuple(rules))
-    validate_policy(ast)
+    compile_policy(ast)
     return ast
 
 
@@ -519,13 +549,12 @@ def test_format_parse_round_trip(ast):
 
 
 def _outcome(parse, text):
-    """The AST, or the error as (type, message, line, column)."""
+    """The AST, or the error as (type, message, line, column). Equal ASTs
+    compile to the same tables or raise the same ``ValidationError``."""
     try:
         return parse(text)
     except TermSyntaxError as exc:
         return (TermSyntaxError, exc.message, exc.line, exc.column)
-    except ValidationError as exc:
-        return (ValidationError, str(exc))
 
 
 def _token_parse(text):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import time
@@ -344,9 +345,8 @@ def test_error_effect_terminates_exceptionally():
 
 
 def test_default_deny_drops_unmatched_service():
-    out = run_route(
-        "route r { 1: from(a) 2: to(b) }", default_effect="drop"
-    )
+    deny = compile_policy(EMPTY_POLICY.ast, default_effect="drop")
+    out = run_route("route r { 1: from(a) 2: to(b) }", deny)
     assert out.status == "dropped"
     assert out.rule is None
 
@@ -388,18 +388,11 @@ def test_missing_handler_fails_every_execute_of_one_route():
 
 
 def test_execute_rejects_an_unknown_default_effect():
-    policy = compile_policy(parse_policy(UNRULED_POLICY))
-    route = parse_route(UNRULED_ROUTE)
-    ran = []
-
-    def recording(payload, props):
-        ran.append(payload)
-        return payload, props
-
-    services = registry(route, sensor=recording, sink=recording)
+    # The default effect is fixed when the policy is compiled, so "deny"
+    # fails there, before any route runs; execute takes no effect of its own.
     with pytest.raises(ValueError, match="unknown default effect 'deny'"):
-        execute(route, policy, services, default_effect="deny")
-    assert ran == []  # not even the from handler
+        compile_policy(parse_policy(UNRULED_POLICY), "deny")
+    assert "default_effect" not in inspect.signature(execute).parameters
 
 
 @pytest.mark.parametrize(
@@ -411,12 +404,12 @@ def test_execute_rejects_an_unknown_default_effect():
     ],
 )
 def test_the_default_effect_decides_an_unruled_flow(effect, status, valid):
-    policy = compile_policy(parse_policy(UNRULED_POLICY))
+    policy = compile_policy(parse_policy(UNRULED_POLICY), effect)
     route = parse_route(UNRULED_ROUTE)
-    out = execute(route, policy, registry(route), default_effect=effect)
+    out = execute(route, policy, registry(route))
     assert (out.status, out.at_statement) == (status, None if valid else 2)
     assert [ev.decision for ev in out.audit] == [None, effect]
-    verdict = verify(route, policy, default_effect=effect)
+    verdict = verify(route, policy)
     assert verdict.valid is valid
     rules = [ce.rule for ce in verdict.counterexamples]
     assert rules == ([] if valid else ["default_deny"])
@@ -708,6 +701,46 @@ def test_condition_cost_does_not_depend_on_policy_size():
     assert large <= 3 * small, (small, large)
 
 
+def _condition_work(monkeypatch, props, env, *kb):
+    """(``kernel.rename`` calls, ``KnowledgeBase.candidates`` calls) made by
+    10 evaluations of ``msg_prop(t, 21)``."""
+    cond = Compound("msg_prop", (Atom("t"), Int(21)))
+    renames, candidates = [], []
+    rename, find = kernel.rename, KnowledgeBase.candidates
+
+    def counting_rename(t, suffix):
+        renames.append(t)
+        return rename(t, suffix)
+
+    def counting_candidates(self, goal, bindings):
+        candidates.append(goal)
+        return find(self, goal, bindings)
+
+    monkeypatch.setattr(kernel, "rename", counting_rename)
+    monkeypatch.setattr(KnowledgeBase, "candidates", counting_candidates)
+    for _ in range(10):
+        assert eval_condition(cond, props, env, *kb)
+    return len(renames), len(candidates)
+
+
+@pytest.mark.parametrize("n_props", [2, 1000])
+def test_condition_work_does_not_depend_on_context_size(monkeypatch, n_props):
+    # The count twin of the wall-clock test above: an atom key renames its
+    # one answer and reads no clause, however many props the message has.
+    props = {f"p{i}": Int(i) for i in range(n_props - 1)}
+    props["t"] = Int(21)
+    assert _condition_work(monkeypatch, props, {}) == (10, 0)
+
+
+@pytest.mark.parametrize("n_rules", [10, 5000])
+def test_condition_work_does_not_depend_on_policy_size(monkeypatch, n_rules):
+    # The count twin of the wall-clock test above: the builtin answers
+    # msg_prop, so no clause of the policy's base is ever a candidate.
+    kb = worst_case_policy(n_rules).kb
+    props = {"t": Int(21), "u": Str("x")}
+    assert _condition_work(monkeypatch, props, {"on": Int(1)}, kb) == (10, 0)
+
+
 @pytest.mark.parametrize("n_rules", [10, 5000])
 def test_to_scans_only_the_rules_targeting_its_service(monkeypatch, n_rules):
     policy = sink_policy(n_rules)
@@ -876,14 +909,15 @@ def test_execute_decides_once_per_to_and_bean(monkeypatch, seed, max_statements)
     decided = []
     decide = runtime.decide
 
-    def counting(policy, req, default_effect):
+    def counting(policy, req):
         decided.append(req.service)
-        return decide(policy, req, default_effect)
+        return decide(policy, req)
 
     monkeypatch.setattr(runtime, "decide", counting)
     stmts = route.statements
     choices = [n for n, stmt in stmts.items() if isinstance(stmt, Choice)]
     for effect in ("allow", "drop"):
+        policy = compile_policy(policy.ast, effect)
         for bits in product((False, True), repeat=len(choices)):
             decided.clear()
             out = execute(
@@ -891,7 +925,6 @@ def test_execute_decides_once_per_to_and_bean(monkeypatch, seed, max_statements)
                 policy,
                 registry(route),
                 choice_decisions=dict(zip(choices, bits)),
-                default_effect=effect,
             )
             entered = [
                 stmts[ev.statement].service

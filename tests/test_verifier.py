@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 
@@ -19,7 +20,6 @@ from labelflow.verifier import (
 from .conftest import read_fixture
 from .helpers import (
     UNRULED_POLICY,
-    UNRULED_ROUTE,
     dynamically_violates,
     random_policy,
     random_route,
@@ -167,7 +167,7 @@ def test_default_deny_counterexample_uses_arrival_labels():
         }
         """
     )
-    verdict = verify(route, policy, default_effect="drop")
+    verdict = verify(route, compile_policy(policy.ast, default_effect="drop"))
     assert not verdict.valid
     (ce,) = verdict.counterexamples
     assert ce.rule == "default_deny"
@@ -301,7 +301,7 @@ def _summaries(route):
     because no split reads its outcomes.
     """
     policy = compile_policy(parse_policy(CHAIN_POLICY))
-    v = _Verifier(route, policy, "allow", all_paths=False)
+    v = _Verifier(route, policy, all_paths=False)
     v.explore()
     inside = {key: outcomes for key, outcomes in v.memo.items() if key[2] is not None}
     assert all(
@@ -366,9 +366,9 @@ def test_each_service_and_label_set_is_decided_once(monkeypatch):
     calls = []
     decide = verifier.decide
 
-    def counting(policy, req, default_effect):
+    def counting(policy, req):
         calls.append((req.service, req.labels))
-        return decide(policy, req, default_effect)
+        return decide(policy, req)
 
     monkeypatch.setattr(verifier, "decide", counting)
     verdict = verify(route, policy)
@@ -381,15 +381,12 @@ def test_each_service_and_label_set_is_decided_once(monkeypatch):
     assert verdict.explored_states == 6
 
 
-def test_verify_rejects_an_unknown_default_effect(monkeypatch):
-    policy = compile_policy(parse_policy(UNRULED_POLICY))
-    route = parse_route(UNRULED_ROUTE)
-    visited = []
-    monkeypatch.setattr(_Verifier, "explore", lambda self: visited.append(self))
-    for all_paths in (False, True):
-        with pytest.raises(ValueError, match="unknown default effect 'deny'"):
-            verify(route, policy, all_paths=all_paths, default_effect="deny")
-    assert visited == []
+def test_verify_rejects_an_unknown_default_effect():
+    # The default effect is fixed when the policy is compiled, so "deny"
+    # fails there, before any route state is visited; verify takes none.
+    with pytest.raises(ValueError, match="unknown default effect 'deny'"):
+        compile_policy(parse_policy(UNRULED_POLICY), "deny")
+    assert "default_effect" not in inspect.signature(verify).parameters
 
 
 def _wide_split(b: int):
@@ -539,9 +536,9 @@ def test_verify_decides_each_service_and_label_set_once(
     calls = []
     decide = verifier.decide
 
-    def counting(policy, req, default_effect):
+    def counting(policy, req):
         calls.append((req.service, req.labels))
-        return decide(policy, req, default_effect)
+        return decide(policy, req)
 
     monkeypatch.setattr(verifier, "decide", counting)
     decided = {}
@@ -567,11 +564,10 @@ def test_counterexamples_are_first_discovered_paths():
         rng = random.Random(seed)
         route = random_route(rng)
         policy = random_policy(rng)
-        default_effect = "drop" if seed % 4 == 0 else "allow"
-        found = verify(route, policy, default_effect=default_effect)
-        exhaustive = verify(
-            route, policy, all_paths=True, default_effect=default_effect
-        )
+        if seed % 4 == 0:
+            policy = compile_policy(policy.ast, default_effect="drop")
+        found = verify(route, policy)
+        exhaustive = verify(route, policy, all_paths=True)
         expected = _first_per_violation(exhaustive.counterexamples)
         assert [
             (ce.rule, ce.trace, ce.choices, ce.offending_labels)
