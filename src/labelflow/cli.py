@@ -7,10 +7,8 @@ Subcommands:
 * ``run <route...> <policy>`` — execute routes with stub service handlers
 * ``bench``                   — decision-point scaling benchmark (CSV)
 
-A call parses with the argument parser of the subcommand it names and no
-other; a process builds each subcommand's parser once, on its first call.
-The whole tree (``build_parser``) is built only for no, ``-h`` or an
-unknown subcommand and to word an unrecognized-arguments error.
+A process builds the command tree (``build_parser``) once, on its first
+call, and parses every later call with it.
 
 Exit codes: 0 success/valid/completed, 1 policy violation or a dropped or
 errored run, 2 usage or input errors.
@@ -24,7 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import SolveLimits
 from .policy import ValidationError, parse_policy
 from .policy_compiler import CompiledPolicy, compile_policy, emit_clauses
 from .routes import RouteError, parse_route
@@ -220,14 +217,7 @@ def cmd_run(args) -> int:
         )
         if args.env_reset:
             env = {}
-        outcome = execute(
-            route,
-            policy,
-            services,
-            obligations,
-            env=env,
-            limits=SolveLimits(args.depth_limit),
-        )
+        outcome = execute(route, policy, services, obligations, env=env)
         audit_lines.extend(ev.to_json() for ev in outcome.audit)
         summary = {
             "route": route.name,
@@ -278,13 +268,23 @@ def _positive_ints(text: str) -> list:
     return [_positive_int(x) for x in text.split(",")]
 
 
-def _add_compile_arguments(p: argparse.ArgumentParser) -> None:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, built once per process.
+
+    Parsing leaves it unchanged, so every call of ``main`` reuses it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="labelflow", description="Data flow control for message routes"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("compile", help="compile a policy to clauses")
     p.add_argument("policy")
     p.add_argument("--emit-clauses", metavar="PATH", help="write clause dump here")
     p.set_defaults(fn=cmd_compile)
 
-
-def _add_check_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("check", help="statically verify a route against a policy")
     p.add_argument("route")
     p.add_argument("policy")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -292,8 +292,7 @@ def _add_check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--default-deny", action="store_true")
     p.set_defaults(fn=cmd_check)
 
-
-def _add_run_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("run", help="execute routes with stub services")
     p.add_argument("routes", nargs="+", metavar="route")
     p.add_argument("policy")
     p.add_argument("--services", metavar="MANIFEST", help="stub-service JSON manifest")
@@ -301,70 +300,26 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--default-deny", action="store_true")
     p.add_argument("--env-reset", action="store_true",
                    help="fresh global variables for every route file")
-    p.add_argument("--depth-limit", type=_positive_int, default=10000)
     p.set_defaults(fn=cmd_run)
 
-
-def _add_bench_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("bench", help="decision-point scaling benchmark")
     p.add_argument("--rules", type=_positive_ints, default="100,500,1000,5000")
     p.add_argument("--labels", type=_positive_ints, default="10")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(fn=cmd_bench)
-
-
-# subcommand -> (its line in ``labelflow -h``, adds its arguments and ``fn``)
-_SUBCOMMANDS = {
-    "compile": ("compile a policy to clauses", _add_compile_arguments),
-    "check": ("statically verify a route against a policy", _add_check_arguments),
-    "run": ("execute routes with stub services", _add_run_arguments),
-    "bench": ("decision-point scaling benchmark", _add_bench_arguments),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree: the top-level parser and every subcommand's."""
-    parser = argparse.ArgumentParser(
-        prog="labelflow", description="Data flow control for message routes"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
     return parser
-
-
-@functools.cache
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of subcommand ``name``, built on its first use in a process.
-
-    It is the parser ``build_parser`` would dispatch to, so help and
-    argument errors read the same. Parsing leaves it unchanged, so every
-    later call reuses it.
-    """
-    parser = argparse.ArgumentParser(prog=f"labelflow {name}")
-    _SUBCOMMANDS[name][1](parser)
-    return parser
-
-
-def _parse_args(argv: list) -> argparse.Namespace:
-    """Parse ``argv`` with only the parser of the subcommand it names.
-
-    Leftover arguments, no subcommand or an unknown one go to the whole
-    tree, which words those errors itself.
-    """
-    if argv and argv[0] in _SUBCOMMANDS:
-        args, extra = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except (CliError, RuntimeError_, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # a loaded term too deep to hash, compare or walk
+        print("error: a term in the input is nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -27,10 +27,11 @@ The plan holds each planned rule's triggers as a ``kernel.label_test``: a
 frozenset of ground triggers and a tuple of one-way patterns. A decision
 costs one subset test per planned rule, O(sum of the ground triggers of
 the planned rules) in all, plus, for a planned rule with patterns, one
-``kernel.match`` per (pattern, label) pair until each pattern has matched. A policy whose planned triggers are ground therefore
-decides in time independent of the number of labels. A request that no
-planned rule matches gets the one shared ``DecisionResult`` of its default
-effect, so it allocates no result.
+``kernel.match`` per (pattern, label) pair until each pattern has matched.
+A policy whose planned triggers are ground therefore decides in time
+independent of the number of labels. A request that no planned rule
+matches gets the one shared ``DecisionResult`` of its default effect, so
+it allocates no result.
 
 ``apply_label_transform`` strips the ``kernel.matched_labels`` of a
 service's removes, so only non-ground removes go through ``kernel.match``,

@@ -127,12 +127,6 @@ class Route:
     endpoints: dict = field(default_factory=dict)  # service atom -> URL
     joins: dict = field(default_factory=dict)  # split number -> aggregate number
 
-    def service_atoms(self) -> list[str]:
-        """The services of from/to/bean statements, once each, first seen first."""
-        stmts = self.statements.values()
-        services = (s.service for s in stmts if isinstance(s, (From, To, Bean)))
-        return list(dict.fromkeys(services))
-
     @cached_property
     def names(self) -> dict:
         """``node_names(self)``, computed once per Route."""
@@ -140,8 +134,16 @@ class Route:
 
     @cached_property
     def services(self) -> tuple:
-        """``service_atoms()`` as a tuple, computed once per Route."""
-        return tuple(self.service_atoms())
+        """The services of from/to/bean statements, once each, first seen first;
+        computed once per Route."""
+        stmts = self.statements.values()
+        services = (s.service for s in stmts if isinstance(s, (From, To, Bean)))
+        return tuple(dict.fromkeys(services))
+
+    def service_atoms(self) -> list[str]:
+        """``services`` as a list. The package reads ``services``; this stays
+        because ``flowbench/workloads.py`` calls it."""
+        return list(self.services)
 
 
 def node_names(route: Route) -> dict:

@@ -35,7 +35,6 @@ from .engine import (
     EngineError,
     KnowledgeBase,
     Literal,
-    SolveLimits,
     default_builtins,
     provable,
 )
@@ -265,7 +264,6 @@ def eval_condition(
     props: dict,
     env: dict,
     kb: KnowledgeBase = _NO_POLICY,
-    limits: SolveLimits | None = None,
 ) -> bool:
     """A condition holds iff the goal is provable in the current contexts.
 
@@ -277,7 +275,7 @@ def eval_condition(
     """
     goal = kernel.rebuild(cond, lambda x: _read(x, props, env))
     try:
-        return provable(kb, Literal(goal), limits, _context_builtins(props, env))
+        return provable(kb, Literal(goal), builtins=_context_builtins(props, env))
     except EngineError as exc:
         raise EvalError(f"condition {format_term(cond)} failed: {exc}") from exc
 
@@ -296,7 +294,6 @@ class _Execution:
         obligations: ObligationRegistry,
         env: dict,
         choice_decisions: dict | None,
-        limits: SolveLimits | None = None,
     ):
         self.route = route
         self.policy = policy
@@ -304,7 +301,6 @@ class _Execution:
         self.obligations = obligations
         self.env = env
         self.choice_decisions = choice_decisions or {}
-        self.limits = limits
         self.names = route.names
         self.audit: list[AuditEvent] = []
         self._msg_counter = 0
@@ -399,9 +395,7 @@ class _Execution:
     def _choice(self, stmt_no: int, stmt: Choice, msg: Message) -> bool:
         if stmt_no in self.choice_decisions:
             return bool(self.choice_decisions[stmt_no])
-        return eval_condition(
-            stmt.cond, msg.props, self.env, self.policy.kb, self.limits
-        )
+        return eval_condition(stmt.cond, msg.props, self.env, self.policy.kb)
 
     def _enter_service(self, stmt_no: int, stmt, msg: Message) -> None:
         atom = stmt.service
@@ -457,7 +451,6 @@ def execute(
     *,
     env: dict | None = None,
     choice_decisions: dict | None = None,
-    limits: SolveLimits | None = None,
 ) -> RunOutcome:
     """Run a route to completion under a compiled policy.
 
@@ -470,15 +463,7 @@ def execute(
     services.check_route(route)
     obligations = obligations or ObligationRegistry()
     env = env if env is not None else {}
-    exe = _Execution(
-        route,
-        policy,
-        services,
-        obligations,
-        env,
-        choice_decisions,
-        limits,
-    )
+    exe = _Execution(route, policy, services, obligations, env, choice_decisions)
     try:
         final = exe.run(payload, dict(props or {}))
     except _PolicyStop as stop:

@@ -181,6 +181,24 @@ def test_too_deeply_nested_term_is_input_error(tmp_path, capsys, command, deep_f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_a_trigger_too_deep_to_hash_is_input_error(tmp_path, capsys, command):
+    # The trigger parses and compiles; building the rule's label test hashes
+    # it, which recurses about twice per level.
+    policy = tmp_path / "p.lucon"
+    policy.write_text(
+        read_fixture("dont_publish_raw.lucon").replace(
+            "receives raw", f"receives {_nested(700, 'a')}"
+        )
+    )
+    assert main(["compile", str(policy)]) == 0
+    capsys.readouterr()
+    assert main([command, ROUTE, str(policy)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a term in the input is nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "command, long_file",
     [("compile", "policy"), ("check", "policy"), ("check", "route"), ("run", "policy")],
@@ -351,6 +369,13 @@ def test_bench_bad_arguments_are_usage_errors(capsys, args):
             '{"obligations": {"log/%s": "succeed"}}' % _LONG_INT,
             "expected name/arity",
             id="long-arity",
+        ),
+        # a prop that parses but is too deep to build the registries from
+        pytest.param(
+            '{"services": {"s": {"kind": "source", "props": {"t": "%s"}}}}'
+            % _nested(3000, "a"),
+            "nested too deeply",
+            id="deep-prop",
         ),
     ],
 )
@@ -836,16 +861,6 @@ def test_condition_evaluating_to_a_number_is_input_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "ten"])
-def test_run_depth_limit_below_one_is_usage_error(capsys, value):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["run", ROUTE, POLICY, "--depth-limit", value])
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert "--depth-limit: expected an integer >= 1" in captured.err
-    assert "Traceback" not in captured.err
-
-
 # ---------------------------------------------------------------------------
 # Help and usage errors, and the console entry path.
 # ---------------------------------------------------------------------------
@@ -875,19 +890,20 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, case):
         assert got == (case["code"], case["stdout"], case["stderr"])
 
 
+_ONE_CALL_PER_SUBCOMMAND = [
+    (["compile", POLICY], 0),
+    (["check", ROUTE, POLICY], 1),
+    (["run", ROUTE, POLICY], 1),
+    (["bench", "--rules", "5", "--labels", "1", "--trials", "1"], 0),
+]
+
+
 @pytest.mark.parametrize(
     "argv, code",
-    [
-        (["compile", POLICY], 0),
-        (["check", ROUTE, POLICY], 1),
-        (["run", ROUTE, POLICY], 1),
-        (["bench", "--rules", "5", "--labels", "1", "--trials", "1"], 0),
-    ],
+    _ONE_CALL_PER_SUBCOMMAND,
     ids=lambda value: value[0] if isinstance(value, list) else None,
 )
-def test_a_process_builds_each_subcommand_parser_once(
-    monkeypatch, capsys, argv, code
-):
+def test_a_process_builds_the_command_tree_once(monkeypatch, capsys, argv, code):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -896,13 +912,19 @@ def test_a_process_builds_each_subcommand_parser_once(
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._subcommand_parser.cache_clear()
+    cli.build_parser.cache_clear()
     assert main(argv) == code
-    assert main(argv) == code
-    assert built == [f"labelflow {argv[0]}"]
-    other = ["check", ROUTE, POLICY] if argv[0] == "compile" else ["compile", POLICY]
-    main(other)
-    assert built == [f"labelflow {argv[0]}", f"labelflow {other[0]}"]
+    assert built == [
+        "labelflow",
+        "labelflow compile",
+        "labelflow check",
+        "labelflow run",
+        "labelflow bench",
+    ]
+    built.clear()
+    for later_argv, later_code in _ONE_CALL_PER_SUBCOMMAND:
+        assert main(later_argv) == later_code
+    assert built == []
 
 
 def _module_cli(*args, timeout=60):

@@ -238,6 +238,21 @@ def test_random_coverage_agrees_with_service_matches(seed):
     )
 
 
+@pytest.mark.parametrize(
+    "source", [*range(40), "dont_publish_raw.lucon", "measurement_chain.lucon"]
+)
+def test_a_policy_compiles_to_facts_only(source):
+    # A choice condition is one goal proved over these clauses, so no proof
+    # in ``execute`` goes deeper than one resolution step; that is why
+    # ``execute`` takes no solve limit.
+    if isinstance(source, int):
+        cp = random_policy(random.Random(source))
+    else:
+        cp = compile_policy(parse_policy(read_fixture(source)))
+    assert cp.kb.clauses
+    assert all(clause.is_fact for clause in cp.kb.clauses)
+
+
 def test_each_endpoint_is_compiled_once(monkeypatch):
     # 600 endpoints overflow re's own cache (512). Validation and compilation
     # compile none of them; a lookup compiles only the endpoint whose literal
