@@ -124,6 +124,8 @@ def build_registries(manifest: dict):
                 }
             except (TermSyntaxError, TypeError, ValueError, OverflowError) as exc:
                 raise CliError(f"service {name!r} props: {exc}")
+            except RecursionError:
+                raise CliError(f"service {name!r} props: term nested too deeply")
 
             def handler(payload, props, _seed=seeded):
                 props.update(_seed)

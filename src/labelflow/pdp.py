@@ -38,6 +38,14 @@ service's removes, so only non-ground removes go through ``kernel.match``,
 once per (pattern, label) pair; empty or ground removes call it not at all.
 The removes that ``resolve_transforms`` gives are a ``kernel.LabelTerms``,
 whose label test was built once with the service's coverage.
+
+``DecisionRequest``, ``BoundObligation`` and ``DecisionResult`` are
+``NamedTuple``s: immutable, and equal and hashed by their fields. ``decide``
+builds its obligations and result with the C-level ``tuple.__new__``, which
+runs no Python code per record. A request goes through a Python
+``__new__``, which refuses an empty target and freezes labels given as any
+other iterable. Terms and route statements stay frozen dataclasses (see
+``_new_record``).
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import LabelTerms, label_test, match, matched_labels, rebuild
 from .policy import EFFECTS, Decision, FlowRule, PolicyAst, ServiceDecl
@@ -52,6 +61,13 @@ from .policy_compiler import CompiledPolicy, compile_policy, covering_declaratio
 # flowbench/tracing.py patches labelflow.pdp.service_matches.
 from .policy_compiler import service_matches  # noqa: F401
 from .terms import Atom, Compound, Term
+
+# C-level constructor: builds a record without its Python ``__new__``.
+# Only records whose equality may ignore their type are tuples. Terms and
+# route statements stay frozen dataclasses, because their equality is
+# type-strict (``Atom("a") != Str("a")``, ``To(s) != Bean(s)``), and tuple
+# equality compares the fields alone.
+_new_record = tuple.__new__
 
 _SEVERITY = {effect: rank for rank, effect in enumerate(EFFECTS)}
 
@@ -81,32 +97,34 @@ def apply_label_transform(labels: frozenset, removes, creates) -> frozenset:
     return kept.union(creates)
 
 
-@dataclass(frozen=True)
-class DecisionRequest:
-    """``service`` is a service atom or a bare endpoint URL, ``url`` the route's
-    endpoint URL for that atom; a rule whose target matches either covers it."""
-
+class _RequestFields(NamedTuple):
     service: str
     labels: frozenset
     url: str | None = None
     message_ref: Term | None = None
 
-    def __post_init__(self):
-        if not self.service:
+
+class DecisionRequest(_RequestFields):
+    """``service`` is a service atom or a bare endpoint URL, ``url`` the route's
+    endpoint URL for that atom; a rule whose target matches either covers it."""
+
+    __slots__ = ()
+
+    def __new__(cls, service, labels, url=None, message_ref=None):
+        if not service:
             raise ValueError("decision request needs a target")
-        if type(self.labels) is not frozenset:
-            object.__setattr__(self, "labels", frozenset(self.labels))
+        if type(labels) is not frozenset:
+            labels = frozenset(labels)
+        return _new_record(cls, (service, labels, url, message_ref))
 
 
-@dataclass(frozen=True)
-class BoundObligation:
+class BoundObligation(NamedTuple):
     action: Term  # with the ``message`` variable bound, when a ref was given
     otherwise: str
     rule: str
 
 
-@dataclass(frozen=True)
-class DecisionResult:
+class DecisionResult(NamedTuple):
     effect: str
     obligations: tuple = ()  # BoundObligation, rule declaration order
     matched_rules: tuple = ()
@@ -156,15 +174,17 @@ def decide(policy: CompiledPolicy, req: DecisionRequest) -> DecisionResult:
         return _DEFAULT_RESULTS[policy.default_effect]
     effects = [rule.decision.effect for rule in rules]
     effect = most_restrictive(effects)
+    ref = req.message_ref
     obligations = tuple(
-        BoundObligation(
-            _bind_message(ob.action, req.message_ref), ob.otherwise, rule.name
+        _new_record(
+            BoundObligation, (_bind_message(ob.action, ref), ob.otherwise, rule.name)
         )
         for rule in rules
         for ob in rule.decision.obligations
     )
     matched = tuple(rule.name for rule in rules)
-    return DecisionResult(effect, obligations, matched, matched[effects.index(effect)])
+    result = (effect, obligations, matched, matched[effects.index(effect)])
+    return _new_record(DecisionResult, result)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ ones. A drop removes the in-flight message and thereby ends the execution;
 an error terminates it exceptionally. Obligations run up to the first that
 fails, whose ``otherwise`` applies only if at least as restrictive as the
 decision. ``kernel.rebuild`` walks all route terms.
+
+Every executed statement appends one ``AuditEvent``, a ``NamedTuple`` that
+``_Execution.record`` builds with the C-level ``tuple.__new__``, as ``decide``
+builds its results (terms and route statements stay frozen dataclasses; see
+``pdp._new_record``).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import kernel
 from .engine import (
@@ -40,6 +45,7 @@ from .engine import (
 )
 from .pdp import (
     DecisionRequest,
+    _new_record,
     apply_label_transform,
     decide,
     most_restrictive,
@@ -141,8 +147,7 @@ class Message:
     labels: frozenset  # taint label set; always ground terms
 
 
-@dataclass(frozen=True)
-class AuditEvent:
+class AuditEvent(NamedTuple):
     statement: int
     node: str
     message_id: str
@@ -310,11 +315,8 @@ class _Execution:
         return f"m{self._msg_counter}"
 
     def record(self, stmt_no, msg, before, after, decision=None, rule=None):
-        self.audit.append(
-            AuditEvent(
-                stmt_no, self.names[stmt_no], msg.id, before, after, decision, rule
-            )
-        )
+        event = (stmt_no, self.names[stmt_no], msg.id, before, after, decision, rule)
+        self.audit.append(_new_record(AuditEvent, event))
 
     # -- statement execution ------------------------------------------------
 

@@ -271,6 +271,13 @@ def test_run_dropped_route_exits_1(capsys, tmp_path):
     assert records[-1]["node"] == "mqueue"
 
 
+def test_run_writes_the_golden_audit_trail(capsys, tmp_path):
+    audit = tmp_path / "audit.jsonl"
+    argv = ["run", ROUTE, POLICY, "--services", MANIFEST, "--audit", str(audit)]
+    assert main(argv) == 1
+    assert audit.read_bytes() == (FIXTURES / "expected_audit.jsonl").read_bytes()
+
+
 def test_run_completed_route_exits_0(capsys):
     assert main(["run", CHAIN_ROUTE, CHAIN_POLICY]) == 0
     summary = json.loads(capsys.readouterr().out)
@@ -374,7 +381,7 @@ def test_bench_bad_arguments_are_usage_errors(capsys, args):
         pytest.param(
             '{"services": {"s": {"kind": "source", "props": {"t": "%s"}}}}'
             % _nested(3000, "a"),
-            "nested too deeply",
+            "service 's' props: term nested too deeply",
             id="deep-prop",
         ),
     ],

@@ -882,6 +882,94 @@ def test_audit_serializes_to_json(sensor_route, dont_publish_raw):
         }
 
 
+_RAW = frozenset({Atom("raw")})
+
+
+@pytest.mark.parametrize(
+    "make, field, text",
+    [
+        pytest.param(
+            lambda: runtime.AuditEvent(3, "log", "m2", _RAW, _RAW, "allow"),
+            "labels_after",
+            "AuditEvent(statement=3, node='log', message_id='m2', "
+            "labels_before=frozenset({raw}), labels_after=frozenset({raw}), "
+            "decision='allow', rule=None)",
+            id="AuditEvent",
+        ),
+        pytest.param(
+            lambda: pdp.DecisionRequest("s", [Atom("raw")], "s://x", Str("m1")),
+            "labels",
+            "DecisionRequest(service='s', labels=frozenset({raw}), url='s://x', "
+            'message_ref="m1")',
+            id="DecisionRequest",
+        ),
+        pytest.param(
+            lambda: pdp.BoundObligation(Compound("log", (Str("m1"),)), "error", "r"),
+            "otherwise",
+            "BoundObligation(action=log(\"m1\"), otherwise='error', rule='r')",
+            id="BoundObligation",
+        ),
+        pytest.param(
+            lambda: pdp.DecisionResult("allow"),
+            "effect",
+            "DecisionResult(effect='allow', obligations=(), matched_rules=(), "
+            "effect_rule=None)",
+            id="DecisionResult",
+        ),
+    ],
+)
+def test_record_contract(make, field, text):
+    # The audit and decision records are values: equal fields give equal
+    # records with equal hashes, no field can be reassigned, and the repr
+    # names every field.
+    first, second = make(), make()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        setattr(first, field, None)
+    with pytest.raises(AttributeError):
+        first.extra = None
+    assert repr(first) == text
+
+
+def test_execute_builds_records_without_python_constructors(
+    monkeypatch, sensor_route, dont_publish_raw
+):
+    # Audit events, results and obligations are built by ``tuple.__new__``;
+    # only a request, once per to/bean statement, runs Python code to check
+    # its target and freeze its labels.
+    records = (
+        runtime.AuditEvent,
+        pdp.DecisionRequest,
+        pdp.DecisionResult,
+        pdp.BoundObligation,
+    )
+    calls = dict.fromkeys(records, 0)
+    for cls in records:
+        for name in ("__new__", "__init__"):
+            if name in vars(cls):
+
+                def counting(*args, _cls=cls, _f=getattr(cls, name), **kwargs):
+                    calls[_cls] += 1
+                    return _f(*args, **kwargs)
+
+                wrapper = staticmethod(counting) if name == "__new__" else counting
+                monkeypatch.setattr(cls, name, wrapper)
+    obligations = ObligationRegistry()
+    obligations.register("log", 2, lambda args, msg: True)
+    out = execute(sensor_route, dont_publish_raw, registry(sensor_route), obligations)
+    assert (out.status, out.rule) == ("dropped", "dontPublishRaw")
+    statements = sensor_route.statements
+    services = [e for e in out.audit if isinstance(statements[e.statement], (To, Bean))]
+    assert len(services) == 3 and len(out.audit) == 6
+    assert calls == {
+        runtime.AuditEvent: 0,
+        pdp.DecisionRequest: len(services),
+        pdp.DecisionResult: 0,
+        pdp.BoundObligation: 0,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Properties over random instances.
 # ---------------------------------------------------------------------------
