@@ -15,7 +15,6 @@ from .engine import (
     KnowledgeBase,
     Literal,
     NameCollision,
-    SolveLimits,
     default_builtins,
     parse_program,
     parse_query,

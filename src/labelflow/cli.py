@@ -57,7 +57,7 @@ def _load(path: str, parse):
         return parse(text)
     except (RouteError, TermSyntaxError, ValidationError) as exc:
         raise CliError(f"{path}: {exc}")
-    except RecursionError:  # the term parser still recurses per nesting level
+    except RecursionError:  # compiling hashes a policy's label terms, which recurses
         raise CliError(f"{path}: term nested too deeply")
 
 
@@ -124,8 +124,6 @@ def build_registries(manifest: dict):
                 }
             except (TermSyntaxError, TypeError, ValueError, OverflowError) as exc:
                 raise CliError(f"service {name!r} props: {exc}")
-            except RecursionError:
-                raise CliError(f"service {name!r} props: term nested too deeply")
 
             def handler(payload, props, _seed=seeded):
                 props.update(_seed)
@@ -140,8 +138,9 @@ def build_registries(manifest: dict):
     for key, behavior in table.items():
         name, _, arity = key.partition("/")
         try:
+            name = Atom(name).name  # non-empty, with no whitespace
             arity = int(arity) if arity.isdecimal() else None
-        except ValueError:  # more digits than ``int`` converts
+        except ValueError:  # not such a name, or more digits than ``int`` converts
             arity = None
         if arity is None or behavior not in ("succeed", "fail"):
             raise CliError(f"obligation {key!r}: expected name/arity: succeed|fail")

@@ -9,9 +9,17 @@ Negation-as-failure is restricted to ground goals (non-ground negated goals
 raise Floundered rather than silently guessing). There is no cut and no
 assert/retract.
 
-Terms are walked by the kernel's ``subterms`` and ``rebuild``. There is no
-occurs check: ``provable`` resolves no answer, so a cyclic binding still
-proves, while ``solve`` raises CyclicTerm when it must resolve one.
+The search runs on explicit goal and choicepoint stacks over one trail,
+after Ait-Kaci's reconstruction of the WAM (1991), so no derivation step
+costs a Python frame. The one bound on a derivation is ``MAX_DEPTH``: a
+goal selected deeper than that raises DepthExceeded, where a clause's body
+literals sit one level below its head and a negated goal's proof one level
+below the goal.
+
+Terms are walked by the kernel's ``subterms``, ``rebuild`` and ``resolve``.
+There is no occurs check: ``provable`` resolves no answer, so a cyclic
+binding still proves, while ``solve`` raises CyclicTerm when it must
+resolve one.
 
 Textual clause format: ``head.`` for facts, ``head :- b1, b2.`` for rules,
 ``\\+ goal`` for negated body literals, ``%`` line comments.
@@ -41,7 +49,7 @@ from .terms import (
 
 
 class DepthExceeded(EngineError):
-    """Resolution depth passed the configured limit."""
+    """A derivation selected a goal deeper than ``MAX_DEPTH``."""
 
 
 class Floundered(EngineError):
@@ -91,16 +99,7 @@ class Clause:
         return format_clause(self)
 
 
-@dataclass(frozen=True, slots=True)
-class SolveLimits:
-    depth: int = 10000
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth limit must be >= 1")
-
-
-DEFAULT_LIMITS = SolveLimits()
+MAX_DEPTH = 10_000  # the deepest level a derivation may select a goal at
 
 # A builtin receives the (walked) argument terms of its call and yields
 # argument tuples of the same arity; each yielded tuple is unified against
@@ -191,10 +190,35 @@ class KnowledgeBase:
 # ---------------------------------------------------------------------------
 
 
+_EXHAUSTED = object()  # what ``_backtrack`` returns once no choicepoint is left
+
+
+def _unify_args(args: tuple, out: tuple, bindings: dict, trail: list) -> bool:
+    """Unify a builtin call's arguments with one of its answers, pairwise."""
+    for a, b in zip(args, out):
+        if not kernel.unify_inplace(a, b, bindings, trail):
+            return False
+    return True
+
+
 class _Solver:
-    def __init__(self, kb: KnowledgeBase, limits: SolveLimits, builtins: dict):
+    """One query's SLD search, on explicit stacks over one trail.
+
+    The goals left are linked cells ``(literal, depth, rest)``: a clause's
+    body literals go in front of the goals after its head, one level below
+    it, and share those goals as their tail. A choicepoint is
+    ``(alternatives, trail mark, goal, rest, depth)``: the candidate
+    clauses of ``goal`` still to try, or the answers of a builtin (whose
+    ``goal`` slot holds its argument tuple), and the length of the trail
+    before the first was tried. A ground negated goal is proved in the same
+    loop, one level below it: it pushes a barrier, a choicepoint whose
+    alternatives are None, that resumes ``rest`` once the goal's own proof
+    fails. That proof ends in the cell ``(None, position of the barrier,
+    None)``; reaching it cuts the stack back past the barrier.
+    """
+
+    def __init__(self, kb: KnowledgeBase, builtins: dict):
         self.kb = kb
-        self.limits = limits
         self.builtins = {**kb.builtins, **builtins}
         for pred in builtins:
             if pred in kb._by_pred:
@@ -211,42 +235,74 @@ class _Solver:
         )
         return head, body
 
-    def solve(self, goals, bindings: dict, trail: list, depth: int) -> Iterator[dict]:
-        if not goals:
-            yield bindings
-            return
-        if depth > self.limits.depth:
-            raise DepthExceeded(f"resolution depth exceeded {self.limits.depth}")
-        lit = goals[0]
-        rest = goals[1:]
-        goal = kernel.resolve(lit.term, bindings)
-        if lit.negated:
-            if not kernel.is_ground(goal):
-                raise Floundered(f"negated goal is not ground: {format_term(goal)}")
-            if next(self.solve((Literal(goal),), {}, [], depth + 1), None) is None:
-                yield from self.solve(rest, bindings, trail, depth)
-            return
-        pred = functor_arity(goal)
-        builtin = self.builtins.get(pred)
-        if builtin is not None:
-            args = goal.args if isinstance(goal, Compound) else ()
-            for out in builtin(args):
-                mark = len(trail)
-                ok = True
-                for a, b in zip(args, out):
-                    if not kernel.unify_inplace(a, b, bindings, trail):
-                        ok = False
-                        break
-                if ok:
-                    yield from self.solve(rest, bindings, trail, depth)
+    def solve(self, literals: tuple) -> Iterator[dict]:
+        """Yield the bindings once per derivation of ``literals``, in order;
+        the same dict each time, changed in place."""
+        goals = None
+        for lit in reversed(literals):
+            goals = (lit, 1, goals)
+        bindings: dict = {}
+        trail: list = []
+        stack: list = []  # choicepoints, the newest last
+        while True:
+            if goals is None:
+                yield bindings
+            else:
+                lit, depth, rest = goals
+                if lit is None:  # the barrier at ``depth`` has its negated goal proved
+                    del stack[depth:]
+                elif depth > MAX_DEPTH:
+                    raise DepthExceeded(f"resolution depth exceeded {MAX_DEPTH}")
+                else:
+                    goal = kernel.resolve(lit.term, bindings)
+                    if lit.negated:
+                        if not kernel.is_ground(goal):
+                            raise Floundered(
+                                f"negated goal is not ground: {format_term(goal)}"
+                            )
+                        stack.append((None, len(trail), None, rest, depth))
+                        goals = (Literal(goal), depth + 1, (None, len(stack) - 1, None))
+                        continue
+                    builtin = self.builtins.get(functor_arity(goal))
+                    if builtin is not None:
+                        args = goal.args if type(goal) is Compound else ()
+                        alternatives = iter(builtin(args))
+                        stack.append((alternatives, len(trail), args, rest, depth))
+                    else:
+                        alternatives = iter(self.kb.candidates(goal, bindings))
+                        stack.append((alternatives, len(trail), goal, rest, depth))
+            goals = self._backtrack(stack, bindings, trail)
+            if goals is _EXHAUSTED:
+                return
+
+    def _backtrack(self, stack: list, bindings: dict, trail: list):
+        """The goals left after the newest choicepoint's next alternative
+        that unifies, popping each choicepoint with none left; ``_EXHAUSTED``
+        once the stack is empty. Each alternative starts from the trail's
+        mark, undone to only if the trail has grown past it."""
+        while stack:
+            alternatives, mark, goal, rest, depth = stack[-1]
+            if alternatives is None:  # a barrier: its negated goal has no proof
+                stack.pop()
                 kernel.undo_to(bindings, trail, mark)
-            return
-        for clause in self.kb.candidates(goal, bindings):
-            head, body = self._rename_clause(clause)
-            mark = len(trail)
-            if kernel.unify_inplace(goal, head, bindings, trail):
-                yield from self.solve(body + tuple(rest), bindings, trail, depth + 1)
-            kernel.undo_to(bindings, trail, mark)
+                return rest
+            if type(goal) is tuple:  # a builtin's arguments, against its answers
+                for out in alternatives:
+                    if len(trail) > mark:
+                        kernel.undo_to(bindings, trail, mark)
+                    if _unify_args(goal, out, bindings, trail):
+                        return rest
+            else:
+                for clause in alternatives:
+                    if len(trail) > mark:
+                        kernel.undo_to(bindings, trail, mark)
+                    head, body = self._rename_clause(clause)
+                    if kernel.unify_inplace(goal, head, bindings, trail):
+                        for lit in reversed(body):
+                            rest = (lit, depth + 1, rest)
+                        return rest
+            stack.pop()
+        return _EXHAUSTED
 
 
 def _as_literals(query) -> tuple:
@@ -257,9 +313,7 @@ def _as_literals(query) -> tuple:
     return tuple(q if isinstance(q, Literal) else Literal(q) for q in query)
 
 
-def solve(
-    kb: KnowledgeBase, query, limits: SolveLimits | None = None, builtins=None
-) -> Iterator[dict]:
+def solve(kb: KnowledgeBase, query, builtins=None) -> Iterator[dict]:
     """Enumerate substitutions (query-variable name -> ground-ish term).
 
     ``query`` may be a term, a Literal, or a sequence of either. The stream
@@ -271,18 +325,15 @@ def solve(
     names = dict.fromkeys(
         x.name for lit in goals for x in kernel.subterms(lit.term) if type(x) is Var
     )
-    solver = _Solver(kb, limits or DEFAULT_LIMITS, builtins or {})
-    bindings: dict = {}
-    for _ in solver.solve(goals, bindings, [], 1):
+    solver = _Solver(kb, builtins or {})
+    for bindings in solver.solve(goals):
         yield {n: kernel.resolve(Var(n), bindings) for n in names}
 
 
-def provable(
-    kb: KnowledgeBase, query, limits: SolveLimits | None = None, builtins=None
-) -> bool:
+def provable(kb: KnowledgeBase, query, builtins=None) -> bool:
     """Does ``query`` have a derivation? No answer is resolved."""
-    solver = _Solver(kb, limits or DEFAULT_LIMITS, builtins or {})
-    return next(solver.solve(_as_literals(query), {}, [], 1), None) is not None
+    solver = _Solver(kb, builtins or {})
+    return next(solver.solve(_as_literals(query)), None) is not None
 
 
 # ---------------------------------------------------------------------------

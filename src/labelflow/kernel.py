@@ -7,8 +7,10 @@ against ground labels one way instead: ``label_test`` compiles a set of
 them once, and only its non-ground terms go through ``match``.
 
 Every walk over one term goes through ``subterms`` (a pre-order scan) or
-``rebuild`` (a post-order copy with a visitor), over explicit stacks, so a
-term's nesting depth is not bounded by Python's recursion limit.
+``rebuild`` (a post-order copy with a visitor), except ``resolve``, which
+walks a term and the values of its bound variables on one stack. All three
+run over explicit stacks, so neither a term's nesting depth nor that of its
+bindings is bounded by Python's recursion limit.
 
 Bindings are a plain dict mapping variable names to terms; the trail records
 bound names in order so a failed branch can be undone cheaply. The occurs
@@ -215,34 +217,51 @@ def _same_term(a, b):
 def resolve(t, bindings):
     """Apply ``bindings`` deeply, returning a term with no bound variables.
 
-    Recurses only into the compound value of a bound variable, so Python's
-    stack grows with the nesting of bindings, not of terms. Each bound
-    variable's value is rebuilt once per call and then shared by all its
-    occurrences, so bindings shaped as a DAG resolve in time linear in
-    their size. A variable met again inside its own value raises
-    CyclicTerm."""
+    One explicit stack holds both the compounds of ``t`` and the compound
+    values of bound variables, so neither the nesting of terms nor that of
+    bindings is bounded by Python's recursion limit. Each bound variable's
+    value is rebuilt once per call and then shared by all its occurrences,
+    so bindings shaped as a DAG resolve in time linear in their size. A
+    compound none of whose arguments changed is kept, not copied. A
+    variable met again inside its own value raises CyclicTerm."""
     if not bindings:
         return t
-    expanding = set()  # the bound variables whose values are being rebuilt
     resolved = {}  # bound variable -> its rebuilt compound value
-
-    def visit(x):
-        if type(x) is not Var:
-            return None
-        value = resolved.get(x.name)
-        if value is not None:
-            return value
-        value = walk(x, bindings)
-        if type(value) is not Compound:
-            return value
-        if x.name in expanding:
-            raise CyclicTerm(f"variable {x.name} occurs in its own binding")
-        expanding.add(x.name)
-        value = resolved[x.name] = rebuild(value, visit)
-        expanding.discard(x.name)
-        return value
-
-    return rebuild(t, visit)
+    expanding = set()  # the bound variables whose values are on the stack
+    top = []  # receives the rebuilt ``t``
+    # (compound, its arguments left, rebuilt arguments, the bound variable
+    # it is the value of or None); the bottom frame stands for ``t`` itself.
+    stack = [(None, iter((t,)), top, None)]
+    while True:
+        term, todo, done, name = stack[-1]
+        for x in todo:
+            tx = type(x)
+            if tx is Var:
+                value = resolved.get(x.name)
+                if value is None:
+                    value = walk(x, bindings)
+                    if type(value) is Compound:
+                        if x.name in expanding:
+                            raise CyclicTerm(f"variable {x.name} occurs in its own binding")
+                        expanding.add(x.name)
+                        stack.append((value, iter(value.args), [], x.name))
+                        break
+            elif tx is Compound:
+                stack.append((x, iter(x.args), [], None))
+                break
+            else:
+                value = x
+            done.append(value)
+        else:
+            stack.pop()
+            if not stack:
+                return top[0]
+            if not all(map(is_, done, term.args)):
+                term = Compound(term.functor, tuple(done))
+            if name is not None:
+                resolved[name] = term
+                expanding.discard(name)
+            stack[-1][2].append(term)
 
 
 def is_ground(t):

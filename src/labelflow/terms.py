@@ -358,31 +358,47 @@ class Tokenizer:
 
 
 def parse_term_from(tok: Tokenizer) -> Term:
-    """Parse one term starting at the tokenizer's current position."""
-    at = tok.index
-    t = tok.next()
-    if t.kind == "INT":
-        return Int(t.value)
-    if t.kind == "STR":
-        return Str(t.value)
-    if t.kind == "VAR":
-        return Var(t.text)
-    if t.kind == "ATOM":
-        after = tok.tokens[tok.index]
-        if after.text == "(" and after.kind == "PUNCT":
-            tok.next()
-            args = [parse_term_from(tok)]
-            while tok.accept("PUNCT", ","):
-                args.append(parse_term_from(tok))
+    """Parse one term starting at the tokenizer's current position.
+
+    The compounds still open are kept on an explicit stack of (functor,
+    arguments so far), so nesting depth is not bounded by Python's
+    recursion limit."""
+    stack = []  # open compounds, the innermost last
+    while True:
+        at = tok.index
+        t = tok.next()
+        kind = t.kind
+        if kind == "INT":
+            term = Int(t.value)
+        elif kind == "STR":
+            term = Str(t.value)
+        elif kind == "VAR":
+            term = Var(t.text)
+        elif kind == "ATOM":
+            after = tok.tokens[tok.index]
+            if after.text == "(" and after.kind == "PUNCT":
+                tok.next()
+                stack.append((t.text, []))
+                continue
+            term = tok.atoms.get(t.text)
+            if term is None:
+                term = tok.atoms[t.text] = Atom(t.text)
+        else:
+            raise TermSyntaxError(
+                f"expected a term, found {t.text or t.kind!r}", *tok.position(at)
+            )
+        # ``term`` is complete: it is an argument of the innermost open
+        # compound, which takes a next argument or closes.
+        while stack:
+            functor, args = stack[-1]
+            args.append(term)
+            if tok.accept("PUNCT", ","):
+                break
             tok.next("PUNCT", ")")
-            return Compound(t.text, tuple(args))
-        atom = tok.atoms.get(t.text)
-        if atom is None:
-            atom = tok.atoms[t.text] = Atom(t.text)
-        return atom
-    raise TermSyntaxError(
-        f"expected a term, found {t.text or t.kind!r}", *tok.position(at)
-    )
+            stack.pop()
+            term = Compound(functor, tuple(args))
+        else:
+            return term
 
 
 def parse_term(text: str) -> Term:

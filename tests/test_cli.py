@@ -155,30 +155,34 @@ def _nested(depth, leaf):
     return "f(" * depth + leaf + ")" * depth
 
 
-@pytest.mark.parametrize(
-    "command, deep_file",
-    [("compile", "policy"), ("check", "policy"), ("check", "route")],
-)
-def test_too_deeply_nested_term_is_input_error(tmp_path, capsys, command, deep_file):
+@pytest.mark.parametrize("command", ["compile", "check"])
+def test_too_deeply_nested_policy_term_is_input_error(tmp_path, capsys, command):
+    # The policy parses; compiling it hashes the label term, which recurses.
     policy, route = tmp_path / "p.lucon", tmp_path / "r.route"
-    if deep_file == "policy":
-        deep = policy
-        label = _nested(3000, "a")
-        policy.write_text(f'service {{\n  id s\n  endpoint "s://x"\n  creates_label {label}\n}}\n')
-        route.write_text(read_fixture("sensor.route"))
-    else:
-        deep = route
-        policy.write_text(read_fixture("dont_publish_raw.lucon"))
-        route.write_text(
-            "route r {\n  1: from(a)\n"
-            f"  2: when {_nested(3000, 'ok')} then goto 3 otherwise goto 3\n"
-            "  3: to(b)\n}\n"
-        )
+    label = _nested(3000, "a")
+    policy.write_text(f'service {{\n  id s\n  endpoint "s://x"\n  creates_label {label}\n}}\n')
+    route.write_text(read_fixture("sensor.route"))
     argv = [command, str(policy)] if command == "compile" else [command, str(route), str(policy)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{deep}: term nested too deeply" in err
+    assert f"{policy}: term nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_deeply_nested_route_term_checks_and_runs(tmp_path, capsys):
+    # Route terms parse, verify and prove on explicit stacks at any depth.
+    route = tmp_path / "r.route"
+    route.write_text(
+        "route r {\n  1: from(a)\n"
+        f"  2: when {_nested(3000, 'ok')} then goto 3 otherwise goto 3\n"
+        "  3: to(b)\n}\n"
+    )
+    assert main(["check", str(route), POLICY]) == 0
+    assert "Route r is valid." in capsys.readouterr().out
+    assert main(["run", str(route), POLICY]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["status"] == "completed"
 
 
 @pytest.mark.parametrize("command", ["check", "run"])
@@ -377,13 +381,9 @@ def test_bench_bad_arguments_are_usage_errors(capsys, args):
             "expected name/arity",
             id="long-arity",
         ),
-        # a prop that parses but is too deep to build the registries from
-        pytest.param(
-            '{"services": {"s": {"kind": "source", "props": {"t": "%s"}}}}'
-            % _nested(3000, "a"),
-            "service 's' props: term nested too deeply",
-            id="deep-prop",
-        ),
+        # obligation names that no policy can write
+        ('{"obligations": {"/2": "succeed"}}', "obligation '/2'"),
+        ('{"obligations": {" log /2": "fail"}}', "obligation ' log /2'"),
     ],
 )
 def test_run_malformed_manifest_is_input_error(tmp_path, capsys, text, named):
@@ -395,6 +395,20 @@ def test_run_malformed_manifest_is_input_error(tmp_path, capsys, text, named):
     assert captured.err.startswith("error:")
     assert named in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_run_deep_source_prop_is_carried(tmp_path, capsys):
+    value = _nested(3000, "a")
+    route = tmp_path / "r.route"
+    manifest = tmp_path / "services.json"
+    route.write_text("route r {\n  1: from(s)\n  2: to(b)\n}\n")
+    services = {"s": {"kind": "source", "props": {"t": value}}, "b": {"kind": "sink"}}
+    manifest.write_text(json.dumps({"services": services}))
+    assert main(["run", str(route), POLICY, "--services", str(manifest)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (message,) = json.loads(captured.out)["final_messages"]
+    assert message["props"] == {"t": value}
 
 
 def test_build_registries_stub_kinds():

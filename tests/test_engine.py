@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -10,10 +11,10 @@ from labelflow.engine import (
     EngineError,
     Floundered,
     KnowledgeBase,
+    MAX_DEPTH,
     Literal,
     NameCollision,
     NotCallable,
-    SolveLimits,
     default_builtins,
     format_clause,
     format_program,
@@ -37,8 +38,8 @@ def kb_of(text, builtins=None):
     return KnowledgeBase(parse_program(text), builtins)
 
 
-def all_solutions(kb, query_text, limits=None):
-    return list(solve(kb, parse_query(query_text), limits))
+def all_solutions(kb, query_text):
+    return list(solve(kb, parse_query(query_text)))
 
 
 def test_fact_lookup():
@@ -108,12 +109,103 @@ def test_cyclic_bindings_meeting_each_other_prove():
 def test_depth_limit():
     kb = kb_of("loop(X) :- loop(X).")
     with pytest.raises(DepthExceeded):
-        list(solve(kb, parse_query("loop(a)"), SolveLimits(depth=50)))
+        list(solve(kb, parse_query("loop(a)")))
+    with pytest.raises(DepthExceeded):
+        provable(kb, parse_query("loop(a)"))
 
 
-def test_depth_limit_validation():
-    with pytest.raises(ValueError):
-        SolveLimits(depth=0)
+# -- deep derivations: explicit stacks, one depth bound ----------------------
+
+
+def chain_kb(edges):
+    facts = [Clause(Compound("edge", (Atom(f"n{i}"), Atom(f"n{i + 1}")))) for i in range(edges)]
+    return KnowledgeBase(facts + parse_program(GRAPH)[4:])
+
+
+def count_kb():
+    # count(N, T): T is N nested s/1 around z, built one step per level.
+    def dec(args):
+        yield args[0], Int(args[0].value - 1)
+
+    kb = KnowledgeBase(
+        parse_program(
+            "count(0, z). count(N, s(T)) :- lt(0, N), dec(N, M), count(M, T)."
+        ),
+        {**default_builtins(), ("dec", 2): dec},
+    )
+    return kb
+
+
+def s_depth(t):
+    depth = 0
+    while isinstance(t, Compound):
+        assert t.functor == "s"
+        (t,) = t.args
+        depth += 1
+    assert t == Atom("z")
+    return depth
+
+
+def peano(n):
+    t = Atom("z")
+    for _ in range(n):
+        t = Compound("s", (t,))
+    return t
+
+
+def test_long_chain_proves_and_one_past_the_depth_bound_does_not():
+    # A path over n edges selects its last goal n + 1 levels down.
+    assert provable(chain_kb(5000), parse_query("path(n0, n5000)"))
+    assert not provable(chain_kb(5000), parse_query("path(n1, n0)"))
+    kb = chain_kb(MAX_DEPTH - 1)
+    assert provable(kb, parse_query(f"path(n0, n{MAX_DEPTH - 1})"))
+    kb = chain_kb(MAX_DEPTH)
+    with pytest.raises(DepthExceeded):
+        provable(kb, parse_query(f"path(n0, n{MAX_DEPTH})"))
+
+
+def test_nested_negations_give_the_parity():
+    # win(X) holds when X has a successor that does not win: 3,000 negated
+    # goals, each proved inside the proof of the one before.
+    n = 3000
+    facts = [Clause(Compound("next", (Atom(f"n{i}"), Atom(f"n{i + 1}")))) for i in range(n)]
+    kb = KnowledgeBase(facts + parse_program("win(X) :- next(X, Y), \\+ win(Y)."))
+    assert [provable(kb, Compound("win", (Atom(f"n{k}"),))) for k in (0, 1, 2999, 3000)] == [
+        False, True, True, False
+    ]
+    assert {s["X"] for s in solve(kb, parse_query("next(X, n1), \\+ win(X)"))} == {Atom("n0")}
+
+
+def test_three_thousandth_answer_resolves():
+    kb = kb_of("nat(z). nat(s(X)) :- nat(X).")
+    for i, answer in enumerate(solve(kb, parse_query("nat(X)"))):
+        if i == 2999:
+            break
+    assert s_depth(answer["X"]) == 2999
+
+
+def test_goal_selected_through_deep_bindings_proves():
+    # w(T) is selected with T bound through 1,500 variables, one per level.
+    kb = kb_of("""
+    build(z, z). build(s(N), f(T)) :- build(N, T).
+    w(z). w(f(T)) :- w(T).
+    p(N) :- build(N, T), w(T).
+    """)
+    assert provable(kb, Compound("p", (peano(1500),)))
+    assert not provable(kb, Compound("w", (Compound("f", (Atom("a"),)),)))
+
+
+def test_no_step_of_a_derivation_costs_a_python_frame():
+    kb = chain_kb(5000)
+    counting = count_kb()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        assert provable(kb, parse_query("path(n0, n5000)"))
+        (answer,) = solve(counting, parse_query("count(5000, T)"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert s_depth(answer["T"]) == 5000
 
 
 def test_clause_colliding_with_builtin():

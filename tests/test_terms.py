@@ -26,6 +26,7 @@ from labelflow.terms import (
     format_term,
     functor_arity,
     parse_term,
+    parse_term_from,
     regex_prefix,
 )
 
@@ -55,6 +56,24 @@ def test_parse_compound_nested():
     assert parse_term("f(g(X, 1), \"s\")") == Compound(
         "f", (Compound("g", (Var("X"), Int(1))), Str("s"))
     )
+
+
+
+def test_parse_deep_term_without_recursion():
+    depth = 50000
+    text = "f(" * depth + "g(a, X)" + ", 1)" * depth
+    tok = Tokenizer(text)
+    t = parse_term_from(tok)
+    assert tok.peek().kind == "EOF" and tok.index == len(tok.tokens) - 1
+    assert format_term(t) == text
+    for _ in range(depth):
+        assert t.functor == "f" and t.args[1] == Int(1)
+        t = t.args[0]
+    assert t == Compound("g", (Atom("a"), Var("X")))
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term("f(" * depth + "a b" + ")" * depth)
+    assert exc.value.message == "expected ')', found 'b'"
+    assert exc.value.column == 2 * depth + 3
 
 
 def test_parse_rejects_trailing_input():

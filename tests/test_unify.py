@@ -177,6 +177,30 @@ def test_deep_terms_do_not_overflow():
     assert _same_term(kernel.resolve(a, {"X": Atom("a")}), ground)
 
 
+
+def test_resolve_follows_deep_bindings_without_recursion():
+    # X0 = f(X1), X1 = f(X2), ...: the nesting is in the bindings, not the
+    # term, and one stack walks both.
+    depth = 50000
+    bindings = {f"X{i}": Compound("f", (Var(f"X{i + 1}"),)) for i in range(depth)}
+    bindings[f"X{depth}"] = Atom("a")
+    resolved = kernel.resolve(Compound("g", (Var("X0"), Var("X0"))), bindings)
+    assert resolved.args[0] is resolved.args[1]  # X0 is rebuilt once
+    assert _same_term(resolved.args[0], _chain(Atom("a"), depth))
+    # a value none of whose arguments change is kept, not copied
+    bindings[f"X{depth}"] = Var("Free")
+    bindings[f"X{depth - 1}"] = Compound("f", (Atom("b"),))
+    deepest = bindings[f"X{depth - 1}"]
+    t = kernel.resolve(Var("X0"), bindings)
+    for _ in range(depth - 1):
+        (t,) = t.args
+    assert t is deepest
+    # a cycle closed at the bottom of the chain
+    bindings[f"X{depth - 1}"] = Compound("f", (Var("X0"),))
+    with pytest.raises(kernel.CyclicTerm):
+        kernel.resolve(Var("X0"), bindings)
+
+
 # -- properties -------------------------------------------------------------
 
 
