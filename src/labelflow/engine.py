@@ -254,8 +254,11 @@ class _Solver:
                 elif depth > MAX_DEPTH:
                     raise DepthExceeded(f"resolution depth exceeded {MAX_DEPTH}")
                 else:
-                    goal = kernel.resolve(lit.term, bindings)
+                    # A user goal is unified through the bindings as it is;
+                    # only a negated goal and a builtin's arguments resolve.
+                    goal = lit.term
                     if lit.negated:
+                        goal = kernel.resolve(goal, bindings)
                         if not kernel.is_ground(goal):
                             raise Floundered(
                                 f"negated goal is not ground: {format_term(goal)}"
@@ -265,7 +268,9 @@ class _Solver:
                         continue
                     builtin = self.builtins.get(functor_arity(goal))
                     if builtin is not None:
-                        args = goal.args if type(goal) is Compound else ()
+                        args = ()
+                        if type(goal) is Compound:
+                            args = kernel.resolve(goal, bindings).args
                         alternatives = iter(builtin(args))
                         stack.append((alternatives, len(trail), args, rest, depth))
                     else:

@@ -10,7 +10,9 @@ Every walk over one term goes through ``subterms`` (a pre-order scan) or
 ``rebuild`` (a post-order copy with a visitor), except ``resolve``, which
 walks a term and the values of its bound variables on one stack. All three
 run over explicit stacks, so neither a term's nesting depth nor that of its
-bindings is bounded by Python's recursion limit.
+bindings is bounded by Python's recursion limit. The compounds that
+``rebuild`` and ``resolve`` copy come from valid ones, so they are built
+with ``terms._new_compound``, which skips ``Compound``'s checks.
 
 Bindings are a plain dict mapping variable names to terms; the trail records
 bound names in order so a failed branch can be undone cheaply. The occurs
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from operator import is_
 
-from .terms import Atom, Compound, Int, Str, Var
+from .terms import Atom, Compound, Int, Str, Var, _new_compound
 
 
 class EngineError(Exception):
@@ -68,7 +70,7 @@ def rebuild(t, visit):
         else:
             stack.pop()
             if not all(map(is_, done, term.args)):
-                term = Compound(term.functor, tuple(done))
+                term = _new_compound(term.functor, tuple(done))
             if not stack:
                 return term
             stack[-1][2].append(term)
@@ -164,10 +166,10 @@ def match(pattern, term):
     Only the pattern's variables bind, and each occurrence of a variable must
     meet an equal subterm (``pair(X, X)`` matches ``pair(a, a)``, not
     ``pair(a, b)``). Because ``term`` is ground this agrees with ``unify``,
-    without a trail or renaming apart. Iterative over an explicit work stack:
-    a repeated variable compares its two subterms with ``_same_term``, so no
-    comparison recurses either. Should ``term`` hold variables after all,
-    they bind nothing and are equal only by name.
+    without a trail or renaming apart. Iterative over an explicit work stack;
+    a repeated variable compares its two subterms with ``==``, which does
+    not recurse either. Should ``term`` hold variables after all, they bind
+    nothing and are equal only by name.
     """
     bindings = {}
     stack = [(pattern, term)]
@@ -178,7 +180,7 @@ def match(pattern, term):
             bound = bindings.get(p.name)
             if bound is None:
                 bindings[p.name] = t
-            elif bound is not t and not _same_term(bound, t):
+            elif bound is not t and bound != t:
                 return False
         elif tp is Compound:
             if (
@@ -189,27 +191,6 @@ def match(pattern, term):
                 return False
             stack.extend(zip(p.args, t.args))
         elif p != t:
-            return False
-    return True
-
-
-def _same_term(a, b):
-    """Structural equality over an explicit stack, where the term classes'
-    ``==`` recurses once per nesting level; variables are equal by name."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is Compound:
-            if (
-                type(y) is not Compound
-                or x.functor != y.functor
-                or len(x.args) != len(y.args)
-            ):
-                return False
-            stack.extend(zip(x.args, y.args))
-        elif x != y:
             return False
     return True
 
@@ -257,7 +238,7 @@ def resolve(t, bindings):
             if not stack:
                 return top[0]
             if not all(map(is_, done, term.args)):
-                term = Compound(term.functor, tuple(done))
+                term = _new_compound(term.functor, tuple(done))
             if name is not None:
                 resolved[name] = term
                 expanding.discard(name)

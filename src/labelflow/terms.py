@@ -38,7 +38,7 @@ subset goes through ``compile_regex`` to be validated.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 from typing import NamedTuple, Union
@@ -71,9 +71,12 @@ def compile_regex(pattern: str) -> re.Pattern:
 # characters, ``\`` before a non-alphanumeric, ``\d \D \s \S \w \W``, ``.``,
 # classes of letters, digits, ``._/:@%=`` and the ranges ``0-9 a-z A-Z``,
 # and one-level groups of alternatives of those; each item takes one
-# ``*``, ``+`` or ``?``, optionally lazy. Every alternative starts with a
-# character of its own and a plain run is maximal, so there is one way to
-# match any text and a match takes linear time, also when it fails.
+# ``*``, ``+`` or ``?``, optionally lazy. Every alternative of the recognizer
+# starts with a character of its own and a plain run is maximal, so it
+# reads a pattern one way: recognizing a pattern is one linear-time match.
+# That says nothing of matching a URL against a pattern of the subset,
+# which goes through ``re`` and can backtrack: ``(a+)+b`` takes time
+# exponential in the length of a run of ``a``s (ROADMAP item 16).
 _PLAIN = r"[^.^$*+?{}\[\]\\|()]"
 _QUANTIFIER = r"(?:[*+?]\??)?"
 _ITEM = (
@@ -147,19 +150,75 @@ class Str:
         return format_term(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Compound:
+    """``functor(args...)``. Its hash is computed once, at construction, from
+    the functor and the arguments' hashes, which a compound argument has
+    cached already; so neither hashing nor ``==`` recurses, and both cost
+    what the term holds whatever its nesting depth."""
+
     functor: str
     args: tuple
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_name(self.functor, "functor")
         if not self.args:
             raise ValueError("0-ary predicates are atoms, not compounds")
-        object.__setattr__(self, "args", tuple(self.args))
+        args = tuple(self.args)
+        _set_args(self, args)
+        _set_hash(self, hash((self.functor, args)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        """Structural equality over an explicit stack. Type-strict, as for
+        the other term classes: a compound equals only a compound, and its
+        leaves compare with their own ``==`` (``Atom("a") != Str("a")``)."""
+        if type(other) is not Compound:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if type(x) is Compound:
+                if (
+                    type(y) is not Compound
+                    or x._hash != y._hash
+                    or x.functor != y.functor
+                    or len(x.args) != len(y.args)
+                ):
+                    return False
+                stack.extend(zip(x.args, y.args))
+            elif x != y:
+                return False
+        return True
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled compound hashes
+        # with the hash seed of the process that loads it.
+        return Compound, (self.functor, self.args)
 
     def __repr__(self):
         return format_term(self)
+
+
+# The slot setters, which skip the frozen class's ``__setattr__``.
+_set_functor = Compound.functor.__set__
+_set_args = Compound.args.__set__
+_set_hash = Compound._hash.__set__
+
+
+def _new_compound(functor: str, args: tuple) -> Compound:
+    """A compound built without ``Compound(...)``'s checks, for copies whose
+    functor and argument tuple come from a valid compound."""
+    t = object.__new__(Compound)
+    _set_functor(t, functor)
+    _set_args(t, args)
+    _set_hash(t, hash((functor, args)))
+    return t
 
 
 Term = Union[Atom, Var, Int, Str, Compound]

@@ -157,8 +157,9 @@ def reference_label_transform(labels, removes, creates) -> frozenset:
 
 
 def _same_term(a: Term, b: Term) -> bool:
-    """Structural equality over an explicit stack: the term dataclasses'
-    ``==`` recurses once per nesting level."""
+    """Structural equality over an explicit stack, written apart from
+    ``Compound.__eq__`` and its cached hash: the reference it is tested
+    against."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()

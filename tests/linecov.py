@@ -20,11 +20,6 @@ unreached:
   which is why ``python -m trace`` under-counts. The plugin therefore
   reinstalls its hook at the start of every test phase (setup, call and
   teardown), not once.
-- Tracing switches off inside a test that hits ``RecursionError``: the
-  trace function itself overflows the stack, and CPython then removes the
-  hook for the rest of that phase. The lines that handle the error, such
-  as the CLI's "term nested too deeply" map, therefore read as
-  unreached although a test reaches them.
 """
 
 from __future__ import annotations

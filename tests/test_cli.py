@@ -155,18 +155,36 @@ def _nested(depth, leaf):
     return "f(" * depth + leaf + ")" * depth
 
 
-@pytest.mark.parametrize("command", ["compile", "check"])
-def test_too_deeply_nested_policy_term_is_input_error(tmp_path, capsys, command):
-    # The policy parses; compiling it hashes the label term, which recurses.
-    policy, route = tmp_path / "p.lucon", tmp_path / "r.route"
-    label = _nested(3000, "a")
-    policy.write_text(f'service {{\n  id s\n  endpoint "s://x"\n  creates_label {label}\n}}\n')
-    route.write_text(read_fixture("sensor.route"))
-    argv = [command, str(policy)] if command == "compile" else [command, str(route), str(policy)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert f"{policy}: term nested too deeply" in err
-    assert "Traceback" not in err
+@pytest.mark.parametrize("deep", ["creates_label", "trigger"])
+def test_deeply_nested_policy_terms_compile_check_and_run(tmp_path, capsys, deep):
+    # 10,000 levels, at the default recursion limit: compiling hashes each
+    # label term, and deciding compares them, without recursing. Only with a
+    # deep ``creates_label`` does the sensor's label meet the trigger.
+    label = _nested(10_000, "a")
+    text = read_fixture("dont_publish_raw.lucon").replace("receives raw", f"receives {label}")
+    if deep == "creates_label":
+        text = text.replace("creates_label raw", f"creates_label {label}")
+    policy = tmp_path / "p.lucon"
+    policy.write_text(text)
+    violated = deep == "creates_label"
+    assert main(["compile", str(policy)]) == 0
+    assert f"creates_label(sensor, {label if violated else 'raw'})." in capsys.readouterr().out
+    assert main(["check", ROUTE, str(policy)]) == int(violated)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if violated:
+        assert "dontPublishRaw" in captured.out
+    else:
+        assert "is valid" in captured.out
+    assert main(["run", ROUTE, str(policy), "--services", MANIFEST]) == int(violated)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    summary = json.loads(captured.out)
+    if violated:
+        assert (summary["status"], summary["at_statement"]) == ("dropped", 6)
+        assert summary["rule"] == "dontPublishRaw"
+    else:
+        assert summary["status"] == "completed"
 
 
 def test_deeply_nested_route_term_checks_and_runs(tmp_path, capsys):
@@ -183,24 +201,6 @@ def test_deeply_nested_route_term_checks_and_runs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert json.loads(captured.out)["status"] == "completed"
-
-
-@pytest.mark.parametrize("command", ["check", "run"])
-def test_a_trigger_too_deep_to_hash_is_input_error(tmp_path, capsys, command):
-    # The trigger parses and compiles; building the rule's label test hashes
-    # it, which recurses about twice per level.
-    policy = tmp_path / "p.lucon"
-    policy.write_text(
-        read_fixture("dont_publish_raw.lucon").replace(
-            "receives raw", f"receives {_nested(700, 'a')}"
-        )
-    )
-    assert main(["compile", str(policy)]) == 0
-    capsys.readouterr()
-    assert main([command, ROUTE, str(policy)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: a term in the input is nested too deeply\n"
 
 
 @pytest.mark.parametrize(

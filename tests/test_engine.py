@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from labelflow import kernel
 from labelflow.engine import (
     BuiltinError,
     Clause,
@@ -184,15 +185,39 @@ def test_three_thousandth_answer_resolves():
     assert s_depth(answer["X"]) == 2999
 
 
-def test_goal_selected_through_deep_bindings_proves():
-    # w(T) is selected with T bound through 1,500 variables, one per level.
-    kb = kb_of("""
+def build_w_kb():
+    # p(N) builds T with one binding per level of N, then walks it with w.
+    return kb_of("""
     build(z, z). build(s(N), f(T)) :- build(N, T).
     w(z). w(f(T)) :- w(T).
     p(N) :- build(N, T), w(T).
     """)
+
+
+def test_goal_selected_through_deep_bindings_proves():
+    # w(T) is selected with T bound through 1,500 variables, one per level.
+    kb = build_w_kb()
     assert provable(kb, Compound("p", (peano(1500),)))
     assert not provable(kb, Compound("w", (Compound("f", (Atom("a"),)),)))
+
+
+def test_selecting_a_user_goal_resolves_nothing(monkeypatch):
+    # A user goal unifies through the bindings as it stands: the resolve
+    # calls of a proof do not grow with the terms its goals carry.
+    calls = []
+    resolve = kernel.resolve
+
+    def counting(t, bindings):
+        calls.append(t)
+        return resolve(t, bindings)
+
+    monkeypatch.setattr(kernel, "resolve", counting)
+    counts = {}
+    for n in (500, 1500):
+        calls.clear()
+        assert provable(build_w_kb(), Compound("p", (peano(n),)))
+        counts[n] = len(calls)
+    assert counts[500] == counts[1500] == 0
 
 
 def test_no_step_of_a_derivation_costs_a_python_frame():

@@ -1,5 +1,8 @@
 import itertools
+import os
+import pickle
 import re
+import subprocess
 import sys
 import time
 import warnings
@@ -31,7 +34,7 @@ from labelflow.terms import (
 )
 
 from .conftest import read_fixture
-from .helpers import reference_tokens
+from .helpers import _same_term, reference_tokens, substitute
 
 
 def test_parse_atom():
@@ -220,6 +223,75 @@ def test_format_parse_round_trip(term):
 def test_format_term_rejects_a_value_that_is_not_a_term():
     with pytest.raises(TypeError, match="not a term: 3"):
         format_term(3)
+
+
+# -- structural equality and the cached hash -------------------------------
+
+# Few leaves and functors, so that independently drawn terms are often
+# equal; ``Atom("a")`` and ``Str("a")`` differ only in type.
+_small_terms = st.recursive(
+    st.sampled_from([Atom("a"), Str("a"), Var("X"), Int(1)]),
+    lambda children: st.builds(
+        Compound,
+        st.sampled_from(["f", "g"]),
+        st.lists(children, min_size=1, max_size=2).map(tuple),
+    ),
+    max_leaves=6,
+)
+
+
+@given(_small_terms, _small_terms, st.booleans())
+def test_equality_is_structural_and_agrees_with_the_hash(a, b, copy):
+    if copy:
+        b = substitute(a, {})  # equal to ``a``, with none of its compounds
+    same = _same_term(a, b)
+    assert (a == b) is same
+    assert (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
+
+
+def test_compound_equality_is_type_strict():
+    t = Compound("f", (Atom("a"),))
+    assert t != Compound("f", (Str("a"),))
+    for other in (Atom("f"), Str("f(a)"), Var("f"), Int(1), "f(a)", ("f", (Atom("a"),))):
+        assert t != other and other != t
+
+
+def _chain(leaf, depth):
+    for _ in range(depth):
+        leaf = Compound("f", (leaf,))
+    return leaf
+
+
+def test_deep_compound_hashes_and_compares_without_recursion():
+    a, b, c = (_chain(leaf, 10_000) for leaf in (Atom("a"), Atom("a"), Atom("b")))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        assert hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a == b and not a != b
+        assert a != c and not a == c
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_an_unpickled_compound_hashes_as_the_loading_process_does():
+    # Another process hashes strings with another seed, so the cached hash
+    # is computed again on loading, not carried in the pickle.
+    src = os.path.dirname(os.path.dirname(terms_module.__file__))
+    code = (
+        "import pickle, sys; from labelflow.terms import Atom, Compound; "
+        "print(pickle.load(sys.stdin.buffer) in {Compound('f', (Atom('a'),))})"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        input=pickle.dumps(Compound("f", (Atom("a"),))),
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1"),
+        capture_output=True,
+        check=True,
+    ).stdout
+    assert loaded == b"True\n"
 
 
 # -- the tokenizer against the character-at-a-time oracle --------------------

@@ -53,6 +53,15 @@ def test_shared_variable_consistency():
     )
 
 
+def test_two_occurrences_of_a_variable_unify_without_binding_it():
+    # Distinct objects of one variable: binding it to itself would make
+    # ``walk`` loop.
+    assert kernel.unify(Var("X"), Var("X")) == {}
+    xx = Compound("f", (Var("X"), Var("X")))
+    yy = Compound("f", (Var("Y"), Var("Y")))
+    assert kernel.unify(xx, yy) == {"X": Var("Y")}
+
+
 def test_string_and_int_are_distinct():
     assert kernel.unify(Str("1"), Int(1)) is None
 
