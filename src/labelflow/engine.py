@@ -27,7 +27,7 @@ Textual clause format: ``head.`` for facts, ``head :- b1, b2.`` for rules,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernel
@@ -85,6 +85,12 @@ class Literal:
 class Clause:
     head: Term
     body: tuple = ()
+    # Whether this is a fact without variables, which renames apart to
+    # itself: None until the solver first renames the clause. Two queries
+    # racing to decide it store the same value.
+    ground_fact: bool | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not isinstance(self.head, (Atom, Compound)):
@@ -226,7 +232,14 @@ class _Solver:
         self.fresh = 0
 
     def _rename_clause(self, clause: Clause) -> tuple[Term, tuple]:
-        """``clause``'s head and body literals, renamed apart."""
+        """``clause``'s head and body literals, renamed apart; a ground
+        fact's head is its own renaming."""
+        ground = clause.ground_fact
+        if ground is None:  # decided once per clause, and only for a candidate
+            ground = not clause.body and kernel.is_ground(clause.head)
+            object.__setattr__(clause, "ground_fact", ground)
+        if ground:
+            return clause.head, ()
         self.fresh += 1
         suffix = f"#{self.fresh}"
         head = kernel.rename(clause.head, suffix)

@@ -44,8 +44,10 @@ whose label test was built once with the service's coverage.
 builds its obligations and result with the C-level ``tuple.__new__``, which
 runs no Python code per record. A request goes through a Python
 ``__new__``, which refuses an empty target and freezes labels given as any
-other iterable. Terms and route statements stay frozen dataclasses (see
-``_new_record``).
+other iterable. The policy AST records that ``decide`` reads
+(``ServiceDecl``, ``FlowRule``, ``Decision``, ``Obligation``, ``PolicyAst``)
+are ``NamedTuple``s too, which both policy parsers build the same way.
+Terms and route statements stay frozen dataclasses (see ``_new_record``).
 """
 
 from __future__ import annotations
@@ -63,10 +65,11 @@ from .policy_compiler import service_matches  # noqa: F401
 from .terms import Atom, Compound, Term
 
 # C-level constructor: builds a record without its Python ``__new__``.
-# Only records whose equality may ignore their type are tuples. Terms and
-# route statements stay frozen dataclasses, because their equality is
-# type-strict (``Atom("a") != Str("a")``, ``To(s) != Bean(s)``), and tuple
-# equality compares the fields alone.
+# Only records whose equality may ignore their type are tuples: these, the
+# runtime's audit events and the policy AST's records (``policy`` says why
+# theirs may). Terms and route statements stay frozen dataclasses, because
+# their equality is type-strict (``Atom("a") != Str("a")``, ``To(s) !=
+# Bean(s)``), and tuple equality compares the fields alone.
 _new_record = tuple.__new__
 
 _SEVERITY = {effect: rank for rank, effect in enumerate(EFFECTS)}

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .terms import (
     Atom,
@@ -87,8 +87,7 @@ class ValidationError(Exception):
     them."""
 
 
-@dataclass(frozen=True, slots=True)
-class ServiceDecl:
+class ServiceDecl(NamedTuple):
     id: str
     endpoint: str
     properties: tuple = ()
@@ -97,30 +96,35 @@ class ServiceDecl:
     removes_labels: tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Obligation:
+class Obligation(NamedTuple):
     action: Term
     otherwise: str = "error"  # fail-safe default
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(NamedTuple):
     effect: str
     obligations: tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRule:
+class FlowRule(NamedTuple):
     name: str
     target: str  # id of a declared service
     trigger_labels: tuple = ()
     decision: Decision = Decision("allow")
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyAst:
+class PolicyAst(NamedTuple):
     services: tuple = ()
     rules: tuple = ()
+
+
+# C-level constructor: builds a record without NamedTuple's Python
+# ``__new__``, so parsing runs no Python code per service, rule, decision
+# or obligation. Equality of these records ignores their type, as tuple
+# equality does, but no two of them can hold equal fields: ServiceDecl has
+# six and FlowRule four, and of the two-field records Decision starts with
+# a str, Obligation with a term and PolicyAst with a tuple.
+_new_record = tuple.__new__
 
 
 def generated_service_id(
@@ -173,10 +177,11 @@ class _Document:
         for a block without one, its declaration, whose id ``ast`` settles.
         """
         if sid is None:
-            decl = ServiceDecl(generated_service_id(endpoint, *lists), endpoint, *lists)
+            sid = generated_service_id(endpoint, *lists)
+            decl = _new_record(ServiceDecl, (sid, endpoint, *lists))
             self.services.setdefault(decl, lists)
             return decl
-        self.services[ServiceDecl(sid, endpoint, *lists)] = None
+        self.services[_new_record(ServiceDecl, (sid, endpoint, *lists))] = None
         return sid
 
     def rule(self, name: str | None, target, triggers: tuple, decision) -> None:
@@ -194,7 +199,7 @@ class _Document:
             # Keys are distinct, so another holder is a different declaration.
             if lists is not None and held.setdefault(decl.id, decl) is not decl:
                 sid = generated_service_id(decl.endpoint, *lists, digits=20)
-                longer[decl] = ServiceDecl(sid, decl.endpoint, *lists)
+                longer[decl] = _new_record(ServiceDecl, (sid, decl.endpoint, *lists))
         services, rules = self.services, self.rules
         if longer:
             services = dict.fromkeys(longer.get(d, d) for d in services)
@@ -204,12 +209,13 @@ class _Document:
             held_names = {rule[0] for rule in rules}
             fresh = (n for i in count(1) if (n := f"rule{i}") not in held_names)
         rules = tuple(
-            FlowRule(
-                name or next(fresh), t if type(t) is str else t.id, triggers, decision
+            _new_record(
+                FlowRule,
+                (name or next(fresh), t if type(t) is str else t.id, triggers, decision),
             )
             for name, t, triggers, decision in rules
         )
-        return PolicyAst(tuple(services), rules)
+        return _new_record(PolicyAst, (tuple(services), rules))
 
 
 class _PolicyParser(_Document):
@@ -313,9 +319,10 @@ class _PolicyParser(_Document):
         while tok.accept("ATOM", "require"):
             action = self._parse_term()
             otherwise = self._effect() if tok.accept("ATOM", "otherwise") else "error"
-            obligations.append(Obligation(action, otherwise))
+            obligations.append(_new_record(Obligation, (action, otherwise)))
         tok.next("PUNCT", "}")
-        self.rule(name, target, triggers, Decision(effect, tuple(obligations)))
+        decision = _new_record(Decision, (effect, tuple(obligations)))
+        self.rule(name, target, triggers, decision)
 
 
 # The block recognizer's subset of the language, as pieces of one pattern.
@@ -428,10 +435,13 @@ class _BlockRecognizer(_Document):
             actions = ()
             if obligations:
                 actions = tuple(
-                    Obligation(self._terms(action)[0], otherwise or "error")
+                    _new_record(
+                        Obligation, (self._terms(action)[0], otherwise or "error")
+                    )
                     for action, otherwise in _OBLIGATIONS.findall(obligations)
                 )
-            self.rule(name, target, self._terms(triggers), Decision(effect, actions))
+            decision = _new_record(Decision, (effect, actions))
+            self.rule(name, target, self._terms(triggers), decision)
         return self.ast()
 
     def _service(self, body: str, sid, endpoint: str, last_list) -> str | ServiceDecl:

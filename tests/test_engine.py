@@ -220,6 +220,22 @@ def test_selecting_a_user_goal_resolves_nothing(monkeypatch):
     assert counts[500] == counts[1500] == 0
 
 
+def test_no_ground_term_is_renamed(monkeypatch):
+    # A fact without variables renames to itself, so the solver unifies its
+    # head as it stands: path/2 renames its two rules and no edge fact.
+    renamed = []
+    rename = kernel.rename
+
+    def recording(t, suffix):
+        renamed.append(t)
+        return rename(t, suffix)
+
+    monkeypatch.setattr(kernel, "rename", recording)
+    assert provable(chain_kb(200), parse_query("path(n0, n200)"))
+    assert renamed
+    assert not [t for t in renamed if kernel.is_ground(t)]
+
+
 def test_no_step_of_a_derivation_costs_a_python_frame():
     kb = chain_kb(5000)
     counting = count_kb()

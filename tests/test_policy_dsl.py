@@ -137,13 +137,14 @@ def test_hoisted_ids_are_pinned():
 
 def test_each_service_block_builds_one_declaration(monkeypatch):
     built = []
-    init = ServiceDecl.__init__
+    new_record = policy_module._new_record
 
-    def counting(self, *args, **kwargs):
-        built.append(None)
-        init(self, *args, **kwargs)
+    def counting(cls, fields):
+        if cls is ServiceDecl:
+            built.append(None)
+        return new_record(cls, fields)
 
-    monkeypatch.setattr(ServiceDecl, "__init__", counting)
+    monkeypatch.setattr(policy_module, "_new_record", counting)
     ast = parse_policy(HOISTED)
     assert len(ast.services) == 3  # s and two hoisted inline targets
     assert len(built) == 3
@@ -475,9 +476,24 @@ def test_validation_empty_triggers():
         compile_policy(ast)
 
 
+def _assert_record_types(ast):
+    """Every record of ``ast`` has exactly its type: a bare tuple with the
+    same fields would compare equal to it."""
+    assert type(ast) is PolicyAst
+    assert all(type(s) is ServiceDecl for s in ast.services)
+    assert all(type(r) is FlowRule for r in ast.rules)
+    assert all(type(r.decision) is Decision for r in ast.rules)
+    assert all(
+        type(ob) is Obligation for r in ast.rules for ob in r.decision.obligations
+    )
+
+
 def test_comments_and_fixture_parse():
-    ast = parse_policy(read_fixture("dont_publish_raw.lucon"))
+    text = read_fixture("dont_publish_raw.lucon")
+    ast = parse_policy(text)
     assert {r.name for r in ast.rules} == {"dontPublishRaw"}
+    for parsed in (_BlockRecognizer().parse(text), _token_parse(text)):
+        _assert_record_types(parsed)
 
 
 def test_format_parse_identity_on_fixture():
@@ -638,6 +654,10 @@ def mutated_documents(draw):
 def test_recognizer_and_token_parser_agree_on_mutated_documents(document):
     text, kept_lexemes = document
     _assert_same_outcome(text)
+    for ast in (_BlockRecognizer().parse(text), _outcome(_token_parse, text)):
+        # None: outside the recognizer's subset; else an AST or an error
+        if ast is not None and ast[0] is not TermSyntaxError:
+            _assert_record_types(ast)
     if kept_lexemes:
         # A formatted document with only whitespace and comments changed
         # lies inside the subset.
