@@ -21,7 +21,7 @@ from .engine import (
     solve,
 )
 from .kernel import unify
-from .pdp import DecisionRequest, DecisionResult, bench_decide, decide
+from .pdp import DecisionResult, bench_decide, decide
 from .policy import PolicyAst, ValidationError, format_policy, parse_policy
 from .policy_compiler import CompiledPolicy, compile_policy, emit_clauses
 from .routes import Route, RouteError, format_route, parse_route

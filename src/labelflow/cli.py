@@ -206,11 +206,12 @@ def cmd_run(args) -> int:
         except RecursionError:
             raise CliError(f"{args.services}: JSON nested too deeply")
         registries = build_registries(manifest)
+    # Every route loads before any runs, so an input error runs none.
+    routes = [_load(path, parse_route) for path in args.routes]
     audit_lines = []
     worst = 0
     env: dict = {}
-    for route_path in args.routes:
-        route = _load(route_path, parse_route)
+    for route in routes:
         services, obligations = registries or (
             _default_registry_for(route), ObligationRegistry()
         )

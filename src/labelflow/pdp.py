@@ -39,12 +39,17 @@ once per (pattern, label) pair; empty or ground removes call it not at all.
 The removes that ``resolve_transforms`` gives are a ``kernel.LabelTerms``,
 whose label test was built once with the service's coverage.
 
-``DecisionRequest``, ``BoundObligation`` and ``DecisionResult`` are
-``NamedTuple``s: immutable, and equal and hashed by their fields. ``decide``
-builds its obligations and result with the C-level ``tuple.__new__``, which
-runs no Python code per record. A request goes through a Python
-``__new__``, which refuses an empty target and freezes labels given as any
-other iterable. The policy AST records that ``decide`` reads
+A decision is a function of the service, its URL and the labels alone.
+The obligations it returns carry each rule's action as the rule wrote it;
+the runtime, which enforces them, replaces ``message`` in an action with
+the running message's id when it invokes the action (the decision point
+and enforcement point of OASIS XACML 3.0). ``decide`` refuses an empty
+target and freezes labels given as any other iterable.
+
+``BoundObligation`` and ``DecisionResult`` are ``NamedTuple``s: immutable,
+and equal and hashed by their fields. ``decide`` builds them with the
+C-level ``tuple.__new__``, which runs no Python code per record. The policy
+AST records that ``decide`` reads
 (``ServiceDecl``, ``FlowRule``, ``Decision``, ``Obligation``, ``PolicyAst``)
 are ``NamedTuple``s too, which both policy parsers build the same way.
 Terms and route statements stay frozen dataclasses (see ``_new_record``).
@@ -57,7 +62,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .kernel import LabelTerms, label_test, match, matched_labels, rebuild
+from .kernel import LabelTerms, label_test, match, matched_labels
 from .policy import EFFECTS, Decision, FlowRule, PolicyAst, ServiceDecl
 from .policy_compiler import CompiledPolicy, compile_policy, covering_declarations
 # flowbench/tracing.py patches labelflow.pdp.service_matches.
@@ -100,29 +105,8 @@ def apply_label_transform(labels: frozenset, removes, creates) -> frozenset:
     return kept.union(creates)
 
 
-class _RequestFields(NamedTuple):
-    service: str
-    labels: frozenset
-    url: str | None = None
-    message_ref: Term | None = None
-
-
-class DecisionRequest(_RequestFields):
-    """``service`` is a service atom or a bare endpoint URL, ``url`` the route's
-    endpoint URL for that atom; a rule whose target matches either covers it."""
-
-    __slots__ = ()
-
-    def __new__(cls, service, labels, url=None, message_ref=None):
-        if not service:
-            raise ValueError("decision request needs a target")
-        if type(labels) is not frozenset:
-            labels = frozenset(labels)
-        return _new_record(cls, (service, labels, url, message_ref))
-
-
 class BoundObligation(NamedTuple):
-    action: Term  # with the ``message`` variable bound, when a ref was given
+    action: Term  # the rule's own action; ``rule`` imposed it
     otherwise: str
     rule: str
 
@@ -155,19 +139,18 @@ def rule_matches(triggers: tuple, labels: frozenset) -> bool:
     return True
 
 
-def _bind_message(action: Term, ref: Term | None) -> Term:
-    """``action`` with every atom ``message`` replaced by ``ref``."""
-    if ref is None:
-        return action
-    return rebuild(
-        action, lambda x: ref if type(x) is Atom and x.name == "message" else None
-    )
-
-
-def decide(policy: CompiledPolicy, req: DecisionRequest) -> DecisionResult:
-    """The decision on ``req``; identical inputs give identical results."""
-    labels = req.labels
-    plan = covering_declarations(policy, req.service, req.url)
+def decide(
+    policy: CompiledPolicy, service: str, labels: frozenset, url: str | None = None
+) -> DecisionResult:
+    """The decision on ``labels`` arriving at ``service``, a service atom or a
+    bare endpoint URL; ``url`` is the route's endpoint URL for that atom, and
+    a rule whose target matches either covers the request. Identical inputs
+    give identical results."""
+    if not service:
+        raise ValueError("decision request needs a target")
+    if type(labels) is not frozenset:
+        labels = frozenset(labels)
+    plan = covering_declarations(policy, service, url)
     rules = [
         rule
         for rule, triggers in zip(plan.rules, plan.triggers)
@@ -177,11 +160,8 @@ def decide(policy: CompiledPolicy, req: DecisionRequest) -> DecisionResult:
         return _DEFAULT_RESULTS[policy.default_effect]
     effects = [rule.decision.effect for rule in rules]
     effect = most_restrictive(effects)
-    ref = req.message_ref
     obligations = tuple(
-        _new_record(
-            BoundObligation, (_bind_message(ob.action, ref), ob.otherwise, rule.name)
-        )
+        _new_record(BoundObligation, (ob.action, ob.otherwise, rule.name))
         for rule in rules
         for ob in rule.decision.obligations
     )
@@ -232,10 +212,11 @@ def worst_case_policy(n_rules: int) -> CompiledPolicy:
     return compile_policy(PolicyAst(services, rules))
 
 
-def bench_request(n_labels: int) -> DecisionRequest:
+def bench_request(n_labels: int) -> frozenset:
+    """The labels of the bench request, which targets ``BENCH_URL``."""
     labels = [Atom("bench_label")]
     labels += [Compound("filler", (Atom(f"l{i}"),)) for i in range(n_labels - 1)]
-    return DecisionRequest(BENCH_URL, frozenset(labels))
+    return frozenset(labels)
 
 
 def bench_decide(
@@ -253,8 +234,8 @@ def bench_decide(
     for n_rules in policy_sizes:
         policy = worst_case_policy(n_rules)
         for n_labels in label_counts:
-            req = bench_request(n_labels)
-            decide(policy, req)  # warm caches
+            labels = bench_request(n_labels)
+            decide(policy, BENCH_URL, labels)  # warm caches
             samples = []
             gc_was_enabled = gc.isenabled()
             gc.disable()  # collector pauses would swamp the short timings
@@ -264,7 +245,7 @@ def bench_decide(
                     best = float("inf")
                     for _ in range(3):
                         t0 = time.perf_counter()
-                        decide(policy, req)
+                        decide(policy, BENCH_URL, labels)
                         best = min(best, time.perf_counter() - t0)
                     samples.append(best * 1e6)
             finally:
@@ -275,7 +256,7 @@ def bench_decide(
             tracemalloc.start()
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            decide(policy, req)
+            decide(policy, BENCH_URL, labels)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             mean_us = sum(samples) / len(samples)

@@ -3,8 +3,9 @@
 Implements the taint-controlled execution rules:
 
 * from      — a fresh message carrying the source service's created labels
-* to / bean — the decision point is consulted first; when allowed the
-              handler runs and labels become (labels \\ removed) | created
+* to / bean — the decision point is consulted first and the obligations
+              it returns are invoked; when allowed the handler runs and
+              labels become (labels \\ removed) | created
 * choice    — the condition goal is proved against the policy base and the
               variables (msg_prop/env_prop); provable means the then branch
 * split     — one copy per branch, each with the original label set
@@ -19,7 +20,10 @@ order; global-variable writes in an earlier branch are visible to later
 ones. A drop removes the in-flight message and thereby ends the execution;
 an error terminates it exceptionally. Obligations run up to the first that
 fails, whose ``otherwise`` applies only if at least as restrictive as the
-decision. ``kernel.rebuild`` walks all route terms.
+decision. The decision point sees only the service, its URL and the
+labels; just before it invokes an obligation, ``_enter_service`` replaces
+the atom ``message`` in the rule's action with the running message's id, a
+``Str``. ``kernel.rebuild`` walks all route and obligation terms.
 
 Every executed statement appends one ``AuditEvent``, a ``NamedTuple`` that
 ``_Execution.record`` builds with the C-level ``tuple.__new__``, as ``decide``
@@ -43,13 +47,7 @@ from .engine import (
     default_builtins,
     provable,
 )
-from .pdp import (
-    DecisionRequest,
-    _new_record,
-    apply_label_transform,
-    decide,
-    most_restrictive,
-)
+from .pdp import _new_record, apply_label_transform, decide, most_restrictive
 from .policy_compiler import CompiledPolicy, resolve_transforms
 from .routes import (
     Aggregate,
@@ -290,6 +288,14 @@ def eval_condition(
 # ---------------------------------------------------------------------------
 
 
+def _bind_message(action: Term, message_id: str) -> Term:
+    """``action`` with every atom ``message`` replaced by ``Str(message_id)``."""
+    ref = Str(message_id)
+    return kernel.rebuild(
+        action, lambda x: ref if type(x) is Atom and x.name == "message" else None
+    )
+
+
 class _Execution:
     def __init__(
         self,
@@ -403,12 +409,11 @@ class _Execution:
         atom = stmt.service
         url = self.route.endpoints.get(atom)
         before = msg.labels
-        req = DecisionRequest(atom, before, url, Str(msg.id))
-        result = decide(self.policy, req)
+        result = decide(self.policy, atom, before, url)
         effect = result.effect
         rule = result.effect_rule
         for ob in result.obligations:
-            if not self.obligations.invoke(ob.action, msg):
+            if not self.obligations.invoke(_bind_message(ob.action, msg.id), msg):
                 if most_restrictive((ob.otherwise, effect)) == ob.otherwise:
                     effect = ob.otherwise
                     rule = ob.rule

@@ -10,9 +10,11 @@ verdict is therefore a conservative over-approximation.
 A violation is a reachable to/bean statement whose arrival label set folds
 to a drop or error decision. A set that no rule matches takes the default
 effect that ``compile_policy`` fixed on the policy; under drop it is a
-violation of rule ``default_deny``. Each distinct (rule, statement) violation
-yields one counterexample with a concrete trace (the first discovered
-path) and the arrival labels that the rule's triggers match.
+violation reported as rule ``default_deny``, whose offending labels are all
+the arrival labels, kept apart from any rule of that name. Each distinct
+(rule, statement) violation yields one counterexample with a concrete trace
+(the first discovered path) and the arrival labels that the rule's triggers
+match.
 
 A state is a statement, its arrival label set and the join that ends the
 enclosing split branch. Each state is visited once. Only a split reads
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .kernel import label_test, matched_labels
-from .pdp import DecisionRequest, apply_label_transform, decide
+from .pdp import apply_label_transform, decide
 from .policy_compiler import (
     CompiledPolicy,
     covering_declarations,
@@ -132,7 +134,7 @@ class _Verifier:
         self.names = route.names
         self.memo: dict = {}  # (stmt, labels, stop_at) -> summary, () outside splits
         self.steps: dict = {}  # (atom, arrival labels) -> (decision, exit labels)
-        self.violations: dict = {}  # (rule, stmt) -> list of Counterexample
+        self.violations: dict = {}  # (rule or None, stmt) -> list of Counterexample
         self.states = 0
 
     def step(self, atom: str, labels: frozenset):
@@ -145,8 +147,7 @@ class _Verifier:
         step = self.steps.get(key)
         if step is None:
             url = self.route.endpoints.get(atom)
-            req = DecisionRequest(atom, labels, url)
-            result = decide(self.policy, req)
+            result = decide(self.policy, atom, labels, url)
             removes, creates = resolve_transforms(self.policy, atom, url)
             step = self.steps[key] = (
                 result,
@@ -157,17 +158,18 @@ class _Verifier:
     def check(self, n, atom, labels, result, trace, choices) -> None:
         if result.effect == "allow":
             return
-        rule_name = result.effect_rule or "default_deny"
+        # None keys a default-deny violation apart from any rule's.
+        rule_name = result.effect_rule
         key = (rule_name, n)
         if not self.all_paths and key in self.violations:
             return
-        rule = self.policy.rule_index.get(rule_name)
-        if rule is not None:
-            offending = matched_labels(label_test(rule.trigger_labels), labels)
-        else:
+        if rule_name is None:
             offending = labels
+        else:
+            rule = self.policy.rule_index[rule_name]
+            offending = matched_labels(label_test(rule.trigger_labels), labels)
         ce = Counterexample(
-            rule=rule_name,
+            rule=rule_name or "default_deny",
             violating_service=atom,
             offending_labels=offending,
             trace=tuple(_flatten(trace)),

@@ -305,6 +305,23 @@ def test_run_multiple_routes_worst_exit_code(capsys):
     assert [s["status"] for s in summaries] == ["errored", "errored"]
 
 
+@pytest.mark.parametrize("later", ["missing", "unparsable"])
+def test_run_loads_every_route_before_running_any(tmp_path, capsys, later):
+    # An input error in a later route file leaves no summary and no audit
+    # of the routes before it.
+    bad = tmp_path / f"{later}.route"
+    if later == "unparsable":
+        bad.write_text("route r {\n  1: from(\n}\n")
+    audit = tmp_path / "audit.jsonl"
+    argv = ["run", ROUTE, str(bad), POLICY, "--services", MANIFEST]
+    assert main(argv + ["--audit", str(audit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(bad) in captured.err
+    assert not audit.exists()
+
+
 def test_run_manifest_missing_services_is_usage_error(capsys):
     assert main(["run", CHAIN_ROUTE, CHAIN_POLICY, "--services", MANIFEST]) == 2
     assert "no handler" in capsys.readouterr().err

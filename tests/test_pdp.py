@@ -9,7 +9,7 @@ import pytest
 
 from labelflow.pdp import (
     BENCH_CSV_HEADER,
-    DecisionRequest,
+    BENCH_URL,
     DecisionResult,
     apply_label_transform,
     bench_csv,
@@ -96,118 +96,87 @@ def test_apply_label_transform_removes_by_unification():
 
 
 def test_no_match_defaults_to_allow(compiled):
-    req = DecisionRequest("ftp://internal/", frozenset({Atom("raw")}))
-    result = decide(compiled, req)
+    result = decide(compiled, "ftp://internal/", frozenset({Atom("raw")}))
     assert result.effect == "allow"
     assert result.matched_rules == ()
     assert result.effect_rule is None
 
 
 def test_default_deny(compiled):
-    req = DecisionRequest("ftp://internal/", frozenset({Atom("raw")}))
     deny = compile_policy(compiled.ast, default_effect="drop")
-    assert decide(deny, req).effect == "drop"
+    assert decide(deny, "ftp://internal/", frozenset({Atom("raw")})).effect == "drop"
 
 
 @pytest.mark.parametrize("effect", ["allow", "drop", "error"])
 def test_no_match_gives_the_plain_default_result(compiled, effect):
-    uncovered = DecisionRequest("ftp://internal/", frozenset({Atom("raw")}))
-    unmatched = DecisionRequest("https://mq.example/out", frozenset({Atom("la")}))
     policy = compile_policy(compiled.ast, effect)
-    first = decide(policy, uncovered)
+    first = decide(policy, "ftp://internal/", frozenset({Atom("raw")}))
     assert first == DecisionResult(effect)
     # One immutable result per default effect serves every such decision.
-    assert decide(policy, unmatched) is first
+    unmatched = decide(policy, "https://mq.example/out", frozenset({Atom("la")}))
+    assert unmatched is first
 
 
 def test_url_match_with_trigger_label(compiled):
-    req = DecisionRequest("https://mq.example/out", frozenset({Atom("raw")}))
-    result = decide(compiled, req)
+    result = decide(compiled, "https://mq.example/out", frozenset({Atom("raw")}))
     assert result.effect == "drop"
     assert result.effect_rule == "dontPublishRaw"
 
 
 def test_labels_missing_means_no_match(compiled):
-    req = DecisionRequest("https://mq.example/out", frozenset({Atom("temperature")}))
-    assert decide(compiled, req).effect == "allow"
+    labels = frozenset({Atom("temperature")})
+    assert decide(compiled, "https://mq.example/out", labels).effect == "allow"
 
 
 def test_trigger_matches_label_up_to_unification(compiled):
-    req = DecisionRequest(
-        "https://mq.example/out", frozenset({Compound("merge", (Int(10),))})
-    )
-    result = decide(compiled, req)
+    labels = frozenset({Compound("merge", (Int(10),))})
+    result = decide(compiled, "https://mq.example/out", labels)
     assert result.effect == "error"
     assert result.effect_rule == "onlySmallWindows"
 
 
 def test_effect_fold_across_matching_rules(compiled):
-    req = DecisionRequest(
-        "https://mq.example/out",
-        frozenset({Atom("raw"), Compound("merge", (Int(3),))}),
-    )
-    result = decide(compiled, req)
+    labels = frozenset({Atom("raw"), Compound("merge", (Int(3),))})
+    result = decide(compiled, "https://mq.example/out", labels)
     assert result.effect == "error"  # error beats the drop of dontPublishRaw
     assert set(result.matched_rules) == {"dontPublishRaw", "onlySmallWindows"}
     assert result.effect_rule == "onlySmallWindows"
 
 
 def test_service_id_match(compiled):
-    req = DecisionRequest("sensor", frozenset({Atom("raw")}))
-    result = decide(compiled, req)
+    result = decide(compiled, "sensor", frozenset({Atom("raw")}))
     assert result.effect == "allow"
     assert result.matched_rules == ("auditSensor",)
 
 
 def test_secondary_service_id(compiled):
     # URL target misses, but the known service id still matches the rule.
-    req = DecisionRequest("sensor", frozenset({Atom("raw")}), url="ftp://weird/")
-    assert decide(compiled, req).matched_rules == ("auditSensor",)
+    result = decide(compiled, "sensor", frozenset({Atom("raw")}), url="ftp://weird/")
+    assert result.matched_rules == ("auditSensor",)
 
 
-def test_obligations_concatenate_and_bind_message(compiled):
-    req = DecisionRequest(
-        "https://mq.example/out",
-        frozenset({Atom("raw")}),
-        message_ref=Str("m7"),
-    )
-    result = decide(compiled, req)
-    (ob,) = result.obligations
-    assert ob.action == Compound("log", (Str("leak"), Str("m7")))
-    assert ob.otherwise == "error"
-    assert ob.rule == "dontPublishRaw"
+def test_empty_target_rejected(compiled):
+    for url in (None, "https://mq.example/out"):
+        with pytest.raises(ValueError, match="decision request needs a target"):
+            decide(compiled, "", frozenset({Atom("raw")}), url)
 
 
-def test_obligation_action_binds_message_at_every_depth():
-    depth = 900
-    text = POLICY.replace(
-        'log("leak", message)',
-        "both(" + "f(" * depth + "message" + ")" * depth
-        + ', g(message, 1, h(message, k(a)), "s"))',
-    )
-    req = DecisionRequest(
-        "https://mq.example/out", frozenset({Atom("raw")}), message_ref=Str("m7")
-    )
-    (ob,) = decide(compile_policy(parse_policy(text)), req).obligations
-    deep, mixed = ob.action.args
-    for _ in range(depth):
-        assert deep.functor == "f"
-        (deep,) = deep.args
-    assert deep == Str("m7")
-    m7 = Str("m7")
-    assert mixed == Compound(
-        "g", (m7, Int(1), Compound("h", (m7, Compound("k", (Atom("a"),)))), Str("s"))
-    )
-
-
-def test_empty_target_rejected():
-    with pytest.raises(ValueError):
-        DecisionRequest("", frozenset())
+@pytest.mark.parametrize("container", [list, tuple, set, iter])
+def test_decide_freezes_labels_given_as_any_iterable(compiled, container):
+    url = "https://mq.example/out"
+    for labels in (
+        [],
+        [Atom("raw")],
+        [Atom("raw"), Compound("merge", (Int(3),))],
+        [Atom("temperature")],
+    ):
+        expected = decide(compiled, url, frozenset(labels))
+        assert decide(compiled, url, container(labels)) == expected
 
 
 def test_decision_is_pure(compiled):
-    req = DecisionRequest("https://mq.example/out", frozenset({Atom("raw")}))
-    assert decide(compiled, req) == decide(compiled, req)
+    req = ("https://mq.example/out", frozenset({Atom("raw")}))
+    assert decide(compiled, *req) == decide(compiled, *req)
 
 
 @pytest.mark.parametrize("labels", [frozenset(), frozenset({Atom("raw")})])
@@ -215,11 +184,12 @@ def test_decide_rejects_an_unknown_default_effect(compiled, labels):
     # Whether or not a rule matches, "deny" is no effect: compiling with it
     # raises, so no policy decides anything with it, let alone allows the
     # unmatched request.
-    req = DecisionRequest("https://mq.example/out", labels)
     with pytest.raises(ValueError, match="unknown default effect 'deny'"):
         compile_policy(compiled.ast, "deny")
+    url = "https://mq.example/out"
     effects = [
-        decide(compile_policy(compiled.ast, effect), req).effect for effect in EFFECTS
+        decide(compile_policy(compiled.ast, effect), url, labels).effect
+        for effect in EFFECTS
     ]
     assert effects == (["drop"] * 3 if labels else list(EFFECTS))
 
@@ -227,18 +197,18 @@ def test_decide_rejects_an_unknown_default_effect(compiled, labels):
 # -- differential check against a from-scratch matcher ----------------------
 
 
-def reference_decide(policy, req):
+def reference_decide(policy, service, labels, url=None):
     matched = []
     for name, rule in policy.rule_index.items():
         decl = next(s for s in policy.ast.services if s.id == rule.target)
         covers = False
-        for target in (req.service, req.url):
+        for target in (service, url):
             if target is None:
                 continue
             if target == rule.target or re.fullmatch(decl.endpoint, target):
                 covers = True
         if covers and all(
-            any(match_pattern(t, l) is not None for l in req.labels)
+            any(match_pattern(t, l) is not None for l in labels)
             for t in rule.trigger_labels
         ):
             matched.append(name)
@@ -260,12 +230,9 @@ def test_decide_agrees_with_reference(seed):
             Atom(l) for l in rng.sample(LABEL_POOL, rng.randint(0, 4))
         )
         atom = rng.choice(SERVICE_POOL + (None,))
-        if atom is None:
-            req = DecisionRequest(target, labels)
-        else:
-            req = DecisionRequest(atom, labels, url=target)
-        got = decide(policy, req)
-        effect, matched = reference_decide(policy, req)
+        req = (target, labels) if atom is None else (atom, labels, target)
+        got = decide(policy, *req)
+        effect, matched = reference_decide(policy, *req)
         assert got.effect == effect
         assert got.matched_rules == matched
 
@@ -280,8 +247,8 @@ def test_monotonicity_in_labels(compiled):
         }
         big = small | {Compound("merge", (Int(rng.randint(0, 5)),))}
         url = "https://mq.example/out"
-        e_small = decide(compiled, DecisionRequest(url, small)).effect
-        e_big = decide(compiled, DecisionRequest(url, big)).effect
+        e_small = decide(compiled, url, small).effect
+        e_big = decide(compiled, url, big).effect
         assert order[e_big] >= order[e_small]
 
 
@@ -290,10 +257,10 @@ def test_monotonicity_in_labels(compiled):
 
 def test_worst_case_policy_all_rules_match():
     policy = worst_case_policy(7)
-    req = bench_request(3)
-    covering = covering_declarations(policy, req.service, req.url)
+    labels = bench_request(3)
+    covering = covering_declarations(policy, BENCH_URL)
     assert covering.rules == tuple(policy.rule_index.values())
-    assert all(rule_matches(t, req.labels) for t in covering.triggers)
+    assert all(rule_matches(t, labels) for t in covering.triggers)
     assert len(policy.rule_index) == 7
 
 
@@ -315,11 +282,11 @@ def test_repeated_decide_runs_no_regex():
         policy.endpoint_regexes[endpoint] = _CountingPattern(
             re.compile(endpoint), calls
         )
-    req = bench_request(3)
-    first = decide(policy, req)
-    assert calls == [req.service]
+    labels = bench_request(3)
+    first = decide(policy, BENCH_URL, labels)
+    assert calls == [BENCH_URL]
     calls.clear()
-    assert decide(policy, req) == first
+    assert decide(policy, BENCH_URL, labels) == first
     assert calls == []
     assert len(first.matched_rules) == 50
 
@@ -332,7 +299,7 @@ def test_decide_resolves_coverage_once(monkeypatch):
         return covering_declarations(policy, service, url)
 
     monkeypatch.setattr(pdp, "covering_declarations", counting)
-    result = decide(worst_case_policy(50), bench_request(3))
+    result = decide(worst_case_policy(50), BENCH_URL, bench_request(3))
     assert len(calls) == 1
     assert len(result.matched_rules) == 50
 
@@ -347,14 +314,14 @@ def test_worst_case_decide_scans_every_rule(monkeypatch, n_rules):
 
     monkeypatch.setattr(pdp, "rule_matches", counting)
     policy = worst_case_policy(n_rules)
-    req = bench_request(3)
-    plan = covering_declarations(policy, req.service, req.url)
+    labels = bench_request(3)
+    plan = covering_declarations(policy, BENCH_URL)
     # Every rule has the same triggers, so the scanned tests are told apart
     # by identity and named by the planned rule they belong to.
     names = {id(t): r.name for r, t in zip(plan.rules, plan.triggers)}
     for _ in range(2):
         scanned.clear()
-        result = decide(policy, req)
+        result = decide(policy, BENCH_URL, labels)
         assert [names[id(t)] for t in scanned] == list(policy.rule_index)
         assert result.matched_rules == tuple(policy.rule_index)
 
@@ -386,10 +353,10 @@ def test_two_decides_build_each_trigger_test_once_and_scan_the_plan_in_order(
     monkeypatch.setattr(policy_compiler, "label_test", counting_label_test)
     monkeypatch.setattr(pdp, "rule_matches", counting_rule_matches)
     policy = compile_policy(parse_policy(SHAPES + OTHER_TARGET))
-    req = DecisionRequest("s", frozenset({Compound("w", (Int(1),)), Atom("raw")}))
+    labels = frozenset({Compound("w", (Int(1),)), Atom("raw")})
     for _ in range(2):
         scanned.clear()
-        assert decide(policy, req).matched_rules == ("wx", "wy", "any")
+        assert decide(policy, "s", labels).matched_rules == ("wx", "wy", "any")
         plan = covering_declarations(policy, "s")
         assert len(scanned) == len(plan.triggers)
         assert all(map(operator.is_, scanned, plan.triggers))
@@ -466,7 +433,7 @@ def _pair(x, y):
 
 
 def _matched(policy, *labels):
-    return decide(policy, DecisionRequest("s", frozenset(labels))).matched_rules
+    return decide(policy, "s", frozenset(labels)).matched_rules
 
 
 def test_alpha_equivalent_rules_decide_alike():
@@ -547,10 +514,22 @@ def test_decide_and_removal_never_unify(monkeypatch):
     assert out == frozenset(labels[3:] + (Atom("new"),)) - {Int(5)}
 
 
-def test_request_keeps_its_frozenset():
+def test_request_keeps_its_frozenset(monkeypatch):
+    # A frozenset is tested as it is given, not copied; a list is frozen.
+    tested: list = []
+
+    def recording(triggers, labels):
+        tested.append(labels)
+        return rule_matches(triggers, labels)
+
+    monkeypatch.setattr(pdp, "rule_matches", recording)
+    policy = compile_policy(parse_policy(SHAPES))
     labels = frozenset({Atom("raw")})
-    assert DecisionRequest("s", labels).labels is labels
-    assert DecisionRequest("s", [Atom("raw")]).labels == labels
+    assert decide(policy, "s", labels).matched_rules == ("any",)
+    assert tested and all(t is labels for t in tested)
+    tested.clear()
+    assert decide(policy, "s", [Atom("raw")]).matched_rules == ("any",)
+    assert tested and all(type(t) is frozenset and t == labels for t in tested)
 
 
 # -- the from-scratch matcher, over pattern triggers ------------------------
@@ -602,9 +581,9 @@ def test_pattern_triggers_agree_with_reference(seed):
     policy = _pattern_policy(rng)
     for _ in range(15):
         labels = frozenset(rng.sample(_GROUND_LABELS, rng.randint(0, 4)))
-        req = DecisionRequest(rng.choice(("s1", "s2")), labels, url="svc://s1")
-        got = decide(policy, req)
-        assert (got.effect, got.matched_rules) == reference_decide(policy, req)
+        req = (rng.choice(("s1", "s2")), labels, "svc://s1")
+        got = decide(policy, *req)
+        assert (got.effect, got.matched_rules) == reference_decide(policy, *req)
         removes = rng.sample(_PATTERN_TRIGGERS, rng.randint(0, 2))
         kept = {
             l for l in labels if all(match_pattern(r, l) is None for r in removes)

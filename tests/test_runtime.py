@@ -30,7 +30,7 @@ from labelflow.runtime import (
     execute,
     taint_permissiveness_demo,
 )
-from labelflow.terms import Atom, Compound, Int, Str, Var
+from labelflow.terms import Atom, Compound, Int, Str, Var, parse_term
 from labelflow.verifier import verify
 
 from .conftest import read_fixture
@@ -505,6 +505,101 @@ def test_an_obligation_that_is_not_callable_counts_as_failure():
     assert (out.status, out.rule) == ("dropped", "mustLog")
 
 
+BINDING_POLICY = """
+service { id src endpoint "svc://src" creates_label raw }
+service { id out endpoint "svc://out" }
+flow_rule {
+  id first
+  when out receives raw
+  decide allow
+    require log("leak", message) otherwise error
+    require note(message, 1) otherwise drop
+}
+flow_rule { id second when out receives raw decide allow require log("again", message) }
+"""
+
+BINDING_ROUTE = """
+route r {
+  services { a = "svc://src" b = "svc://out" }
+  1: from(a)
+  2: split parts -> 3, 4
+  3: to(b) -> 5
+  4: to(b) -> 5
+  5: aggregate concat
+  6: to(b)
+}
+"""
+
+
+def recording_obligations(seen, *keys):
+    """A registry whose ``name/arity`` actions record (name, args, message id)."""
+    obligations = ObligationRegistry()
+    for name, arity in keys:
+
+        def record(args, msg, name=name):
+            seen.append((name, args, msg.id))
+            return True
+
+        obligations.register(name, arity, record)
+    return obligations
+
+
+def test_obligations_concatenate_and_bind_message():
+    policy = compile_policy(parse_policy(BINDING_POLICY))
+    # The decision returns each rule's action as the rule wrote it ...
+    result = pdp.decide(policy, "b", frozenset({Atom("raw")}), "svc://out")
+    message = Atom("message")
+    assert [tuple(ob) for ob in result.obligations] == [
+        (Compound("log", (Str("leak"), message)), "error", "first"),
+        (Compound("note", (message, Int(1))), "drop", "first"),
+        (Compound("log", (Str("again"), message)), "error", "second"),
+    ]
+    # ... and the runtime binds ``message`` to the running message's id when
+    # it invokes the action, in rule declaration order.
+    seen: list = []
+    obligations = recording_obligations(seen, ("log", 2), ("note", 2))
+    out = run_route(BINDING_ROUTE, policy, obligations=obligations)
+    assert out.status == "completed"
+    entered = [ev.message_id for ev in out.audit if ev.decision is not None]
+    assert entered == ["m2", "m3", "m4"]
+    assert seen == [
+        call
+        for m in map(Str, entered)
+        for call in (
+            ("log", (Str("leak"), m), m.value),
+            ("note", (m, Int(1)), m.value),
+            ("log", (Str("again"), m), m.value),
+        )
+    ]
+
+
+def test_obligation_action_binds_message_at_every_depth():
+    depth = 900
+    action = (
+        "both(" + "f(" * depth + "message" + ")" * depth
+        + ', g(message, 1, h(message, k(a)), "s"))'
+    )
+    policy = compile_policy(
+        parse_policy(OBLIGATION_POLICY.replace("log(message)", action))
+    )
+    (ob,) = pdp.decide(policy, "b", frozenset({Atom("raw")}), "svc://out").obligations
+    assert ob.action == parse_term(action)  # unbound
+    seen: list = []
+    obligations = recording_obligations(seen, ("both", 2))
+    out = run_route(OBLIGATION_ROUTE, policy, obligations=obligations)
+    assert out.status == "completed"
+    ((_, (deep, mixed), message_id),) = seen
+    assert message_id == "m1"
+    for _ in range(depth):
+        assert deep.functor == "f"
+        (deep,) = deep.args
+    m1 = Str("m1")
+    assert deep == m1
+    assert mixed == Compound(
+        "g", (m1, Int(1), Compound("h", (m1, Compound("k", (Atom("a"),)))), Str("s"))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Expressions, conditions, globals.
 # ---------------------------------------------------------------------------
@@ -754,7 +849,7 @@ def test_to_scans_only_the_rules_targeting_its_service(monkeypatch, n_rules):
         return rule_matches(triggers, labels)
 
     def counting_decide(*args, **kwargs):
-        decisions.append(args[1].service)
+        decisions.append(args[1])
         return pdp.decide(*args, **kwargs)
 
     monkeypatch.setattr(runtime, "decide", counting_decide)
@@ -897,13 +992,6 @@ _RAW = frozenset({Atom("raw")})
             id="AuditEvent",
         ),
         pytest.param(
-            lambda: pdp.DecisionRequest("s", [Atom("raw")], "s://x", Str("m1")),
-            "labels",
-            "DecisionRequest(service='s', labels=frozenset({raw}), url='s://x', "
-            'message_ref="m1")',
-            id="DecisionRequest",
-        ),
-        pytest.param(
             lambda: pdp.BoundObligation(Compound("log", (Str("m1"),)), "error", "r"),
             "otherwise",
             "BoundObligation(action=log(\"m1\"), otherwise='error', rule='r')",
@@ -935,15 +1023,9 @@ def test_record_contract(make, field, text):
 def test_execute_builds_records_without_python_constructors(
     monkeypatch, sensor_route, dont_publish_raw
 ):
-    # Audit events, results and obligations are built by ``tuple.__new__``;
-    # only a request, once per to/bean statement, runs Python code to check
-    # its target and freeze its labels.
-    records = (
-        runtime.AuditEvent,
-        pdp.DecisionRequest,
-        pdp.DecisionResult,
-        pdp.BoundObligation,
-    )
+    # Audit events, results and obligations are built by ``tuple.__new__``,
+    # which runs no Python code.
+    records = (runtime.AuditEvent, pdp.DecisionResult, pdp.BoundObligation)
     calls = dict.fromkeys(records, 0)
     for cls in records:
         for name in ("__new__", "__init__"):
@@ -962,12 +1044,7 @@ def test_execute_builds_records_without_python_constructors(
     statements = sensor_route.statements
     services = [e for e in out.audit if isinstance(statements[e.statement], (To, Bean))]
     assert len(services) == 3 and len(out.audit) == 6
-    assert calls == {
-        runtime.AuditEvent: 0,
-        pdp.DecisionRequest: len(services),
-        pdp.DecisionResult: 0,
-        pdp.BoundObligation: 0,
-    }
+    assert calls == dict.fromkeys(records, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -997,9 +1074,9 @@ def test_execute_decides_once_per_to_and_bean(monkeypatch, seed, max_statements)
     decided = []
     decide = runtime.decide
 
-    def counting(policy, req):
-        decided.append(req.service)
-        return decide(policy, req)
+    def counting(policy, service, labels, url=None):
+        decided.append(service)
+        return decide(policy, service, labels, url)
 
     monkeypatch.setattr(runtime, "decide", counting)
     stmts = route.statements

@@ -174,6 +174,48 @@ def test_default_deny_counterexample_uses_arrival_labels():
     assert ce.offending_labels == frozenset({Atom("x")})
 
 
+NAMESAKE_SERVICES = """
+service { id sensor endpoint "svc://sensor" creates_label s }
+service { id a endpoint "svc://a" }
+service { id b endpoint "svc://b" creates_label raw }
+service { id c endpoint "svc://c" }
+flow_rule { id okB when b receives s decide allow }
+"""
+
+
+def _default_deny_verdict(route_text, rule):
+    policy = parse_policy(NAMESAKE_SERVICES + rule)
+    return verify(parse_route(route_text), compile_policy(policy, "drop"))
+
+
+def test_a_rule_named_default_deny_hides_no_default_violation():
+    # The default decision is reported as rule default_deny, but is keyed and
+    # explained apart from a policy rule of that name.
+    route = "route r {\n  1: from(sensor)\n  2: to(a)\n}"
+    rule = "flow_rule { id default_deny when a receives other decide drop }"
+    (ce,) = _default_deny_verdict(route, rule).counterexamples
+    assert (ce.rule, ce.offending_labels) == ("default_deny", frozenset({Atom("s")}))
+    assert "service a may receive label(s) [s]." in render_counterexample(ce, "r")
+    choice_route = """
+    route r {
+      1: from(sensor)
+      2: when env_prop(m, 1) then goto 3 otherwise goto 4
+      3: to(b) -> 4
+      4: to(c)
+    }
+    """
+    for name in ("default_deny", "userRule"):
+        rule = f"flow_rule {{ id {name} when c receives raw decide drop }}"
+        verdict = _default_deny_verdict(choice_route, rule)
+        assert [
+            (ce.rule, ce.offending_labels, [n for n, _, _ in ce.trace])
+            for ce in verdict.counterexamples
+        ] == [
+            (name, frozenset({Atom("raw")}), [1, 2, 3, 4]),
+            ("default_deny", frozenset({Atom("s")}), [1, 2, 4]),
+        ]
+
+
 def test_counterexample_names_the_labels_a_pattern_trigger_matches():
     policy = compile_policy(
         parse_policy(
@@ -366,9 +408,9 @@ def test_each_service_and_label_set_is_decided_once(monkeypatch):
     calls = []
     decide = verifier.decide
 
-    def counting(policy, req):
-        calls.append((req.service, req.labels))
-        return decide(policy, req)
+    def counting(policy, service, labels, url=None):
+        calls.append((service, labels))
+        return decide(policy, service, labels, url)
 
     monkeypatch.setattr(verifier, "decide", counting)
     verdict = verify(route, policy)
@@ -536,9 +578,9 @@ def test_verify_decides_each_service_and_label_set_once(
     calls = []
     decide = verifier.decide
 
-    def counting(policy, req):
-        calls.append((req.service, req.labels))
-        return decide(policy, req)
+    def counting(policy, service, labels, url=None):
+        calls.append((service, labels))
+        return decide(policy, service, labels, url)
 
     monkeypatch.setattr(verifier, "decide", counting)
     decided = {}
