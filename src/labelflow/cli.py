@@ -206,8 +206,11 @@ def cmd_run(args) -> int:
         except RecursionError:
             raise CliError(f"{args.services}: JSON nested too deeply")
         registries = build_registries(manifest)
-    # Every route loads before any runs, so an input error runs none.
+    # All routes load and find their handlers first, so an input error runs none.
     routes = [_load(path, parse_route) for path in args.routes]
+    if registries:
+        for route in routes:
+            registries[0].check_route(route)
     audit_lines = []
     worst = 0
     env: dict = {}

@@ -2,11 +2,13 @@
 
 A route is a non-while-looping program over services. Statements are
 numbered; control flow is the next declared statement unless an explicit
-``-> n, m`` successor list or a choice's goto targets say otherwise. Split
-fans out into several parallel branches which must all converge on the same
-aggregate statement (the join); nested splits are allowed. Every statement is
-reached with the same open splits on every path, so no choice or ``->``
-enters or leaves a branch except through its split and join.
+``-> n, m`` successor list or a choice's goto targets, its two successors,
+say otherwise. Split fans out into several parallel branches which must all
+converge on the same aggregate statement (the join); nested splits are
+allowed. Every statement is reached with the same open splits on every path,
+so no choice or ``->`` enters or leaves a branch except through its split
+and join. A ``Route`` checks all of this when it is built, raising
+``RouteError`` or a subclass, and nothing after that checks it again.
 
 Route files use the ``.route`` extension, UTF-8, and ``//`` line comments::
 
@@ -82,8 +84,6 @@ class Bean:
 @dataclass(frozen=True, slots=True)
 class Choice:
     cond: Term
-    then_target: int
-    else_target: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,13 +111,13 @@ class SetEnvProp:
 Statement = Union[From, To, Bean, Choice, Split, Aggregate, SetMsgProp, SetEnvProp]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Route:
-    """A parsed, validated route.
+    """A route that passed every check, which its constructor runs.
 
-    A Route is read-only once built: ``names`` and ``services`` are derived
-    from its statements on first use and then kept for the Route's life, so
-    every execution and verification of one Route shares them.
+    A Route is frozen: ``names`` and ``services`` are derived from its
+    statements on first use and then kept for the Route's life, so every
+    execution and verification of one Route shares them.
     """
 
     name: str
@@ -125,7 +125,10 @@ class Route:
     entry: int
     successors_map: dict  # statement number -> tuple of successor numbers
     endpoints: dict = field(default_factory=dict)  # service atom -> URL
-    joins: dict = field(default_factory=dict)  # split number -> aggregate number
+    joins: dict = field(init=False)  # split number -> aggregate number
+
+    def __post_init__(self):
+        object.__setattr__(self, "joins", _check(self))
 
     @cached_property
     def names(self) -> dict:
@@ -212,7 +215,6 @@ def parse_route(text: str) -> Route:
             endpoints[svc.text] = tok.next("STR").value
     statements: dict[int, Statement] = {}
     explicit: dict[int, tuple] = {}
-    order: list[int] = []
     while not tok.accept("PUNCT", "}"):
         at = tok.index
         num = tok.next("INT").value
@@ -225,28 +227,21 @@ def parse_route(text: str) -> Route:
         statements[num] = stmt
         if targets is not None:
             explicit[num] = targets
-        order.append(num)
     end = tok.peek()
     if end.kind != "EOF":
         raise TermSyntaxError(
             f"trailing input after route: {end.text!r}", *tok.position(tok.index)
         )
-    if not statements:
-        raise RouteError("route has no statements")
+    order = list(statements)
     succ: dict[int, tuple] = {}
     for i, num in enumerate(order):
-        stmt = statements[num]
-        if isinstance(stmt, Choice):
-            succ[num] = (stmt.then_target, stmt.else_target)
-        elif num in explicit:
+        if num in explicit:
             succ[num] = explicit[num]
         elif i + 1 < len(order):
             succ[num] = (order[i + 1],)
         else:
             succ[num] = ()
-    route = Route(name, statements, order[0], succ, endpoints)
-    validate_route(route)
-    return route
+    return Route(name, statements, order[0] if order else None, succ, endpoints)
 
 
 _SERVICE_STATEMENTS = {"from": From, "to": To, "bean": Bean}
@@ -287,11 +282,11 @@ def _parse_statement(tok: Tokenizer):
             )
         tok.next("ATOM", "then")
         tok.next("ATOM", "goto")
-        then_target = tok.next("INT").value
+        then_goto = tok.next("INT").value
         tok.next("ATOM", "otherwise")
         tok.next("ATOM", "goto")
-        else_target = tok.next("INT").value
-        return Choice(cond, then_target, else_target), None
+        else_goto = tok.next("INT").value
+        return Choice(cond), (then_goto, else_goto)
     raise TermSyntaxError(
         f"unknown statement {t.text or t.kind!r}", *tok.position(tok.index)
     )
@@ -302,14 +297,23 @@ def _parse_statement(tok: Tokenizer):
 # ---------------------------------------------------------------------------
 
 
-def validate_route(route: Route) -> None:
+def _check(route: Route) -> dict:
+    """The joins of ``route``, which must pass every route check."""
     stmts = route.statements
+    if not stmts:
+        raise RouteError("route has no statements")
+    if route.entry not in stmts:
+        raise RouteError(f"entry {route.entry} is not a statement")
     if not isinstance(stmts[route.entry], From):
         raise RouteError(f"entry statement {route.entry} is not a from")
     for n, stmt in stmts.items():
         if isinstance(stmt, From) and n != route.entry:
             raise RouteError(f"from statement {n} is not the entry")
+        if isinstance(stmt, Choice) and len(route.successors_map.get(n, ())) != 2:
+            raise RouteError(f"choice {n} needs exactly two successors")
     for n, targets in route.successors_map.items():
+        if n not in stmts:
+            raise RouteError(f"successors given for missing statement {n}")
         for t in targets:
             if t not in stmts:
                 raise DanglingTarget(n, t)
@@ -323,8 +327,7 @@ def validate_route(route: Route) -> None:
     if len(order) < len(stmts):
         unreachable = sorted(set(stmts) - set(order))
         raise RouteError(f"unreachable statement(s): {unreachable}")
-    route.joins.clear()
-    route.joins.update(_match_joins(route, order))
+    return _match_joins(route, order)
 
 
 def _topological_order(route: Route) -> list:
@@ -419,6 +422,7 @@ def format_route(route: Route) -> str:
     last_declared = next(reversed(route.statements))
     for n, stmt in route.statements.items():
         word = _KEYWORDS.get(type(stmt))
+        succ = route.successors_map.get(n, ())
         if word in _SERVICE_STATEMENTS:
             body = f"{word}({stmt.service})"
         elif word in _EXPR_STATEMENTS:
@@ -427,10 +431,9 @@ def format_route(route: Route) -> str:
             body = f"{word} {stmt.var} := {format_term(stmt.expr)}"
         else:  # a choice, whose gotos are its successors
             body = (
-                f"when {format_term(stmt.cond)} then goto {stmt.then_target} "
-                f"otherwise goto {stmt.else_target}"
+                f"when {format_term(stmt.cond)} then goto {succ[0]} "
+                f"otherwise goto {succ[1]}"
             )
-        succ = route.successors_map.get(n, ())
         if word and succ:
             body += " -> " + ", ".join(map(str, succ))
         elif word and n != last_declared:

@@ -50,7 +50,6 @@ from .engine import (
 from .pdp import _new_record, apply_label_transform, decide, most_restrictive
 from .policy_compiler import CompiledPolicy, resolve_transforms
 from .routes import (
-    Aggregate,
     Bean,
     Choice,
     Route,
@@ -371,7 +370,7 @@ class _Execution:
                 current = self._merge(join, msg, arrived)
 
     def step(self, stmt_no: int, msg: Message) -> int | None:
-        """Execute one statement other than a split; return its successor."""
+        """Execute one statement other than a split or a join; return its successor."""
         stmt = self.route.statements[stmt_no]
         succ = self.route.successors_map.get(stmt_no, ())
         nxt = succ[0] if succ else None
@@ -381,7 +380,7 @@ class _Execution:
         if isinstance(stmt, Choice):
             taken = self._choice(stmt_no, stmt, msg)
             self.record(stmt_no, msg, msg.labels, msg.labels)
-            return stmt.then_target if taken else stmt.else_target
+            return succ[0] if taken else succ[1]
         if isinstance(stmt, SetMsgProp):
             msg.props[stmt.var] = eval_expr(stmt.expr, msg.props, self.env)
             self.record(stmt_no, msg, msg.labels, msg.labels)
@@ -390,9 +389,6 @@ class _Execution:
             self.env[stmt.var] = eval_expr(stmt.expr, msg.props, self.env)
             self.record(stmt_no, msg, msg.labels, msg.labels)
             return nxt
-        if isinstance(stmt, Aggregate):
-            # Reached only as a split's join, which run_from handles itself.
-            raise RuntimeError_(f"aggregate {stmt_no} reached outside a split")
         # The entry, the only from statement: a fresh message from the source.
         self._call_handler(stmt_no, stmt.service, msg)
         url = self.route.endpoints.get(stmt.service)

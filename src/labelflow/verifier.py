@@ -242,21 +242,18 @@ class _Verifier:
                     continue
                 # (target, the choice taken or None) per edge
                 if isinstance(stmt, Choice):
-                    out_labels = labels
-                    edges = (
-                        (stmt.then_target, (n, True)),
-                        (stmt.else_target, (n, False)),
-                    )
+                    then, other = successors[n]
+                    edges = ((then, (n, True)), (other, (n, False)))
                 else:
                     edges = [(s, None) for s in successors.get(n, ())]
                 if stop_at is not None:
-                    # An edge to the join, or no edge, ends the branch.
+                    # An edge to the join ends the branch, and every branch has one.
                     slots = [
                         (None, (out_labels, arrival, picked))
                         if target == stop_at
                         else (arrival, picked)
                         for target, picked in edges
-                    ] or [(None, (out_labels, arrival, None))]
+                    ]
                     stack.append((_FINISH, key, slots, None))
                 for target, picked in reversed(edges):
                     if target != stop_at:

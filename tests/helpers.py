@@ -15,6 +15,7 @@ violation is decided by exhaustively forcing every choice valuation.
 from __future__ import annotations
 
 from itertools import count, product
+from types import SimpleNamespace
 
 from labelflow.engine import Clause, KnowledgeBase, Literal, provable
 from labelflow.kernel import match
@@ -34,7 +35,6 @@ from labelflow.routes import (
     Split,
     SplitJoinError,
     To,
-    validate_route,
 )
 from labelflow.runtime import ServiceRegistry, echo_handler, execute
 from labelflow.terms import Atom, Compound, Int, Term, TermSyntaxError, Var
@@ -365,7 +365,7 @@ def random_route(
         then_head, then_tails = sequence(depth + 1, limit=1)
         else_head, else_tails = sequence(depth + 1, limit=1)
         n = next(numbers)
-        stmts[n] = Choice(Compound("eq", (Int(0), Int(0))), then_head, else_head)
+        stmts[n] = Choice(Compound("eq", (Int(0), Int(0))))
         succ[n] = (then_head, else_head)
         return n, then_tails + else_tails
 
@@ -421,22 +421,23 @@ def random_route(
     for t in tails:
         succ[t] = ()
     ordered = {n: stmts[n] for n in sorted(stmts)}
-    route = Route(name, ordered, entry, succ, endpoints)
-    validate_route(route)
-    return route
+    return Route(name, ordered, entry, succ, endpoints)
 
 
 # ---------------------------------------------------------------------------
 # Random route DAGs: any from/to/choice/split/aggregate shape, most of them
-# rejected, for comparing the route validator with the oracles below.
+# rejected, for comparing the route checks with the oracles below.
 # ---------------------------------------------------------------------------
 
 
-def random_dag(rng, max_statements: int = 12) -> Route:
-    """A route whose statements are all of the right kind and arity and
-    whose every edge goes to a higher statement number; nothing else is
-    checked. Targets lie at most three statements ahead, so that branches
-    often converge, and nine routes in ten keep only what the entry reaches."""
+def random_dag(rng, max_statements: int = 12) -> SimpleNamespace:
+    """A route draft, unchecked: a namespace with ``Route``'s attributes
+    (``name``, ``statements``, ``entry``, ``successors_map``, ``endpoints``),
+    which ``Route(**vars(draft))`` checks. Its statements are all of the
+    right kind and arity and its every edge goes to a higher statement
+    number; nothing else holds. Targets lie at most three statements ahead,
+    so that branches often converge, and nine drafts in ten keep only what
+    the entry reaches."""
     size = rng.randint(2, max_statements)
     stmts: dict = {1: From("src")}
     succ: dict = {1: (2,)}
@@ -452,9 +453,8 @@ def random_dag(rng, max_statements: int = 12) -> Route:
             stmts[n] = Split(Atom("parts"))
             succ[n] = tuple(ahead(n, rng.randint(2, min(3, room))))
         elif room >= 1 and r < 0.4:
-            then_target, else_target = (ahead(n, 1) * 2) if room == 1 else ahead(n, 2)
-            stmts[n] = Choice(cond, then_target, else_target)
-            succ[n] = (then_target, else_target)
+            stmts[n] = Choice(cond)
+            succ[n] = tuple(ahead(n, 1) * 2 if room == 1 else ahead(n, 2))
         else:
             closes = r < 0.65 and any(type(s) is Split for s in stmts.values())
             stmts[n] = Aggregate(Atom("concat")) if closes else To("t")
@@ -471,7 +471,9 @@ def random_dag(rng, max_statements: int = 12) -> Route:
                 stack.extend(succ[n])
         stmts = {n: s for n, s in stmts.items() if n in reached}
         succ = {n: succ[n] for n in stmts}
-    return Route("dag", stmts, 1, succ)
+    return SimpleNamespace(
+        name="dag", statements=stmts, entry=1, successors_map=succ, endpoints={}
+    )
 
 
 def reference_joins(route: Route) -> dict:

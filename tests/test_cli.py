@@ -327,6 +327,20 @@ def test_run_manifest_missing_services_is_usage_error(capsys):
     assert "no handler" in capsys.readouterr().err
 
 
+def test_run_checks_every_route_for_handlers_before_running_any(tmp_path, capsys):
+    # The manifest lacks the second route's services, so the first route,
+    # which it could run, runs neither: no summary and no audit.
+    audit = tmp_path / "audit.jsonl"
+    argv = ["run", ROUTE, CHAIN_ROUTE, POLICY, "--services", MANIFEST]
+    assert main(argv + ["--audit", str(audit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no handler for service(s): ['service_a', 'service_c']\n"
+    )
+    assert not audit.exists()
+
+
 def test_run_default_deny(capsys):
     # No flow rule covers the chain services, so default-deny rejects the
     # first decision point outright.

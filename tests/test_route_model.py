@@ -19,7 +19,6 @@ from labelflow.routes import (
     format_route,
     node_names,
     parse_route,
-    validate_route,
 )
 from labelflow.terms import Atom, Compound, Int, TermSyntaxError
 
@@ -71,20 +70,21 @@ def test_service_atoms_cost_is_linear_in_statements():
     def chain(n):
         statements = {1: From("s0")}
         statements.update({i: To(f"s{i}") for i in range(2, n + 1)})
-        return statements
+        successors = {i: (i + 1,) for i in range(1, n)}
+        return statements, successors
 
-    def best_of_15(statements):
+    def best_of_15(statements, successors):
         best = float("inf")
         for _ in range(15):
-            route = Route("r", statements, 1, {})
+            route = Route("r", statements, 1, successors)
             start = time.perf_counter()
             atoms = route.service_atoms()
             best = min(best, time.perf_counter() - start)
         assert len(atoms) == len(statements)
         return best
 
-    small = best_of_15(chain(2000))
-    large = best_of_15(chain(8000))
+    small = best_of_15(*chain(2000))
+    large = best_of_15(*chain(8000))
     assert large <= 8 * small, (small, large)
 
 
@@ -150,9 +150,7 @@ def test_choice_targets_are_successors():
         }
         """
     )
-    assert route.statements[2] == Choice(
-        Compound("msg_prop", (Atom("k"), Int(1))), 4, 3
-    )
+    assert route.statements[2] == Choice(Compound("msg_prop", (Atom("k"), Int(1))))
     assert route.successors_map[2] == (4, 3)
 
 
@@ -363,14 +361,62 @@ def test_splits_do_not_share_a_join():
 
 
 def test_plain_statement_single_successor():
-    route = Route(
-        "r",
-        {1: From("a"), 2: To("b"), 3: To("c")},
-        1,
-        {1: (2, 3), 2: (), 3: ()},
-    )
     with pytest.raises(RouteError, match="multiple successors"):
-        validate_route(route)
+        Route(
+            "r",
+            {1: From("a"), 2: To("b"), 3: To("c")},
+            1,
+            {1: (2, 3), 2: (), 3: ()},
+        )
+
+
+_TRUE = Atom("true")
+
+
+@pytest.mark.parametrize(
+    "statements, entry, successors, message",
+    [
+        ({1: From("a"), 2: To("b")}, 5, {1: (2,)}, "entry 5 is not a statement"),
+        ({}, 1, {}, "route has no statements"),
+        (
+            {1: From("a"), 2: To("b")},
+            1,
+            {1: (2,), 7: (2,)},
+            "successors given for missing statement 7",
+        ),
+        (
+            {1: From("a"), 2: Choice(_TRUE), 3: To("b")},
+            1,
+            {1: (2,), 2: (3,)},
+            "choice 2 needs exactly two successors",
+        ),
+        (
+            {1: From("a"), 2: Choice(_TRUE), 3: To("b"), 4: To("c"), 5: To("d")},
+            1,
+            {1: (2,), 2: (3, 4, 5)},
+            "choice 2 needs exactly two successors",
+        ),
+    ],
+    ids=[
+        "missing-entry",
+        "no-statements",
+        "successors-of-a-missing-statement",
+        "choice-with-one-successor",
+        "choice-with-three-successors",
+    ],
+)
+def test_a_malformed_route_is_a_route_error(statements, entry, successors, message):
+    # Built in Python, not parsed: the constructor is the only check.
+    with pytest.raises(RouteError) as exc:
+        Route("r", statements, entry, successors)
+    assert str(exc.value) == message
+
+
+def test_a_route_is_frozen(fan_out):
+    with pytest.raises(AttributeError):
+        fan_out.joins = {}
+    with pytest.raises(TypeError):
+        Route("r", {1: From("a")}, 1, {}, {}, {})  # joins is not an argument
 
 
 def test_nested_splits():
@@ -451,25 +497,22 @@ def test_random_route_with_back_edge_is_cyclic(seed):
     broken = dict(route.successors_map)
     broken[rng.choice(terminals)] = (route.entry,)
     with pytest.raises((CycleError, RouteError)):
-        validate_route(
-            Route(route.name, route.statements, route.entry, broken, route.endpoints)
-        )
+        Route(route.name, route.statements, route.entry, broken, route.endpoints)
 
 
-def _joins_or_error(check, route: Route):
-    """The joins ``check`` finds in ``route``, or the class of what it raises."""
+def _joins_or_error(check, draft):
+    """The joins ``check`` finds in ``draft``, or the class of what it raises."""
     try:
-        return check(route)
+        return check(draft)
     except RouteError as exc:
         return type(exc)
 
 
-def _validated_joins(route: Route) -> dict:
-    validate_route(route)
-    return route.joins
+def _checked_joins(draft) -> dict:
+    return Route(**vars(draft)).joins
 
 
-def _reference_validation(route: Route) -> dict:
+def _reference_validation(route) -> dict:
     tuples = open_split_tuples(route)
     if len(tuples) < len(route.statements):
         raise RouteError("unreachable statement")
@@ -484,12 +527,12 @@ def test_validator_agrees_with_path_oracles_on_random_dags():
     # statement is reached with one open-split tuple over all paths.
     verdicts = Counter()
     for seed in range(1000):
-        route = random_dag(random.Random(seed))
-        got = _joins_or_error(_validated_joins, route)
-        want = _joins_or_error(_reference_validation, route)
-        assert got == want, (seed, format_route(route))
-        splits = any(isinstance(s, Split) for s in route.statements.values())
-        levels = _joins_or_error(reference_joins, route)
+        draft = random_dag(random.Random(seed))
+        got = _joins_or_error(_checked_joins, draft)
+        want = _joins_or_error(_reference_validation, draft)
+        assert got == want, (seed, format_route(draft))
+        splits = any(isinstance(s, Split) for s in draft.statements.values())
+        levels = _joins_or_error(reference_joins, draft)
         verdicts[got if type(got) is type else dict, splits, type(levels)] += 1
     # Every verdict occurs, and some routes pass the level count alone.
     assert verdicts[dict, True, dict] >= 20

@@ -1161,21 +1161,18 @@ def test_verify_warns_only_for_services_covered_by_neither_id_nor_url():
     assert "'ghost'" in warning
 
 
-def test_an_aggregate_outside_a_split_is_a_typed_error():
-    # ``validate_route`` rejects an aggregate that no split reaches, so this
-    # route is built by hand.
-    route = routes.Route(
-        "stray_join",
-        {1: routes.From("src"), 2: routes.Aggregate(Atom("concat"))},
-        1,
-        {1: (2,)},
-    )
-    services = ServiceRegistry()
-    services.register("src", echo_handler)
+def test_an_aggregate_outside_a_split_is_not_a_route():
+    # Such a route is never built, so the runtime reaches an aggregate only
+    # as a split's join.
     with pytest.raises(
-        runtime.RuntimeError_, match="aggregate 2 reached outside a split"
+        routes.SplitJoinError, match="^aggregate 2 is reached outside any split$"
     ):
-        execute(route, EMPTY_POLICY, services)
+        routes.Route(
+            "stray_join",
+            {1: routes.From("src"), 2: routes.Aggregate(Atom("concat"))},
+            1,
+            {1: (2,)},
+        )
 
 
 def test_a_handler_lookup_for_an_unregistered_service_is_a_typed_error():

@@ -1,12 +1,22 @@
 import inspect
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from labelflow.policy import parse_policy
 from labelflow.policy_compiler import compile_policy
-from labelflow.routes import Aggregate, From, Route, Split, To, parse_route
+from labelflow.routes import (
+    Aggregate,
+    From,
+    Route,
+    RouteError,
+    Split,
+    SplitJoinError,
+    To,
+    parse_route,
+)
 from labelflow.runtime import execute
 from labelflow import verifier
 from labelflow.terms import Atom, Compound, Int
@@ -21,6 +31,7 @@ from .conftest import read_fixture
 from .helpers import (
     UNRULED_POLICY,
     dynamically_violates,
+    random_dag,
     random_policy,
     random_route,
     registry_for,
@@ -564,6 +575,63 @@ def test_all_paths_agrees_on_validity(seed):
     assert verify(route, policy).valid == verify(route, policy, all_paths=True).valid
 
 
+# Policies over ``random_dag``'s two services ``src`` and ``t``, each
+# violated by a ``t`` that follows a ``t``: a drop on a label that ``t``
+# adds, an error on one that ``t`` adds while removing ``raw``, and default
+# deny, under which ``t`` is allowed only while ``raw`` is held, so that a
+# join whose other branch kept ``raw`` allows it again.
+_SRC = 'service { id src endpoint "svc://src" creates_label raw }\n'
+DAG_POLICIES = {
+    "drop": compile_policy(
+        parse_policy(
+            _SRC
+            + 'service { id t endpoint "svc://t" creates_label seen }\n'
+            + "flow_rule { id once when t receives seen decide drop }\n"
+        )
+    ),
+    "error": compile_policy(
+        parse_policy(
+            _SRC
+            + 'service { id t endpoint "svc://t" removes_label raw creates_label seen }\n'
+            + "flow_rule { id twice when t receives seen decide error }\n"
+        )
+    ),
+    "default-deny": compile_policy(
+        parse_policy(
+            _SRC
+            + 'service { id t endpoint "svc://t" removes_label raw }\n'
+            + "flow_rule { id rawOnly when t receives raw decide allow }\n"
+        ),
+        default_effect="drop",
+    ),
+}
+
+
+def test_agreement_with_dynamic_oracle_on_random_dags():
+    # ``random_dag`` draws shapes that ``random_route`` never does, such as
+    # branches that converge and choices inside branches. Every draft that
+    # the route checks accept verifies as it runs, under each policy, and
+    # neither ``verify`` nor ``execute`` raises on it.
+    verdicts = Counter()
+    for seed in range(1000):
+        try:
+            route = Route(**vars(random_dag(random.Random(seed))))
+        except RouteError:
+            continue
+        splits = any(isinstance(s, Split) for s in route.statements.values())
+        for name, policy in DAG_POLICIES.items():
+            valid = verify(route, policy).valid
+            assert valid == (not dynamically_violates(route, policy)), (seed, name)
+            verdicts[name, splits, valid] += 1
+    # About half the drafts are accepted, and each policy both holds and
+    # fails on routes with and without splits.
+    assert sum(verdicts.values()) >= 3 * 400
+    for name in DAG_POLICIES:
+        for splits in (False, True):
+            for valid in (False, True):
+                assert verdicts[name, splits, valid] >= 5, verdicts
+
+
 @pytest.mark.parametrize("max_statements", [10, 40])
 @pytest.mark.parametrize("seed", range(25))
 def test_verify_decides_each_service_and_label_set_once(
@@ -619,35 +687,24 @@ def test_counterexamples_are_first_discovered_paths():
         ], f"seed {seed}"
 
 
-def test_a_split_branch_that_ends_before_its_join_still_reaches_the_join():
-    # ``validate_route`` rejects this route, so it is built by hand: branch
-    # 3 has no successor. The verifier counts its exit labels into the
-    # join's union, as if the branch ended at the join.
-    policy = compile_policy(
-        parse_policy(
-            'service { id sensor endpoint "sensor://.+" creates_label raw }\n'
-            'service { id tagger endpoint "t://.+" creates_label x }\n'
-            'service { id sink endpoint "s://.+" }\n'
-            "flow_rule { id noX when sink receives x decide drop }\n"
+def test_a_split_branch_that_ends_before_its_join_is_not_a_route():
+    # Branch 3 has no successor, so it never reaches the join. Such a route
+    # is never built, so the verifier has no case for a branch that ends
+    # without an edge.
+    with pytest.raises(
+        SplitJoinError,
+        match="^branches of split 2 do not all converge on one aggregate$",
+    ):
+        Route(
+            "dead_end",
+            {
+                1: From("sensor"),
+                2: Split(Atom("parts")),
+                3: To("tagger"),
+                4: To("plain"),
+                5: Aggregate(Atom("concat")),
+                6: To("sink"),
+            },
+            1,
+            {1: (2,), 2: (3, 4), 4: (5,), 5: (6,)},
         )
-    )
-    route = Route(
-        "dead_end",
-        {
-            1: From("sensor"),
-            2: Split(Atom("parts")),
-            3: To("tagger"),
-            4: To("plain"),
-            5: Aggregate(Atom("concat")),
-            6: To("sink"),
-        },
-        1,
-        {1: (2,), 2: (3, 4), 4: (5,), 5: (6,)},
-        joins={2: 5},
-    )
-    verdict = verify(route, policy)
-    (ce,) = verdict.counterexamples
-    assert (ce.rule, ce.violating_service) == ("noX", "sink")
-    assert ce.offending_labels == frozenset({Atom("x")})
-    trace = [node for _, node, _ in ce.trace]
-    assert trace == ["sensor", "split", "tagger", "aggr", "sink"]
